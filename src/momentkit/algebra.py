@@ -110,7 +110,7 @@ def format_rat(q) -> str:
 
 
 def parse_rat(s) -> Fraction:
-    if not isinstance(s, (str, int)):
+    if not isinstance(s, (str, int)) or isinstance(s, bool):
         raise ValueError(f"expected rational string, got {s!r}")
     return Fraction(s)
 
@@ -213,8 +213,12 @@ def poly_pow(a: Poly, k: int) -> Poly:
         raise ValueError("negative polynomial power")
     nvars = len(next(iter(a))) if a else 0
     out = poly_const(nvars, 1)
-    for _ in range(k):
-        out = poly_mul(out, a)
+    while k:  # square and multiply
+        if k & 1:
+            out = poly_mul(out, a)
+        k >>= 1
+        if k:
+            a = poly_mul(a, a)
     return out
 
 
@@ -302,19 +306,15 @@ def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
             e[j] = 1
             sol[tuple(e)] = -c / a
 
-    powers: dict[int, Poly] = {0: poly_const(n, 1)}
-
-    def sol_pow(k: int) -> Poly:
-        if k not in powers:
-            powers[k] = poly_mul(sol_pow(k - 1), sol)
-        return powers[k]
-
+    powers: dict[int, Poly] = {}  # t -> sol**t
     out: Poly = {}
     for mono, coeff in f.items():
         rest = list(mono)
         t = rest[piv]
         rest[piv] = 0
-        out = poly_add(out, poly_mul({tuple(rest): coeff}, sol_pow(t)))
+        if t not in powers:
+            powers[t] = poly_pow(sol, t) if t else poly_const(n, 1)
+        out = poly_add(out, poly_mul({tuple(rest): coeff}, powers[t]))
     return out
 
 

@@ -380,10 +380,10 @@ _HANDLERS = {
 }
 
 
-def run(argv) -> tuple[dict, int]:
+def run(argv, args=None) -> tuple[dict, int]:
     """Execute one command; return the report and the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     _check_threads_env()
     _check_seed(args.seed)
 
@@ -404,8 +404,9 @@ def run(argv) -> tuple[dict, int]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    args = _build_parser().parse_args(argv)
     try:
-        report, code = run(argv)
+        report, code = run(argv, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -415,7 +416,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if "--json" in argv:
+    if args.json:
         print(json.dumps(report, indent=2))
     else:
         print(_render_text(report))

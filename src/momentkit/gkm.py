@@ -160,6 +160,11 @@ def class_degree(cls: GKMClass) -> int | None:
 # ---------------------------------------------------------------------------
 # degreewise dimensions by exact rank
 
+# Largest degree system built: one unknown per vertex and degree-k monomial,
+# V * C(k + n - 1, n - 1) in all; larger degrees raise DomainError.  Near the
+# limit a system takes up to 4 s on one x86 core (simplex:5:1, k=9: 4290).
+MAX_DEGREE_UNKNOWNS = 5000
+
 
 def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
     """Linear constraints on monomial coefficients of a degree-k class.
@@ -171,6 +176,11 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
     degree k in the remaining variables.
     """
     n = G.dim
+    unknowns = len(G.positions) * comb(k + n - 1, n - 1)
+    if unknowns > MAX_DEGREE_UNKNOWNS:
+        raise DomainError(
+            f"degree {k} needs {unknowns} unknowns, over the limit of "
+            f"{MAX_DEGREE_UNKNOWNS}")
     monos = monomials(n, k)
     nmono = len(monos)
     ncols = len(G.positions) * nmono

@@ -1,79 +1,119 @@
-"""Small dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on one sparse elimination kernel.
 
-Matrices are lists of lists of Fractions.  Everything runs at desk scale
-(a few dozen rows), so plain fraction Gaussian elimination with
-largest-pivot selection is exact and fast enough.
+Matrices come in and go out as dense lists of rows, but inside the kernel a
+row is a dict from column to nonzero Fraction.  Rows enter one at a time and
+each is reduced at its lowest column against the pivots found so far, so the
+work follows the nonzeros, not the shape: GKM degree systems have hundreds
+of rows with two or three nonzeros each.  An optional back-substitution
+gives the reduced row echelon form, which is unique, so nullspace bases and
+solutions do not depend on the order of elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
-from .algebra import Vec, as_vec, vsub
+from .algebra import ONE, ZERO, Vec, as_vec, vsub
 
 Matrix = list[list[Fraction]]
+# column -> nonzero entry, the leading 1 of a pivot row left implicit
+Row = dict[int, Fraction]
 
 
-def copy_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _cancel(row: Row, c: int, tail: Row) -> None:
+    """Clear column c of row with the pivot row whose leading 1 sits at c."""
+    f = row.pop(c)
+    for j, x in tail.items():
+        y = row.get(j, ZERO) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
 
 
-def _rref(m: Matrix) -> list[int]:
-    """Reduce m in place to reduced row echelon form; return pivot columns."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        best = -1
-        best_abs = Fraction(0)
-        for i in range(r, nrows):
-            a = abs(m[i][c])
-            if a > best_abs:
-                best, best_abs = i, a
-        if best < 0:
-            continue
-        m[r], m[best] = m[best], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+def _eliminate(rows, reduced: bool = False) -> tuple[dict[int, Row], list[Fraction]]:
+    """Echelon form of the dense ``rows``.
+
+    Returns the pivots, mapping each pivot column to the rest of its row
+    scaled to a leading 1, in the order the rows came in, and the leading
+    entries before scaling, in the same order.  Rows that reduce to zero
+    leave no pivot.  With ``reduced`` every pivot row is then cleared at the
+    other pivot columns, which gives the reduced row echelon form.
+    """
+    pivots: dict[int, Row] = {}
+    leads: list[Fraction] = []
+    for dense in rows:
+        row = {j: Fraction(x) for j, x in enumerate(dense) if x}
+        while row:
+            c = min(row)
+            tail = pivots.get(c)
+            if tail is None:
+                lead = row.pop(c)
+                pivots[c] = {j: x / lead for j, x in row.items()}
+                leads.append(lead)
+                break
+            _cancel(row, c, tail)
+    if reduced:
+        # later pivots are already clear of every other pivot column, so
+        # cancelling them never brings a pivot column back
+        for c in sorted(pivots, reverse=True):
+            tail = pivots[c]
+            for p in [p for p in tail if p in pivots]:
+                _cancel(tail, p, pivots[p])
+    return pivots, leads
+
+
+def _det(pivots: dict[int, Row], leads: list[Fraction], n: int) -> Fraction:
+    """Determinant of an n-row square matrix from its forward elimination.
+
+    Elimination only adds multiples of earlier rows, and the rows sorted
+    by pivot column are upper triangular, so the determinant is the sign
+    of that sort times the product of the leading entries.
+    """
+    if len(pivots) < n:
+        return ZERO
+    inversions = sum(a > b for a, b in combinations(pivots, 2))
+    return (-1) ** inversions * prod(leads, start=ONE)
+
+
+def _invert(a_rows) -> tuple[Matrix, Fraction] | None:
+    """A^-1 and det A from one reduced elimination of [A | I]; None when A
+    is singular.  While A is invertible the identity block never decides a
+    pivot, so the leading entries are those of A alone."""
+    n = len(a_rows)
+    pivots, leads = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(a_rows)], reduced=True)
+    if any(c >= n for c in pivots):
+        return None
+    inv = [[pivots[c].get(n + j, ZERO) for j in range(n)] for c in range(n)]
+    return inv, _det(pivots, leads, n)
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    m = copy_matrix(rows)
-    return len(_rref(m))
+    return len(_eliminate(rows)[0])
 
 
 def nullspace(rows, ncols: int | None = None) -> list[Vec]:
-    """Basis of the right kernel; ``ncols`` is required when rows is empty."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty system")
-        return [
-            tuple(Fraction(1 if j == i else 0) for j in range(ncols))
-            for i in range(ncols)
-        ]
-    m = copy_matrix(rows)
-    ncols = len(m[0])
-    pivots = _rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of the right kernel; ``ncols`` is required when rows is empty.
+
+    One vector per free column f of the reduced row echelon form: 1 at f,
+    minus column f of each pivot row at that row's pivot column.
+    """
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols required for an empty system")
+    pivots, _ = _eliminate(rows, reduced=True)
     basis: list[Vec] = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for row, pcol in zip(m, pivots):
-            v[pcol] = -row[fcol]
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for c, tail in pivots.items():
+            v[c] = -tail.get(f, ZERO)
         basis.append(tuple(v))
     return basis
 
@@ -81,61 +121,20 @@ def nullspace(rows, ncols: int | None = None) -> list[Vec]:
 def solve_square(a_rows, b) -> Vec | None:
     """Solve the square system a x = b exactly; None when a is singular."""
     n = len(a_rows)
-    m = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a_rows, b)]
-    for c in range(n):
-        best = -1
-        best_abs = Fraction(0)
-        for i in range(c, n):
-            v = abs(m[i][c])
-            if v > best_abs:
-                best, best_abs = i, v
-        if best < 0:
-            return None
-        m[c], m[best] = m[best], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(row[n] for row in m)
+    pivots, _ = _eliminate([list(row) + [bi] for row, bi in zip(a_rows, b)],
+                           reduced=True)
+    if len(pivots) < n or n in pivots:
+        return None
+    return tuple(pivots[c].get(n, ZERO) for c in range(n))
 
 
 def det(a_rows) -> Fraction:
-    n = len(a_rows)
-    m = copy_matrix(a_rows)
-    result = Fraction(1)
-    for c in range(n):
-        best = -1
-        best_abs = Fraction(0)
-        for i in range(c, n):
-            v = abs(m[i][c])
-            if v > best_abs:
-                best, best_abs = i, v
-        if best < 0:
-            return Fraction(0)
-        if best != c:
-            m[c], m[best] = m[best], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+    return _det(*_eliminate(a_rows), len(a_rows))
 
 
 def inverse(a_rows) -> Matrix | None:
-    n = len(a_rows)
-    m = [
-        list(map(Fraction, row)) + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i, row in enumerate(a_rows)
-    ]
-    pivots = _rref(m)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in m]
+    found = _invert(a_rows)
+    return None if found is None else found[0]
 
 
 def adjugate_int(a_rows) -> tuple[list[list[int]], int]:
@@ -144,20 +143,13 @@ def adjugate_int(a_rows) -> tuple[list[list[int]], int]:
     adj(A) @ A == det(A) * I, so signs of A^-1 y can be read off integer
     products adj(A) @ y against the sign of det(A).
     """
-    d = det(a_rows)
-    if d == 0:
+    found = _invert(a_rows)
+    if found is None:
         raise ValueError("adjugate of a singular matrix is not useful here")
-    inv = inverse(a_rows)
-    assert inv is not None
-    adj = [[x * d for x in row] for row in inv]
-    out = []
-    for row in adj:
-        int_row = []
-        for x in row:
-            assert x.denominator == 1
-            int_row.append(int(x))
-        out.append(int_row)
-    return out, int(d)
+    inv, d = found
+    adj = [[d * x for x in row] for row in inv]
+    assert all(x.denominator == 1 for row in adj for x in row)
+    return [[int(x) for x in row] for row in adj], int(d)
 
 
 def affine_rank(points) -> int:

@@ -17,7 +17,6 @@ per-point cost low enough for brute-force box enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -138,32 +137,32 @@ class _ConeTester:
         return True
 
 
-@lru_cache(maxsize=None)
-def _tester(cone: PolarizedCone) -> _ConeTester:
-    return _ConeTester(cone)
-
-
 def cone_contains(cone: PolarizedCone, x) -> bool:
     """Exact membership honoring each generator's closed/open flag."""
     x = as_vec(x)
     if len(x) != len(cone.apex):
         raise DomainError("point dimension does not match the cone")
-    return _tester(cone).contains(x)
+    return _ConeTester(cone).contains(x)
 
 
-@lru_cache(maxsize=None)
-def _decompose_cached(P: Polytope, xi: Vec) -> tuple[PolarizedCone, ...]:
-    return tuple(polarize(P.vertex_figure(i), xi) for i in range(len(P.vertices)))
+def _decomposition(P: Polytope, xi: Vec) -> list:
+    """[cones, testers or None] for xi, kept on P so it dies with P."""
+    if xi not in P._polar:
+        P._polar[xi] = [tuple(polarize(P.vertex_figure(i), xi)
+                              for i in range(len(P.vertices))), None]
+    return P._polar[xi]
 
 
 def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
     """Polarized tangent cone at every vertex, in vertex order."""
-    return _decompose_cached(P, as_vec(xi))
+    return _decomposition(P, as_vec(xi))[0]
 
 
-@lru_cache(maxsize=None)
 def _cached_testers(P: Polytope, xi: Vec) -> tuple[tuple[_ConeTester, int], ...]:
-    return tuple((_ConeTester(c), c.sign) for c in _decompose_cached(P, xi))
+    entry = _decomposition(P, xi)
+    if entry[1] is None:
+        entry[1] = tuple((_ConeTester(c), c.sign) for c in entry[0])
+    return entry[1]
 
 
 def signed_indicator_sum(P: Polytope, xi, x) -> int:

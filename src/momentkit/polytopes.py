@@ -101,7 +101,7 @@ class Polytope:
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "vertex_facets", "edges",
-                 "_facets", "_int_rows")
+                 "_facets", "_int_rows", "_polar", "__weakref__")
 
     def __init__(self, dim, halfspaces, vertices, vertex_facets, edges):
         self.dim: int = dim
@@ -111,6 +111,8 @@ class Polytope:
         self.edges: tuple[tuple[int, int], ...] = edges
         self._facets: tuple[int, ...] | None = None
         self._int_rows: list[tuple[tuple[int, ...], int]] | None = None
+        # polarizing direction -> [cones, cone testers]; owned by polar
+        self._polar: dict = {}
 
     def __repr__(self) -> str:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
@@ -350,21 +352,21 @@ def catalog_specs(max_dim: int = 3, max_scale: int = 3, max_a: int = 3) -> list[
 # Delzant conditions
 
 
-def is_simple(P: Polytope) -> bool:
-    """True iff every vertex has exactly dim incident edges."""
+def _edge_counts(P: Polytope) -> list[int]:
     counts = [0] * len(P.vertices)
     for a, b in P.edges:
         counts[a] += 1
         counts[b] += 1
-    return all(c == P.dim for c in counts)
+    return counts
+
+
+def is_simple(P: Polytope) -> bool:
+    """True iff every vertex has exactly dim incident edges."""
+    return all(c == P.dim for c in _edge_counts(P))
 
 
 def smoothness_report(P: Polytope) -> SmoothnessReport:
-    counts = [0] * len(P.vertices)
-    for a, b in P.edges:
-        counts[a] += 1
-        counts[b] += 1
-    for i, c in enumerate(counts):
+    for i, c in enumerate(_edge_counts(P)):
         if c != P.dim:
             return SmoothnessReport(simple=False, smooth=False, vertex_dets=(),
                                     failing_vertex=i, failing_det=None)
@@ -450,25 +452,19 @@ def _project_facet(P: Polytope, k: int, piv: int) -> Polytope:
     return from_halfspaces(P.dim - 1, rows)
 
 
+def _vertex_box(P: Polytope, low, high) -> list[tuple[int, int]]:
+    return [(low(min(coords)), high(max(coords))) for coords in zip(*P.vertices)]
+
+
 def integer_box(P: Polytope) -> list[tuple[int, int]]:
     """Per-coordinate integer range [ceil(min), floor(max)] of candidate
     lattice points inside P."""
-    los, his = [], []
-    for i in range(P.dim):
-        coords = [v[i] for v in P.vertices]
-        los.append(ceil(min(coords)))
-        his.append(floor(max(coords)))
-    return list(zip(los, his))
+    return _vertex_box(P, ceil, floor)
 
 
 def tight_box(P: Polytope) -> list[tuple[int, int]]:
     """Smallest integer box [floor(min), ceil(max)] containing P."""
-    los, his = [], []
-    for i in range(P.dim):
-        coords = [v[i] for v in P.vertices]
-        los.append(floor(min(coords)))
-        his.append(ceil(max(coords)))
-    return list(zip(los, his))
+    return _vertex_box(P, floor, ceil)
 
 
 def lattice_points_oracle(P: Polytope) -> list[tuple[int, ...]]:
@@ -495,7 +491,7 @@ def polytope_from_json(obj) -> Polytope:
     if not isinstance(obj, dict) or "dim" not in obj or "halfspaces" not in obj:
         raise ValueError("polytope JSON must have 'dim' and 'halfspaces'")
     dim = obj["dim"]
-    if not isinstance(dim, int):
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValueError(f"'dim' must be an integer, got {dim!r}")
     hs = []
     for entry in obj["halfspaces"]:

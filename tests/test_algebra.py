@@ -20,6 +20,7 @@ from momentkit.algebra import (
     poly_eval,
     poly_from_json,
     poly_mul,
+    poly_pow,
     poly_quotient_by_linear,
     poly_str,
     poly_to_json,
@@ -170,6 +171,21 @@ def test_divisibility_agrees_with_random_hyperplane_points():
 def test_restrict_to_hyperplane_kills_the_form_itself():
     ell = vec(2, -3, 1)
     assert restrict_to_hyperplane(ell, linear_poly(ell)) == {}
+
+
+def test_restrict_to_hyperplane_high_exponent():
+    # x = (3/2) y on 2x - 3y = 0, so x^t restricts to (3/2)^t y^t
+    for t in (0, 1, 7, 5000):
+        assert (restrict_to_hyperplane(vec(2, -3), {(t, 0): F(1)}, piv=0)
+                == {(0, t): F(3, 2) ** t})
+
+
+def test_poly_pow_matches_repeated_products():
+    f = poly_add(linear_poly(vec(1, F(-2, 3), 5)), poly_const(3, 2))
+    expected = poly_const(3, 1)
+    for k in range(8):
+        assert poly_pow(f, k) == expected
+        expected = poly_mul(expected, f)
 
 
 def test_pivot_index_prefers_largest_then_lowest():

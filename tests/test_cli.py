@@ -204,6 +204,30 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_degree_over_the_limit_exits_3(capsys):
+    assert cli.main(["gkm-dim", "simplex:2:1", "--k", "100000"]) == 3
+    assert "over the limit" in capsys.readouterr().err
+
+
+def test_abbreviated_json_flag_prints_json(capsys):
+    assert cli.main(["validate", "simplex:2:1", "--js"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["smooth"] is True
+
+
+def test_boolean_dim_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool_dim.json"
+    path.write_text(json.dumps({
+        "dim": True,
+        "halfspaces": [
+            {"normal": ["1"], "offset": "0"},
+            {"normal": ["-1"], "offset": "-1"},
+        ],
+    }))
+    assert cli.main(["validate", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_threads_env_validation(monkeypatch, capsys):
     monkeypatch.setenv("MOMENTKIT_THREADS", "4")
     assert cli.main(["validate", "simplex:2:1"]) == 0

@@ -32,6 +32,7 @@ from momentkit.algebra import (
     vec,
 )
 from momentkit.gkm import (
+    MAX_DEGREE_UNKNOWNS,
     choose_generic_direction,
     class_degree,
     gkm_class_from_json,
@@ -186,6 +187,21 @@ def test_free_module_check():
     assert free_module_check(INTERVAL, 4)
     assert free_module_check(TRIANGLE, 3)
     assert free_module_check(moment_graph(cube(2, 1)), 3)
+
+
+def test_free_module_check_on_larger_degree_systems():
+    assert free_module_check(moment_graph(cube(4, 1)), 4)
+    assert free_module_check(moment_graph(cube(3, 1)), 5)
+
+
+def test_degree_system_size_limit():
+    # 3 vertices times k + 1 monomials; free on generators of degree 0, 1, 2
+    k_max = MAX_DEGREE_UNKNOWNS // 3 - 1
+    assert gkm_dimension(TRIANGLE, k_max) == 3 * k_max
+    with pytest.raises(DomainError):
+        gkm_dimension(TRIANGLE, k_max + 1)
+    with pytest.raises(DomainError):
+        gkm_degree_basis(TRIANGLE, 100000)
 
 
 def test_ordinary_betti():

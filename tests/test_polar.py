@@ -1,6 +1,8 @@
 """Polarized vertex cones and the signed indicator/counting identities."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -232,3 +234,15 @@ def test_signed_lattice_count_validates_box():
         signed_lattice_count(P, xi, [(0, 2)])
     with pytest.raises(DomainError):
         signed_lattice_count(P, xi, [(2, 0), (0, 2)])
+
+
+def test_decomposition_cache_dies_with_its_polytope():
+    P = simplex(2, 1)
+    xi = choose_polarizing_vector(P, seed=0)
+    assert polar_decompose(P, xi) is polar_decompose(P, xi)
+    assert signed_lattice_count(P, xi, tight_box(P)) == 3
+    assert signed_indicator_sum(P, xi, vec(0, 0)) == 1
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is None

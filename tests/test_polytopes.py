@@ -330,3 +330,9 @@ def test_json_round_trip():
         polytope_from_json({"dim": 2})
     with pytest.raises(ValueError):
         polytope_from_json({"dim": "2", "halfspaces": []})
+    with pytest.raises(ValueError):
+        polytope_from_json({"dim": True, "halfspaces": obj["halfspaces"]})
+    with pytest.raises(ValueError):
+        polytope_from_json({"dim": 1, "halfspaces": [
+            {"normal": [True], "offset": "0"},
+            {"normal": ["-1"], "offset": "-1"}]})
