@@ -47,21 +47,12 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
 def vneg(u: Vec) -> Vec:
     return tuple(-a for a in u)
-
-
-def vscale(c, u: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
 
 
 def is_zero_vec(u: Vec) -> bool:
@@ -180,10 +171,6 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
         else:
             out.pop(mono, None)
     return out
-
-
-def poly_neg(a: Poly) -> Poly:
-    return {mono: -c for mono, c in a.items()}
 
 
 def poly_scale(c, a: Poly) -> Poly:

@@ -58,6 +58,18 @@ def _parse_box(text: str, dim: int):
     return ranges
 
 
+def _direction(P: polytopes.Polytope, args):
+    """``--xi`` when given, else the direction drawn from ``--seed``.
+
+    Every seeded chooser (polarizing vector, generic direction, evaluation
+    point) draws from ``generic_vector`` with the same seed and tests the
+    same edge lines, so one choice serves every command.
+    """
+    if args.xi is not None:
+        return _parse_xi(args.xi, P.dim)
+    return polar.choose_polarizing_vector(P, seed=args.seed)
+
+
 def _check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise UsageError("--seed must fit in an unsigned 64-bit integer")
@@ -149,10 +161,7 @@ def _sample_points(P: polytopes.Polytope):
 
 
 def _cmd_decompose(P, args):
-    if args.xi is not None:
-        xi = _parse_xi(args.xi, P.dim)
-    else:
-        xi = polar.choose_polarizing_vector(P, seed=args.seed)
+    xi = _direction(P, args)
     cones = polar.polar_decompose(P, xi)
     result = {
         "xi": vec_to_json(xi),
@@ -175,10 +184,7 @@ def _cmd_decompose(P, args):
 
 
 def _cmd_count(P, args):
-    if args.xi is not None:
-        xi = _parse_xi(args.xi, P.dim)
-    else:
-        xi = polar.choose_polarizing_vector(P, seed=args.seed)
+    xi = _direction(P, args)
     if args.box == "auto":
         box = polytopes.tight_box(P)
     else:
@@ -195,13 +201,9 @@ def _cmd_count(P, args):
 
 
 def _cmd_volume(P, args):
-    retried = False
-    if args.xi is not None:
-        xi = _parse_xi(args.xi, P.dim)
-        if not polar.is_polarizing(P, xi):
-            xi = polar.choose_polarizing_vector(P, seed=args.seed)
-            retried = True
-    else:
+    xi = _direction(P, args)
+    retried = args.xi is not None and not polar.is_polarizing(P, xi)
+    if retried:
         xi = polar.choose_polarizing_vector(P, seed=args.seed)
     value = localization.volume_localization(P, xi)
     expected = polytopes.volume_oracle(P)
@@ -214,10 +216,7 @@ def _cmd_volume(P, args):
 
 def _cmd_betti(P, args):
     G = gkm.moment_graph(P)
-    if args.xi is not None:
-        xi = _parse_xi(args.xi, P.dim)
-    else:
-        xi = gkm.choose_generic_direction(G, seed=args.seed)
+    xi = _direction(P, args)
     profile = gkm.betti_numbers(G, xi)
     result = {"profile": list(profile), "xi": vec_to_json(xi)}
     stable = all(
@@ -255,10 +254,7 @@ def _cmd_integrate(P, args):
     G = gkm.moment_graph(P)
     data = localization.fixed_point_data(G)
     cls = _load_class(args.class_file, G)
-    if args.xi is not None:
-        xi = _parse_xi(args.xi, P.dim)
-    else:
-        xi = localization.choose_evaluation_point(data, seed=args.seed)
+    xi = _direction(P, args)
     value = localization.pushforward(cls, data, xi)
     checks = []
     for s in (1, 2):

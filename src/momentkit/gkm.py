@@ -16,7 +16,8 @@ serialization deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from . import linalg
@@ -35,13 +36,12 @@ from .algebra import (
     poly_from_json,
     poly_sub,
     poly_to_json,
-    primitive,
     restrict_to_hyperplane,
     vec_to_json,
     vsub,
 )
 from .errors import DomainError, NotDelzantError, NotGenericError
-from .polytopes import Polytope, smoothness_report
+from .polytopes import Polytope, edge_directions, smoothness_report
 
 # A candidate equivariant class: one polynomial per graph vertex.
 GKMClass = tuple[Poly, ...]
@@ -54,12 +54,16 @@ class MomentGraph:
     ``weights[k]`` labels ``edges[k] = (i, j)`` (i < j) and is stored as
     the primitive direction from vertex i, though nothing downstream may
     depend on that sign choice.  At every vertex the incident labels must
-    be pairwise linearly independent.
+    be pairwise linearly independent.  ``incidence[v]`` lists the indices
+    of the edges at vertex v in increasing order, built once on
+    construction.
     """
 
     positions: tuple[Vec, ...]
     edges: tuple[tuple[int, int], ...]
     weights: tuple[Vec, ...]
+    incidence: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nverts = len(self.positions)
@@ -71,7 +75,8 @@ class MomentGraph:
         if len(self.weights) != len(self.edges):
             raise DomainError("one weight per edge required")
         seen = set()
-        for (i, j), w in zip(self.edges, self.weights):
+        incidence: list[list[int]] = [[] for _ in range(nverts)]
+        for k, ((i, j), w) in enumerate(zip(self.edges, self.weights)):
             if not (0 <= i < j < nverts):
                 raise DomainError(f"bad edge ({i}, {j})")
             if (i, j) in seen:
@@ -79,15 +84,15 @@ class MomentGraph:
             seen.add((i, j))
             if is_zero_vec(w):
                 raise DomainError(f"zero weight on edge ({i}, {j})")
-        for v in range(nverts):
-            incident = [w for (i, j), w in zip(self.edges, self.weights)
-                        if v in (i, j)]
-            for a in range(len(incident)):
-                for b in range(a + 1, len(incident)):
-                    if linalg.rank([list(incident[a]), list(incident[b])]) < 2:
-                        raise DomainError(
-                            f"parallel weights at vertex {v}: "
-                            f"{incident[a]} and {incident[b]}")
+            incidence[i].append(k)
+            incidence[j].append(k)
+        object.__setattr__(self, "incidence",
+                           tuple(tuple(ks) for ks in incidence))
+        for v, ks in enumerate(self.incidence):
+            for a, b in combinations([self.weights[k] for k in ks], 2):
+                if linalg.rank([list(a), list(b)]) < 2:
+                    raise DomainError(
+                        f"parallel weights at vertex {v}: {a} and {b}")
 
     @property
     def dim(self) -> int:
@@ -98,7 +103,7 @@ class MomentGraph:
         return [f"v{i}" for i in range(len(self.positions))]
 
     def incident_edges(self, v: int) -> list[int]:
-        return [k for k, (i, j) in enumerate(self.edges) if v in (i, j)]
+        return list(self.incidence[v])
 
 
 def moment_graph(P: Polytope) -> MomentGraph:
@@ -106,9 +111,7 @@ def moment_graph(P: Polytope) -> MomentGraph:
     report = smoothness_report(P)
     if not report.smooth:
         raise NotDelzantError(f"polytope is not Delzant: {report.reason}")
-    weights = tuple(primitive(vsub(P.vertices[j], P.vertices[i]))
-                    for i, j in P.edges)
-    return MomentGraph(P.vertices, P.edges, weights)
+    return MomentGraph(P.vertices, P.edges, tuple(edge_directions(P)))
 
 
 def flip_weights(G: MomentGraph, flipped_edges) -> MomentGraph:
@@ -252,11 +255,10 @@ def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
     """
     xi = as_vec(xi)
     down_counts = []
-    for v in range(len(G.positions)):
+    for v, ks in enumerate(G.incidence):
         down = 0
-        for i, j in G.edges:
-            if v not in (i, j):
-                continue
+        for k in ks:
+            i, j = G.edges[k]
             other = j if v == i else i
             pairing = dot(vsub(G.positions[other], G.positions[v]), xi)
             if pairing == 0:
@@ -265,8 +267,7 @@ def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
             if pairing < 0:
                 down += 1
         down_counts.append(down)
-    profile = [0] * (max(len(G.incident_edges(v))
-                         for v in range(len(G.positions))) + 1)
+    profile = [0] * (max(len(ks) for ks in G.incidence) + 1)
     for d in down_counts:
         profile[d] += 1
     return tuple(profile)

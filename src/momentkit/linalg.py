@@ -137,15 +137,16 @@ def inverse(a_rows) -> Matrix | None:
     return None if found is None else found[0]
 
 
-def adjugate_int(a_rows) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of an integer matrix, both exact integers.
+def adjugate_int(a_rows) -> tuple[list[list[int]], int] | None:
+    """Adjugate and determinant of an integer matrix, both exact integers;
+    None when the matrix is singular.
 
     adj(A) @ A == det(A) * I, so signs of A^-1 y can be read off integer
     products adj(A) @ y against the sign of det(A).
     """
     found = _invert(a_rows)
     if found is None:
-        raise ValueError("adjugate of a singular matrix is not useful here")
+        return None
     inv, d = found
     adj = [[d * x for x in row] for row in inv]
     assert all(x.denominator == 1 for row in adj for x in row)

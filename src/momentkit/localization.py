@@ -5,6 +5,10 @@ of its local value divided by the product of the weights there.  Rational
 function arithmetic is sidestepped by evaluating at a generic rational
 point; sampling several such points certifies the identities exactly at
 this scale, since the underlying sum is a constant rational function.
+
+One sum, ``_fixed_point_sum``, evaluates value_v / prod_w <w, xi> over the
+vertices.  ``pushforward`` feeds it a class's values; ``volume_localization``
+feeds it <v, xi>^n and scales by (-1)^n / n!.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
+    ONE,
+    ZERO,
     Poly,
     Vec,
     as_vec,
@@ -42,11 +48,10 @@ class FixedPointData:
 def fixed_point_data(G: MomentGraph) -> FixedPointData:
     n = G.dim
     all_weights = []
-    for v in range(len(G.positions)):
+    for v, ks in enumerate(G.incidence):
         at_v = []
-        for i, j in G.edges:
-            if v not in (i, j):
-                continue
+        for k in ks:
+            i, j = G.edges[k]
             other = j if v == i else i
             at_v.append(primitive(vsub(G.positions[other], G.positions[v])))
         if len(at_v) != n:
@@ -70,12 +75,19 @@ def choose_evaluation_point(data: FixedPointData, seed=0) -> Vec:
     return generic_vector(data.graph.dim, flat, seed=seed)
 
 
-def _check_generic(data: FixedPointData, xi: Vec) -> None:
-    for per_vertex in data.weights:
-        for w in per_vertex:
-            if dot(w, xi) == 0:
+def _fixed_point_sum(values, weights, xi: Vec) -> Fraction:
+    """Sum over vertices of values[v] / prod of <w, xi> over weights[v]."""
+    total = ZERO
+    for value, at_v in zip(values, weights):
+        denom = ONE
+        for w in at_v:
+            pairing = dot(w, xi)
+            if pairing == 0:
                 raise NotGenericError(
                     f"weight {w} vanishes at evaluation point {xi}")
+            denom *= pairing
+        total += value / denom
+    return total
 
 
 def pushforward(cls: GKMClass, data: FixedPointData, xi) -> Fraction:
@@ -85,19 +97,12 @@ def pushforward(cls: GKMClass, data: FixedPointData, xi) -> Fraction:
     push-forward, so admissibility is enforced up front.
     """
     xi = as_vec(xi)
-    _check_generic(data, xi)
     report = gkm_check(data.graph, cls)
     if not report.ok:
         raise DomainError(
             f"class fails the divisibility conditions on edges "
             f"{list(report.failures)}; its push-forward is undefined")
-    total = Fraction(0)
-    for v in range(len(data.graph.positions)):
-        denom = Fraction(1)
-        for w in data.weights[v]:
-            denom *= dot(w, xi)
-        total += poly_eval(cls[v], xi) / denom
-    return total
+    return _fixed_point_sum((poly_eval(f, xi) for f in cls), data.weights, xi)
 
 
 def pushforward_degree_vanishing(data: FixedPointData, k: int, xi_samples) -> bool:
@@ -124,24 +129,16 @@ def volume_localization(P: Polytope, xi) -> Fraction:
     """Exact volume as a fixed-point sum over the vertices.
 
     Each vertex contributes <v, xi>^n / (n! * prod_j <-alpha_j, xi>) with
-    alpha_j its primitive edge directions.  Requires the Delzant conditions:
-    without unimodular vertex cones the terms would need an extra index
-    factor.
+    alpha_j its primitive edge directions, which is (-1)^n / n! times the
+    push-forward of <v, X>^n.  Requires the Delzant conditions: without
+    unimodular vertex cones the terms would need an extra index factor.
     """
     xi = as_vec(xi)
     report = smoothness_report(P)
     if not report.smooth:
         raise NotDelzantError(f"polytope is not Delzant: {report.reason}")
     n = P.dim
-    total = Fraction(0)
-    for i in range(len(P.vertices)):
-        vf = P.vertex_figure(i)
-        denom = Fraction(factorial(n))
-        for alpha in vf.primitive_edge_dirs:
-            pairing = -dot(alpha, xi)
-            if pairing == 0:
-                raise NotGenericError(
-                    f"direction pairs to zero with edge vector {alpha}")
-            denom *= pairing
-        total += dot(vf.vertex, xi) ** n / denom
-    return total
+    weights = [P.vertex_figure(i).primitive_edge_dirs
+               for i in range(len(P.vertices))]
+    total = _fixed_point_sum((dot(v, xi) ** n for v in P.vertices), weights, xi)
+    return Fraction((-1) ** n, factorial(n)) * total

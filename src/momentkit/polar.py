@@ -103,11 +103,12 @@ class _ConeTester:
         # with primitive integer generators
         cols = [[int(e) for e in primitive(g)] for g in cone.generators]
         matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        if linalg.det(matrix) == 0:
+        found = linalg.adjugate_int(matrix)
+        if found is None:
             raise NonSimpleVertexError(
                 "cone generators are linearly dependent; non-simple vertices "
                 "are unsupported")
-        adj, d = linalg.adjugate_int(matrix)
+        adj, d = found
         self.dim = n
         self.apex = cone.apex
         self.open_flags = cone.open_flags
@@ -118,23 +119,23 @@ class _ConeTester:
         self.scale = lcm(*(e.denominator for e in cone.apex))
         self.shift = [int(self.scale * e) for e in cone.apex]
 
-    def contains_int(self, x: tuple[int, ...]) -> bool:
-        y = [self.scale * xi - si for xi, si in zip(x, self.shift)]
+    def _admits(self, y: list[int]) -> bool:
+        """Do the coefficients of y obey the flags?  y must be a positive
+        multiple of x - apex with integer entries."""
         for row, is_open in zip(self.adj, self.open_flags):
             t = sum(a * b for a, b in zip(row, y)) * self.det_sign
             if t < 0 or (is_open and t == 0):
                 return False
         return True
 
+    def contains_int(self, x: tuple[int, ...]) -> bool:
+        return self._admits([self.scale * xi - si
+                             for xi, si in zip(x, self.shift)])
+
     def contains(self, x: Vec) -> bool:
         diff = vsub(x, self.apex)
         denom = lcm(*(e.denominator for e in diff))
-        y = [int(e * denom) for e in diff]
-        for row, is_open in zip(self.adj, self.open_flags):
-            t = sum(a * b for a, b in zip(row, y)) * self.det_sign
-            if t < 0 or (is_open and t == 0):
-                return False
-        return True
+        return self._admits([int(e * denom) for e in diff])
 
 
 def cone_contains(cone: PolarizedCone, x) -> bool:

@@ -97,11 +97,12 @@ class Polytope:
 
     ``vertices`` are sorted lexicographically; ``vertex_facets[i]`` is the
     frozenset of half-space indices active (tight) at vertex i; ``edges``
-    are index pairs (i, j) with i < j.
+    are index pairs (i, j) with i < j; ``neighbors[i]`` is the sorted tuple
+    of vertices joined to vertex i by an edge, built once from ``edges``.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "vertex_facets", "edges",
-                 "_facets", "_int_rows", "_polar", "__weakref__")
+                 "neighbors", "_facets", "_int_rows", "_polar", "__weakref__")
 
     def __init__(self, dim, halfspaces, vertices, vertex_facets, edges):
         self.dim: int = dim
@@ -109,6 +110,12 @@ class Polytope:
         self.vertices: tuple[Vec, ...] = vertices
         self.vertex_facets: tuple[frozenset[int], ...] = vertex_facets
         self.edges: tuple[tuple[int, int], ...] = edges
+        adjacent: list[list[int]] = [[] for _ in vertices]
+        for i, j in edges:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        self.neighbors: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(a)) for a in adjacent)
         self._facets: tuple[int, ...] | None = None
         self._int_rows: list[tuple[tuple[int, ...], int]] | None = None
         # polarizing direction -> [cones, cone testers]; owned by polar
@@ -143,12 +150,10 @@ class Polytope:
 
     def vertex_figure(self, i: int) -> VertexFigure:
         v = self.vertices[i]
-        neighbors = sorted(b if a == i else a
-                           for a, b in self.edges if i in (a, b))
-        dirs = tuple(vsub(self.vertices[j], v) for j in neighbors)
+        dirs = tuple(vsub(self.vertices[j], v) for j in self.neighbors[i])
         return VertexFigure(
             vertex=v,
-            neighbors=tuple(neighbors),
+            neighbors=self.neighbors[i],
             edge_dirs=dirs,
             primitive_edge_dirs=tuple(primitive(d) for d in dirs),
         )
@@ -352,22 +357,14 @@ def catalog_specs(max_dim: int = 3, max_scale: int = 3, max_a: int = 3) -> list[
 # Delzant conditions
 
 
-def _edge_counts(P: Polytope) -> list[int]:
-    counts = [0] * len(P.vertices)
-    for a, b in P.edges:
-        counts[a] += 1
-        counts[b] += 1
-    return counts
-
-
 def is_simple(P: Polytope) -> bool:
     """True iff every vertex has exactly dim incident edges."""
-    return all(c == P.dim for c in _edge_counts(P))
+    return all(len(n) == P.dim for n in P.neighbors)
 
 
 def smoothness_report(P: Polytope) -> SmoothnessReport:
-    for i, c in enumerate(_edge_counts(P)):
-        if c != P.dim:
+    for i, n in enumerate(P.neighbors):
+        if len(n) != P.dim:
             return SmoothnessReport(simple=False, smooth=False, vertex_dets=(),
                                     failing_vertex=i, failing_det=None)
     dets: list[tuple[int, Fraction]] = []

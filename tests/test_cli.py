@@ -2,9 +2,15 @@
 
 import json
 
-from momentkit import cli, localization
+from momentkit import cli, gkm, localization, polar
 from momentkit.gkm import facet_class, gkm_class_to_json, moment_graph
-from momentkit.polytopes import polytope_to_json, from_halfspaces, simplex
+from momentkit.polytopes import (
+    catalog_specs,
+    from_halfspaces,
+    from_spec,
+    polytope_to_json,
+    simplex,
+)
 
 
 def run_json(argv):
@@ -137,6 +143,18 @@ def test_catalog_command():
     assert code == 0
     assert report["polytope"] is None
     assert len(report["result"]["specs"]) == 21
+
+
+def test_seeded_direction_choosers_agree():
+    # every command's default direction comes from one chooser
+    for spec in catalog_specs():
+        P = from_spec(spec)
+        G = moment_graph(P)
+        data = localization.fixed_point_data(G)
+        for seed in range(4):
+            xi = polar.choose_polarizing_vector(P, seed=seed)
+            assert gkm.choose_generic_direction(G, seed=seed) == xi
+            assert localization.choose_evaluation_point(data, seed=seed) == xi
 
 
 def test_deterministic_output(capsys):

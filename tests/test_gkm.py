@@ -20,6 +20,7 @@ from momentkit import (
     gkm_degree_basis,
     gkm_dimension,
     hirzebruch,
+    is_simple,
     moment_graph,
     ordinary_betti,
     simplex,
@@ -39,7 +40,7 @@ from momentkit.gkm import (
     gkm_class_to_json,
     moment_graph_to_json,
 )
-from momentkit.polytopes import from_spec, catalog_specs
+from momentkit.polytopes import from_spec, catalog_specs, edge_directions
 
 INTERVAL = moment_graph(simplex(1, 1))
 TRIANGLE = moment_graph(simplex(2, 1))
@@ -89,6 +90,35 @@ def test_moment_graph_validation():
             ((0, 1), (0, 2)),
             (vec(1, 0), vec(2, 0)),
         )
+
+
+def _random_simple_polytope(rng):
+    """The box [-6, 6]^3 cut by four random integer half-spaces, redrawn
+    until it is simple."""
+    box = [(tuple(s if j == i else 0 for j in range(3)), -6)
+           for i in range(3) for s in (1, -1)]
+    while True:
+        cuts = [(tuple(rng.randint(-3, 3) for _ in range(3)), -rng.randint(3, 8))
+                for _ in range(4)]
+        if any(n == (0, 0, 0) for n, _ in cuts):
+            continue
+        P = from_halfspaces(3, box + cuts)
+        if is_simple(P):
+            return P
+
+
+def test_stored_neighbors_and_incidence_match_an_edge_scan():
+    rng = random.Random(5)
+    shapes = [from_spec(spec) for spec in catalog_specs()]
+    shapes += [_random_simple_polytope(rng) for _ in range(4)]
+    for P in shapes:
+        G = MomentGraph(P.vertices, P.edges, tuple(edge_directions(P)))
+        for v in range(len(P.vertices)):
+            # the scans that the stored tuples replaced, kept as the oracle
+            assert P.neighbors[v] == tuple(sorted(
+                b if a == v else a for a, b in P.edges if v in (a, b)))
+            assert G.incidence[v] == tuple(
+                k for k, (i, j) in enumerate(G.edges) if v in (i, j))
 
 
 def test_gkm_check_interval():

@@ -1,6 +1,7 @@
 """Fixed-point push-forwards, vanishing, and exact volumes."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -9,6 +10,7 @@ from momentkit import (
     NotDelzantError,
     NotGenericError,
     choose_evaluation_point,
+    choose_polarizing_vector,
     cube,
     dilate,
     euler_class_at,
@@ -22,7 +24,14 @@ from momentkit import (
     volume_localization,
     volume_oracle,
 )
-from momentkit.algebra import poly_const, poly_mul, vec
+from momentkit.algebra import (
+    linear_poly,
+    poly_const,
+    poly_mul,
+    poly_pow,
+    poly_scale,
+    vec,
+)
 from momentkit.gkm import facet_class, gkm_degree_basis
 from momentkit.polytopes import from_spec, catalog_specs
 
@@ -156,6 +165,19 @@ def test_volume_matches_oracle_on_catalog():
         for seed in range(2):
             xi = choose_polarizing_vector(P, seed=seed)
             assert volume_localization(P, xi) == expected
+
+
+def test_volume_is_signed_pushforward_of_the_moment_power():
+    # volume = (-1)^n * pushforward of <v, X>^n / n!
+    for spec in catalog_specs():
+        P = from_spec(spec)
+        n = P.dim
+        data = fixed_point_data(moment_graph(P))
+        cls = tuple(poly_scale(F(1, factorial(n)), poly_pow(linear_poly(v), n))
+                    for v in P.vertices)
+        for seed in range(3):
+            xi = choose_polarizing_vector(P, seed=seed)
+            assert volume_localization(P, xi) == (-1) ** n * pushforward(cls, data, xi)
 
 
 def test_volume_cube_example():
