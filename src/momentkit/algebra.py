@@ -103,7 +103,10 @@ def format_rat(q) -> str:
 def parse_rat(s) -> Fraction:
     if not isinstance(s, (str, int)) or isinstance(s, bool):
         raise ValueError(f"expected rational string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def vec_to_json(v: Vec) -> list[str]:
@@ -118,10 +121,6 @@ def vec_from_json(items) -> Vec:
 
 # ---------------------------------------------------------------------------
 # sparse polynomials
-
-
-def poly_zero() -> Poly:
-    return {}
 
 
 def poly_const(nvars: int, value) -> Poly:
@@ -163,14 +162,7 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for mono, c in b.items():
-        s = out.get(mono, ZERO) - c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
+    return poly_add(a, poly_scale(-1, b))
 
 
 def poly_scale(c, a: Poly) -> Poly:

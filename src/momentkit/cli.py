@@ -11,6 +11,7 @@ non-Delzant, non-generic direction, ...), 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ class UsageError(Exception):
 def _parse_xi(text: str, dim: int):
     try:
         xi = as_vec(parse_rat(p) for p in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"malformed --xi {text!r}: {exc}") from exc
     if len(xi) != dim:
         raise UsageError(f"--xi has {len(xi)} entries, polytope has dimension {dim}")
@@ -89,36 +90,33 @@ def _check_threads_env() -> None:
     # computations currently run on a single worker, which respects any cap
 
 
-def _load_polytope(source: str) -> polytopes.Polytope:
-    if ":" in source:
-        return polytopes.from_spec(source)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read polytope file {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"polytope file {source!r} is not valid JSON: {exc}") from exc
-    try:
-        return polytopes.polytope_from_json(obj)
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise UsageError(f"bad polytope file {source!r}: {exc}") from exc
-
-
-def _load_class(path: str, graph: gkm.MomentGraph) -> gkm.GKMClass:
+def _load_json(path: str, kind: str, parse):
+    """``parse`` applied to the JSON in a file; unreadable or malformed
+    input becomes a UsageError, while a DomainError passes through."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read class file {path!r}: {exc}") from exc
+        raise UsageError(f"cannot read {kind} file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"class file {path!r} is not valid JSON: {exc}") from exc
+        raise UsageError(f"{kind} file {path!r} is not valid JSON: {exc}") from exc
     try:
-        return gkm.gkm_class_from_json(graph, obj)
+        return parse(obj)
+    except DomainError:
+        raise
     except ValueError as exc:
-        raise UsageError(f"bad class file {path!r}: {exc}") from exc
+        raise UsageError(f"bad {kind} file {path!r}: {exc}") from exc
+
+
+def _load_polytope(source: str) -> polytopes.Polytope:
+    if ":" in source:
+        return polytopes.from_spec(source)
+    return _load_json(source, "polytope", polytopes.polytope_from_json)
+
+
+def _load_class(path: str, graph: gkm.MomentGraph) -> gkm.GKMClass:
+    return _load_json(path, "class",
+                      functools.partial(gkm.gkm_class_from_json, graph))
 
 
 def _polytope_summary(P: polytopes.Polytope) -> dict:
@@ -269,7 +267,7 @@ def _cmd_integrate(P, args):
     return result, oracle, "ok" if consistent else "oracle-mismatch"
 
 
-def _cmd_catalog(args):
+def _cmd_catalog(P, args):
     return {"specs": polytopes.catalog_specs()}, None, "ok"
 
 
@@ -320,6 +318,7 @@ def _render_text(report: dict) -> str:
 # dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentkit",
@@ -327,9 +326,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help_text, polytope=True, xi=False, box=False, k=False,
-            class_file=False):
+    def add(name, handler, help_text, polytope=True, xi=False, box=False,
+            k=False, class_file=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if polytope:
             p.add_argument(
                 "polytope",
@@ -348,32 +348,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    add("validate", "report the simple/rational/smooth verdicts")
-    add("decompose", "polarized vertex cones for a chosen direction", xi=True)
-    add("count", "signed lattice count, cross-checked by enumeration",
+    add("validate", _cmd_validate, "report the simple/rational/smooth verdicts")
+    add("decompose", _cmd_decompose,
+        "polarized vertex cones for a chosen direction", xi=True)
+    add("count", _cmd_count, "signed lattice count, cross-checked by enumeration",
         xi=True, box=True)
-    add("volume", "fixed-point volume, cross-checked by recursive volume", xi=True)
-    add("betti", "downward-edge profile for a generic direction", xi=True)
-    add("gkm-check", "test the divisibility conditions for a class file",
-        class_file=True)
-    add("gkm-dim", "dimension of the admissible classes in one degree", k=True)
-    add("integrate", "push a class file forward to a rational number",
+    add("volume", _cmd_volume,
+        "fixed-point volume, cross-checked by recursive volume", xi=True)
+    add("betti", _cmd_betti, "downward-edge profile for a generic direction",
+        xi=True)
+    add("gkm-check", _cmd_gkm_check,
+        "test the divisibility conditions for a class file", class_file=True)
+    add("gkm-dim", _cmd_gkm_dim,
+        "dimension of the admissible classes in one degree", k=True)
+    add("integrate", _cmd_integrate,
+        "push a class file forward to a rational number",
         xi=True, class_file=True)
-    add("catalog", "list the builder specs of the verification catalog",
-        polytope=False)
+    add("catalog", _cmd_catalog,
+        "list the builder specs of the verification catalog", polytope=False)
     return parser
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "decompose": _cmd_decompose,
-    "count": _cmd_count,
-    "volume": _cmd_volume,
-    "betti": _cmd_betti,
-    "gkm-check": _cmd_gkm_check,
-    "gkm-dim": _cmd_gkm_dim,
-    "integrate": _cmd_integrate,
-}
 
 
 def run(argv, args=None) -> tuple[dict, int]:
@@ -383,14 +376,12 @@ def run(argv, args=None) -> tuple[dict, int]:
     _check_threads_env()
     _check_seed(args.seed)
 
-    report = {"command": list(argv)}
-    if args.cmd == "catalog":
-        result, oracle, status = _cmd_catalog(args)
-        report["polytope"] = None
-    else:
+    report = {"command": list(argv), "polytope": None}
+    P = None
+    if args.cmd != "catalog":
         P = _load_polytope(args.polytope)
         report["polytope"] = _polytope_summary(P)
-        result, oracle, status = _HANDLERS[args.cmd](P, args)
+    result, oracle, status = args.handler(P, args)
     report["result"] = result
     report["oracle"] = oracle
     report["status"] = status

@@ -41,7 +41,7 @@ from .algebra import (
     vsub,
 )
 from .errors import DomainError, NotDelzantError, NotGenericError
-from .polytopes import Polytope, edge_directions, smoothness_report
+from .polytopes import Polytope, smoothness_report
 
 # A candidate equivariant class: one polynomial per graph vertex.
 GKMClass = tuple[Poly, ...]
@@ -111,7 +111,8 @@ def moment_graph(P: Polytope) -> MomentGraph:
     report = smoothness_report(P)
     if not report.smooth:
         raise NotDelzantError(f"polytope is not Delzant: {report.reason}")
-    return MomentGraph(P.vertices, P.edges, tuple(edge_directions(P)))
+    weights = tuple(P.weights[i][P.neighbors[i].index(j)] for i, j in P.edges)
+    return MomentGraph(P.vertices, P.edges, weights)
 
 
 def flip_weights(G: MomentGraph, flipped_edges) -> MomentGraph:
@@ -325,8 +326,7 @@ def facet_class(P: Polytope, G: MomentGraph, facet: int) -> GKMClass:
         if facet not in P.vertex_facets[i]:
             components.append({})
             continue
-        vf = P.vertex_figure(i)
-        leaving = [d for d in vf.primitive_edge_dirs if dot(normal, d) != 0]
+        leaving = [d for d in P.weights[i] if dot(normal, d) != 0]
         if len(leaving) != 1:
             raise NotDelzantError(
                 f"vertex {i} does not have a unique edge leaving the facet")

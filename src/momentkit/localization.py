@@ -46,6 +46,7 @@ class FixedPointData:
 
 
 def fixed_point_data(G: MomentGraph) -> FixedPointData:
+    """Weights oriented by positions: edge labels may carry either sign."""
     n = G.dim
     all_weights = []
     for v, ks in enumerate(G.incidence):
@@ -138,7 +139,5 @@ def volume_localization(P: Polytope, xi) -> Fraction:
     if not report.smooth:
         raise NotDelzantError(f"polytope is not Delzant: {report.reason}")
     n = P.dim
-    weights = [P.vertex_figure(i).primitive_edge_dirs
-               for i in range(len(P.vertices))]
-    total = _fixed_point_sum((dot(v, xi) ** n for v in P.vertices), weights, xi)
+    total = _fixed_point_sum((dot(v, xi) ** n for v in P.vertices), P.weights, xi)
     return Fraction((-1) ** n, factorial(n)) * total

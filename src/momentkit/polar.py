@@ -23,7 +23,7 @@ from math import lcm
 from . import linalg
 from .algebra import Vec, as_vec, dot, generic_vector, primitive, vneg, vsub
 from .errors import DomainError, NonSimpleVertexError, NotPolarizingError
-from .polytopes import Polytope, VertexFigure, edge_directions
+from .polytopes import Polytope, VertexFigure
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,15 @@ def tangent_cone(vf: VertexFigure) -> PolarizedCone:
 def is_polarizing(P: Polytope, xi) -> bool:
     """True iff xi pairs nonzero with every edge direction of P."""
     xi = as_vec(xi)
-    return all(dot(d, xi) != 0 for d in edge_directions(P))
+    return all(dot(w, xi) != 0 for at_v in P.weights for w in at_v)
 
 
 def choose_polarizing_vector(P: Polytope, seed=0) -> Vec:
     """Deterministic-from-seed direction pairing nonzero with every edge."""
     if not P.vertices:
         raise DomainError("polytope has no vertices")
-    return generic_vector(P.dim, edge_directions(P), seed=seed)
+    return generic_vector(P.dim, [w for at_v in P.weights for w in at_v],
+                          seed=seed)
 
 
 def polarize(vf: VertexFigure, xi) -> PolarizedCone:

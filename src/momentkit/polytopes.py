@@ -99,10 +99,14 @@ class Polytope:
     frozenset of half-space indices active (tight) at vertex i; ``edges``
     are index pairs (i, j) with i < j; ``neighbors[i]`` is the sorted tuple
     of vertices joined to vertex i by an edge, built once from ``edges``.
+    ``weights[i]`` holds the primitive directions of the edges leaving
+    vertex i in ``neighbors[i]`` order (its isotropy weights), the one place
+    edge directions are derived; built on first read, then kept.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "vertex_facets", "edges",
-                 "neighbors", "_facets", "_int_rows", "_polar", "__weakref__")
+                 "neighbors", "_weights", "_facets", "_int_rows", "_polar",
+                 "__weakref__")
 
     def __init__(self, dim, halfspaces, vertices, vertex_facets, edges):
         self.dim: int = dim
@@ -116,6 +120,7 @@ class Polytope:
             adjacent[j].append(i)
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in adjacent)
+        self._weights: tuple[tuple[Vec, ...], ...] | None = None
         self._facets: tuple[int, ...] | None = None
         self._int_rows: list[tuple[tuple[int, ...], int]] | None = None
         # polarizing direction -> [cones, cone testers]; owned by polar
@@ -124,6 +129,14 @@ class Polytope:
     def __repr__(self) -> str:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
                 f"edges={len(self.edges)}, halfspaces={len(self.halfspaces)})")
+
+    @property
+    def weights(self) -> tuple[tuple[Vec, ...], ...]:
+        if self._weights is None:
+            self._weights = tuple(
+                tuple(primitive(vsub(self.vertices[j], v)) for j in adjacent)
+                for v, adjacent in zip(self.vertices, self.neighbors))
+        return self._weights
 
     @property
     def facets(self) -> tuple[int, ...]:
@@ -150,12 +163,11 @@ class Polytope:
 
     def vertex_figure(self, i: int) -> VertexFigure:
         v = self.vertices[i]
-        dirs = tuple(vsub(self.vertices[j], v) for j in self.neighbors[i])
         return VertexFigure(
             vertex=v,
             neighbors=self.neighbors[i],
-            edge_dirs=dirs,
-            primitive_edge_dirs=tuple(primitive(d) for d in dirs),
+            edge_dirs=tuple(vsub(self.vertices[j], v) for j in self.neighbors[i]),
+            primitive_edge_dirs=self.weights[i],
         )
 
     def integer_rows(self) -> list[tuple[tuple[int, ...], int]]:
@@ -330,7 +342,7 @@ def from_spec(spec: str) -> Polytope:
             return cube(int(parts[1]), parse_rat(parts[2]))
         if name == "hirzebruch" and len(parts) == 2:
             return hirzebruch(int(parts[1]))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         if isinstance(exc, DomainError):
             raise
         raise ValueError(f"malformed builder spec {spec!r}: {exc}") from exc
@@ -369,9 +381,8 @@ def smoothness_report(P: Polytope) -> SmoothnessReport:
                                     failing_vertex=i, failing_det=None)
     dets: list[tuple[int, Fraction]] = []
     failing: tuple[int, Fraction] | None = None
-    for i in range(len(P.vertices)):
-        vf = P.vertex_figure(i)
-        d = abs(linalg.det([list(p) for p in vf.primitive_edge_dirs]))
+    for i, at_v in enumerate(P.weights):
+        d = abs(linalg.det([list(w) for w in at_v]))
         dets.append((i, d))
         if d != 1 and failing is None:
             failing = (i, d)
@@ -387,11 +398,6 @@ def smoothness_report(P: Polytope) -> SmoothnessReport:
 def is_smooth(P: Polytope) -> bool:
     """True iff simple and every vertex cone is unimodular (Delzant)."""
     return smoothness_report(P).smooth
-
-
-def edge_directions(P: Polytope) -> list[Vec]:
-    """Primitive direction of each edge, oriented low index to high index."""
-    return [primitive(vsub(P.vertices[j], P.vertices[i])) for i, j in P.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +496,14 @@ def polytope_from_json(obj) -> Polytope:
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValueError(f"'dim' must be an integer, got {dim!r}")
+    entries = obj["halfspaces"]
+    if not isinstance(entries, list):
+        raise ValueError(f"'halfspaces' must be a list, got {entries!r}")
     hs = []
-    for entry in obj["halfspaces"]:
-        if not isinstance(entry, dict):
-            raise ValueError(f"half-space entry must be an object, got {entry!r}")
+    for entry in entries:
+        if not isinstance(entry, dict) or not {"normal", "offset"} <= entry.keys():
+            raise ValueError("half-space entry must be an object with "
+                             f"'normal' and 'offset', got {entry!r}")
         hs.append(HalfSpace(vec_from_json(entry["normal"]),
                             parse_rat(entry["offset"])))
     return from_halfspaces(dim, hs)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from momentkit import cli, gkm, localization, polar
 from momentkit.gkm import facet_class, gkm_class_to_json, moment_graph
 from momentkit.polytopes import (
@@ -244,6 +246,24 @@ def test_boolean_dim_exits_2(tmp_path, capsys):
     }))
     assert cli.main(["validate", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, content", [
+    (["validate"],
+     {"dim": 1, "halfspaces": [{"normal": ["1"], "offset": "1/0"},
+                               {"normal": ["-1"], "offset": "-1"}]}),
+    (["gkm-check", "simplex:1:1", "--class"], {"v0": {"1": "1/0"}, "v1": {}}),
+    (["validate"],
+     {"dim": 1, "halfspaces": [{"normal": ["1"]},
+                               {"normal": ["-1"], "offset": "-1"}]}),
+    (["validate"], {"dim": 1, "halfspaces": 5}),
+], ids=["zero-denominator-offset", "zero-denominator-coefficient",
+        "missing-offset", "non-list-halfspaces"])
+def test_malformed_file_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert cli.main(command + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_threads_env_validation(monkeypatch, capsys):

@@ -30,7 +30,9 @@ from momentkit.algebra import (
     poly_const,
     poly_mul,
     poly_var,
+    primitive,
     vec,
+    vsub,
 )
 from momentkit.gkm import (
     MAX_DEGREE_UNKNOWNS,
@@ -40,7 +42,7 @@ from momentkit.gkm import (
     gkm_class_to_json,
     moment_graph_to_json,
 )
-from momentkit.polytopes import from_spec, catalog_specs, edge_directions
+from momentkit.polytopes import from_spec, catalog_specs
 
 INTERVAL = moment_graph(simplex(1, 1))
 TRIANGLE = moment_graph(simplex(2, 1))
@@ -109,16 +111,23 @@ def _random_simple_polytope(rng):
 
 def test_stored_neighbors_and_incidence_match_an_edge_scan():
     rng = random.Random(5)
-    shapes = [from_spec(spec) for spec in catalog_specs()]
-    shapes += [_random_simple_polytope(rng) for _ in range(4)]
+    catalog = [from_spec(spec) for spec in catalog_specs()]
+    shapes = catalog + [_random_simple_polytope(rng) for _ in range(4)]
     for P in shapes:
-        G = MomentGraph(P.vertices, P.edges, tuple(edge_directions(P)))
+        G = MomentGraph(P.vertices, P.edges, tuple(
+            primitive(vsub(P.vertices[j], P.vertices[i])) for i, j in P.edges))
+        if P in catalog:
+            assert moment_graph(P).weights == G.weights
+        assert P.weights is P.weights
         for v in range(len(P.vertices)):
             # the scans that the stored tuples replaced, kept as the oracle
             assert P.neighbors[v] == tuple(sorted(
                 b if a == v else a for a, b in P.edges if v in (a, b)))
             assert G.incidence[v] == tuple(
                 k for k, (i, j) in enumerate(G.edges) if v in (i, j))
+            assert P.weights[v] == tuple(
+                primitive(vsub(P.vertices[j], P.vertices[v]))
+                for j in P.neighbors[v])
 
 
 def test_gkm_check_interval():

@@ -69,6 +69,12 @@ def test_fixed_point_data_requires_n_weights():
         moment_graph(pyramid)
 
 
+def test_fixed_point_weights_are_the_polytope_weights():
+    for spec in catalog_specs():
+        P = from_spec(spec)
+        assert fixed_point_data(moment_graph(P)).weights == P.weights
+
+
 def test_unit_class_pushes_to_zero():
     for data in (INTERVAL_DATA, TRIANGLE_DATA):
         xi = choose_evaluation_point(data, seed=0)
