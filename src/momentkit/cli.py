@@ -187,6 +187,8 @@ def _cmd_count(P, args):
         box = polytopes.tight_box(P)
     else:
         box = _parse_box(args.box, P.dim)
+    # the oracle's box is checked before either enumeration starts
+    polytopes.check_box_size(polytopes.integer_box(P))
     signed = polar.signed_lattice_count(P, xi, box)
     expected = len(polytopes.lattice_points_oracle(P))
     result = {

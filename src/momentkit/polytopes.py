@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, prod
 
 from . import linalg
 from .algebra import (
@@ -470,9 +470,26 @@ def tight_box(P: Polytope) -> list[tuple[int, int]]:
     return _vertex_box(P, floor, ceil)
 
 
+# lattice_points_oracle refuses an integer box with more points than this;
+# the largest benchmark count job scans 120,801
+MAX_BOX_POINTS = 1_000_000
+
+
+def check_box_size(box) -> None:
+    """Raise DomainError when the inclusive integer ``box`` holds more than
+    MAX_BOX_POINTS points."""
+    points = prod(max(0, hi - lo + 1) for lo, hi in box)
+    if points > MAX_BOX_POINTS:
+        raise DomainError(f"integer box holds {points} points, over the "
+                          f"limit of {MAX_BOX_POINTS}")
+
+
 def lattice_points_oracle(P: Polytope) -> list[tuple[int, ...]]:
-    """All integer points of P, by filtering the integer bounding box."""
-    ranges = [range(lo, hi + 1) for lo, hi in integer_box(P)]
+    """All integer points of P, by filtering the integer bounding box;
+    refused, before any scan, over MAX_BOX_POINTS."""
+    box = integer_box(P)
+    check_box_size(box)
+    ranges = [range(lo, hi + 1) for lo, hi in box]
     return [x for x in product(*ranges) if P.contains_int(x)]
 
 
@@ -504,6 +521,9 @@ def polytope_from_json(obj) -> Polytope:
         if not isinstance(entry, dict) or not {"normal", "offset"} <= entry.keys():
             raise ValueError("half-space entry must be an object with "
                              f"'normal' and 'offset', got {entry!r}")
-        hs.append(HalfSpace(vec_from_json(entry["normal"]),
-                            parse_rat(entry["offset"])))
+        normal = vec_from_json(entry["normal"])
+        if len(normal) != dim:
+            raise ValueError(f"normal {entry['normal']!r} has {len(normal)} "
+                             f"entries, expected {dim}")
+        hs.append(HalfSpace(normal, parse_rat(entry["offset"])))
     return from_halfspaces(dim, hs)

@@ -1,6 +1,7 @@
 """Command-line reports: payloads, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -229,6 +230,14 @@ def test_degree_over_the_limit_exits_3(capsys):
     assert "over the limit" in capsys.readouterr().err
 
 
+def test_count_over_the_work_limit_exits_3(capsys):
+    # the oracle would scan 1001^3 box points; refused before any scan
+    start = time.process_time()
+    assert cli.main(["count", "cube:3:1000"]) == 3
+    assert time.process_time() - start < 1.0
+    assert "over the limit" in capsys.readouterr().err
+
+
 def test_abbreviated_json_flag_prints_json(capsys):
     assert cli.main(["validate", "simplex:2:1", "--js"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -257,8 +266,9 @@ def test_boolean_dim_exits_2(tmp_path, capsys):
      {"dim": 1, "halfspaces": [{"normal": ["1"]},
                                {"normal": ["-1"], "offset": "-1"}]}),
     (["validate"], {"dim": 1, "halfspaces": 5}),
+    (["validate"], {"dim": 2, "halfspaces": [{"normal": ["1"], "offset": "0"}]}),
 ], ids=["zero-denominator-offset", "zero-denominator-coefficient",
-        "missing-offset", "non-list-halfspaces"])
+        "missing-offset", "non-list-halfspaces", "short-normal"])
 def test_malformed_file_exits_2(tmp_path, capsys, command, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))

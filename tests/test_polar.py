@@ -4,20 +4,28 @@ import gc
 import random
 import weakref
 from fractions import Fraction as F
+from itertools import product
+from math import comb, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from momentkit import (
     DomainError,
+    HalfSpace,
     NotPolarizingError,
     PolarizedCone,
     choose_polarizing_vector,
     cone_contains,
     cube,
     dilate,
+    from_halfspaces,
     from_spec,
     hirzebruch,
     is_polarizing,
+    is_simple,
+    is_smooth,
     lattice_points_oracle,
     polar_decompose,
     polarize,
@@ -25,10 +33,23 @@ from momentkit import (
     signed_lattice_count,
     simplex,
     tight_box,
+    volume_localization,
 )
-from momentkit.polar import tangent_cone
+from momentkit import linalg, polar, polytopes
+from momentkit.polar import _ConeTester, _cached_testers, tangent_cone
 from momentkit.algebra import dot, primitive, vec, vsub
 from momentkit.polytopes import catalog_specs
+
+
+def _box_scan_count(P, xi, box):
+    """The former body of signed_lattice_count, kept as its oracle: the
+    signed number of each polarized cone's lattice points in the box."""
+    ranges = [range(lo, hi + 1) for lo, hi in box]
+    total = 0
+    for cone in polar_decompose(P, xi):
+        tester = _ConeTester(cone)
+        total += cone.sign * sum(tester.contains(x) for x in product(*ranges))
+    return total
 
 
 def _figure_at(P, vertex):
@@ -247,3 +268,144 @@ def test_decomposition_cache_dies_with_its_polytope():
     del P
     gc.collect()
     assert ref() is None
+
+
+def _non_unimodular_triangle(height):
+    """conv((0, 0), (1, 0), (1, height)): the cone at the origin has
+    |det| = height, the other two are unimodular."""
+    return from_halfspaces(2, [HalfSpace.make((0, 1), 0),
+                               HalfSpace.make((-1, 0), -1),
+                               HalfSpace.make((height, -1), 0)])
+
+
+def test_vertex_sum_matches_box_scan():
+    shapes = [from_spec(spec) for spec in catalog_specs()]
+    shapes += [dilate(from_spec(spec), k)
+               for spec in ("simplex:2:1", "cube:3:1", "hirzebruch:2",
+                            "simplex:3:1")
+               for k in (F(1, 3), F(5, 2), F(7, 3))]
+    shapes += [_non_unimodular_triangle(h) for h in (2, 5)]
+    shapes += [from_halfspaces(2, [HalfSpace.make((1, 0), F(-1, 2)),
+                                   HalfSpace.make((0, 1), F(-1, 3)),
+                                   HalfSpace.make((-2, -3), F(-13, 2))])]
+    for P in shapes:
+        expect = len(lattice_points_oracle(P))
+        for seed in (0, 3):
+            xi = choose_polarizing_vector(P, seed=seed)
+            box = tight_box(P)
+            assert _box_scan_count(P, xi, box) == expect
+            assert signed_lattice_count(P, xi, box) == expect
+
+
+def test_power_sums_visit_each_parallelepiped_point_once():
+    # S_0 counts the parallelepiped's lattice points: |det| of the cone
+    for P in (_non_unimodular_triangle(7), hirzebruch(3),
+              dilate(simplex(3, 1), F(5, 2))):
+        xi = choose_polarizing_vector(P, seed=1)
+        xi_int = [int(e * 6) for e in xi]
+        for tester, _ in _cached_testers(P, xi):
+            ws = [dot(col, xi_int) for col in tester.cols]
+            assert tester.power_sums(xi_int, ws)[0] == abs(tester.det)
+
+
+def test_ehrhart_polynomial_leads_with_the_localization_volume():
+    for spec in catalog_specs():
+        P = from_spec(spec)
+        assert is_smooth(P)
+        n = P.dim
+        counts = {}
+        for k in list(range(1, n + 2)) + [1000]:
+            Q = dilate(P, k)
+            counts[k] = signed_lattice_count(
+                Q, choose_polarizing_vector(Q, seed=0), tight_box(Q))
+        # leading coefficient of the degree-n interpolant through k = 1..n+1
+        leading = sum(F(counts[k]) / prod(k - j for j in range(1, n + 2)
+                                           if j != k)
+                      for k in range(1, n + 2))
+        assert leading == volume_localization(P, choose_polarizing_vector(P))
+        family, *rest = spec.split(":")
+        if family == "cube":
+            assert counts[1000] == (1000 * int(rest[1]) + 1) ** n
+        elif family == "simplex":
+            assert counts[1000] == comb(n + 1000 * int(rest[1]), n)
+
+
+def test_count_refuses_oversized_work_before_enumerating(monkeypatch):
+    # sum of |det| is height + 2, the oracle's box holds 2 (height + 1) points
+    T = _non_unimodular_triangle(polar.MAX_PARALLELEPIPED_POINTS)
+    xi = choose_polarizing_vector(T, seed=0)
+    with pytest.raises(DomainError, match="over the limit"):
+        signed_lattice_count(T, xi, tight_box(T))
+    with pytest.raises(DomainError, match="over the limit"):
+        lattice_points_oracle(T)
+    monkeypatch.setattr(polar, "MAX_PARALLELEPIPED_POINTS", 8)
+    monkeypatch.setattr(polytopes, "MAX_BOX_POINTS", 14)
+    at_limit = _non_unimodular_triangle(6)
+    xi = choose_polarizing_vector(at_limit, seed=0)
+    assert signed_lattice_count(at_limit, xi, tight_box(at_limit)) == 8
+    assert len(lattice_points_oracle(at_limit)) == 8
+    over = _non_unimodular_triangle(7)
+    with pytest.raises(DomainError):
+        signed_lattice_count(over, choose_polarizing_vector(over, seed=0),
+                             tight_box(over))
+    with pytest.raises(DomainError):
+        lattice_points_oracle(over)
+
+
+@st.composite
+def rational_simple_polytopes(draw):
+    """The box [-a, a]^3, a rational, cut by two to four half-spaces with
+    small integer normals and rational offsets below 0 (the origin stays
+    inside), redrawn until simple with a non-unimodular vertex cone and a
+    non-integral vertex."""
+    half = draw(st.fractions(min_value=1, max_value=3, max_denominator=3))
+    hs = [HalfSpace.make([s if j == i else 0 for j in range(3)], -half)
+          for i in range(3) for s in (1, -1)]
+    for _ in range(draw(st.integers(2, 4))):
+        normal = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+        offset = draw(st.fractions(min_value=F(1, 2), max_value=4,
+                                   max_denominator=3))
+        hs.append(HalfSpace.make(normal, -offset))
+    P = from_halfspaces(3, hs)
+    assume(is_simple(P) and not is_smooth(P))
+    assume(any(e.denominator > 1 for v in P.vertices for e in v))
+    return P
+
+
+@st.composite
+def affine_lattice_maps(draw):
+    """x -> U x + t with U in GL_3(Z), built from a signed permutation and
+    a few integer shears, and t an integer vector."""
+    perm = draw(st.permutations(range(3)))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * 3))
+    U = [[signs[i] * int(perm[i] == j) for j in range(3)] for i in range(3)]
+    shears = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(shears.filter(lambda s: s[0] != s[1]),
+                                 max_size=3)):
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    t = draw(st.tuples(*[st.integers(-5, 5)] * 3))
+    return U, t
+
+
+def _mapped(P, U, t):
+    """The image of P under x -> U x + t: <a, x> >= b becomes
+    <U^-T a, y> >= b + <U^-T a, t>."""
+    inv = linalg.inverse(U)
+    hs = []
+    for h in P.halfspaces:
+        normal = tuple(sum(inv[i][k] * h.normal[i] for i in range(3))
+                       for k in range(3))
+        hs.append(HalfSpace(normal, h.offset + dot(normal, t)))
+    return from_halfspaces(3, hs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_simple_polytopes(), affine_lattice_maps())
+def test_vertex_sum_twins_and_lattice_invariance(P, move):
+    expect = len(lattice_points_oracle(P))
+    xi = choose_polarizing_vector(P, seed=0)
+    assert signed_lattice_count(P, xi, tight_box(P)) == expect
+    assert _box_scan_count(P, xi, tight_box(P)) == expect
+    Q = _mapped(P, *move)
+    assert signed_lattice_count(Q, choose_polarizing_vector(Q, seed=0),
+                                tight_box(Q)) == expect
