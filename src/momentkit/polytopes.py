@@ -2,10 +2,12 @@
 
 A polytope is ingested exclusively in H-representation: the bounded
 intersection of half-spaces ``<normal, x> >= offset`` with inward-pointing
-normals.  Vertices come from brute force over all n-subsets of constraints,
-edges from shared active facets, both exact.  That is comfortably fast at
-the scale this package targets (dimension <= 4, a few dozen half-spaces)
-and needs no pivoting code.
+normals.  Vertices come from all n-subsets of constraints, edges from shared
+active facets, both exact: one solve per subset, then integer sign tests on
+one table of integer rows, which is fast enough at the scale this package
+targets (dimension <= 4, a few dozen half-spaces).  MAX_CONSTRAINT_SUBSETS
+bounds the loop.  A pivoting walk would replace it once the benchmark's
+probes stop counting its solves (C(2n, n) on cube:n).
 
 Besides the representation itself this module carries the two brute-force
 oracles that the rest of the package is validated against: exact Euclidean
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, prod
+from math import ceil, comb, floor, lcm, prod
+from operator import mul
 
 from . import linalg
 from .algebra import (
@@ -108,7 +111,7 @@ class Polytope:
                  "neighbors", "_weights", "_facets", "_int_rows", "_polar",
                  "__weakref__")
 
-    def __init__(self, dim, halfspaces, vertices, vertex_facets, edges):
+    def __init__(self, dim, halfspaces, vertices, vertex_facets, edges, int_rows):
         self.dim: int = dim
         self.halfspaces: tuple[HalfSpace, ...] = halfspaces
         self.vertices: tuple[Vec, ...] = vertices
@@ -122,7 +125,7 @@ class Polytope:
             tuple(sorted(a)) for a in adjacent)
         self._weights: tuple[tuple[Vec, ...], ...] | None = None
         self._facets: tuple[int, ...] | None = None
-        self._int_rows: list[tuple[tuple[int, ...], int]] | None = None
+        self._int_rows: list[tuple[tuple[int, ...], int]] = int_rows
         # polarizing direction -> [cones, cone testers]; owned by polar
         self._polar: dict = {}
 
@@ -171,45 +174,41 @@ class Polytope:
         )
 
     def integer_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        """Constraints scaled to integers, for fast lattice-point filtering."""
-        if self._int_rows is None:
-            rows = []
-            for h in self.halfspaces:
-                q = h.offset.denominator
-                rows.append((tuple(int(c * q) for c in h.normal),
-                             h.offset.numerator))
-            self._int_rows = rows
+        """The half-spaces as integer rows (q*a, p) of q*<a, x> >= p, in
+        ``halfspaces`` order: the table ``from_halfspaces`` built."""
         return self._int_rows
 
     def contains_int(self, x: tuple[int, ...]) -> bool:
-        for normal, rhs in self.integer_rows():
-            if sum(a * b for a, b in zip(normal, x)) < rhs:
+        for normal, rhs in self._int_rows:
+            if sum(map(mul, normal, x)) < rhs:
                 return False
         return True
 
 
-def _check_bounded(dim: int, normals: list[Vec]) -> None:
+def _check_bounded(dim: int, normals: list[tuple[int, ...]]) -> None:
     """Raise unless the recession cone {d : <n_i, d> >= 0 for all i} is {0}.
 
-    The cone contains a line iff the normals fail to span; a pointed
-    nontrivial cone has an extreme ray, which is tight on some dim-1
-    independent constraints.  Checking both covers every case exactly.
+    Called once a vertex exists, so dim of the integer normals are
+    independent and the cone is pointed.  A pointed nontrivial cone has an
+    extreme ray, which spans the kernel of some dim-1 independent normals.
+    Each such kernel is scaled to a primitive integer vector d, and the
+    integer signs of <n_i, d> say whether d or -d lies in the cone.
     """
-    if linalg.rank([list(n) for n in normals]) < dim:
-        raise UnboundedRegionError(
-            "constraint normals do not span: recession cone contains a line")
-    for subset in combinations(range(len(normals)), dim - 1):
-        rows = [list(normals[i]) for i in subset]
+    for rows in combinations(normals, dim - 1):
         if rows and linalg.rank(rows) != dim - 1:
             continue
-        kernel = linalg.nullspace(rows, ncols=dim)
-        if len(kernel) != 1:
-            continue
-        d = kernel[0]
-        for cand in (d, tuple(-c for c in d)):
-            if all(dot(n, cand) >= 0 for n in normals):
-                raise UnboundedRegionError(
-                    f"unbounded along direction {vec_to_json(primitive(cand))}")
+        d = [int(c) for c in primitive(linalg.nullspace(rows, ncols=dim)[0])]
+        signs = [sum(map(mul, n, d)) for n in normals]
+        for sign in (1, -1):
+            if all(sign * s >= 0 for s in signs):
+                raise UnboundedRegionError("unbounded along direction "
+                                           f"{vec_to_json([sign * c for c in d])}")
+
+
+# from_halfspaces refuses, before any solve, m distinct half-spaces in
+# dimension n when C(m, n) vertex solves plus C(m, n-1) boundedness rank
+# tests exceed this; cube:8 needs 24,310, a 40-half-space 3-D polytope 10,660
+MAX_CONSTRAINT_SUBSETS = 50_000
 
 
 def from_halfspaces(dim: int, halfspaces) -> Polytope:
@@ -217,7 +216,11 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
 
     Duplicate (positively proportional) constraints are merged; redundant
     ones are harmless.  Raises EmptyRegionError, UnboundedRegionError, or
-    DegenerateInputError when the data does not cut out a compact polytope.
+    DegenerateInputError when the data does not cut out a compact polytope,
+    and DomainError over MAX_CONSTRAINT_SUBSETS.  Each half-space
+    <a, x> >= p/q, a primitive, becomes the integer row (q*a, p).  For the
+    solution x of an n-subset, with common denominator D, the sign of
+    q*<a, D*x> - p*D rejects x or marks the row tight in ``vertex_facets``.
     """
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
@@ -229,31 +232,39 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
             raise DomainError(f"normal {h.normal} does not have dimension {dim}")
         if is_zero_vec(h.normal):
             raise DomainError("half-space normal must be nonzero")
-    canon: list[HalfSpace] = []
-    seen_hs = set()
-    for h in given:
-        c = _canonical_halfspace(h)
-        key = (c.normal, c.offset)
-        if key not in seen_hs:
-            seen_hs.add(key)
-            canon.append(c)
+    canon = list(dict.fromkeys(_canonical_halfspace(h) for h in given))
+    subsets = comb(len(canon), dim) + comb(len(canon), dim - 1)
+    if subsets > MAX_CONSTRAINT_SUBSETS:
+        raise DomainError(
+            f"{len(canon)} half-spaces in dimension {dim} need {subsets} "
+            f"constraint subsets, over the limit of {MAX_CONSTRAINT_SUBSETS}")
 
-    normals = [h.normal for h in canon]
-    offsets = [h.offset for h in canon]
+    rows = [(tuple(int(c) * h.offset.denominator for c in h.normal),
+             h.offset.numerator) for h in canon]
+    normals = [a for a, _ in rows]
     any_invertible = False
-    verts: list[Vec] = []
-    seen = set()
-    for subset in combinations(range(len(canon)), dim):
-        x = linalg.solve_square([list(normals[i]) for i in subset],
-                                [offsets[i] for i in subset])
+    # solution -> tight row indices, None when it violates some row
+    tight_at: dict[Vec, frozenset[int] | None] = {}
+    for subset in combinations(rows, dim):
+        x = linalg.solve_square([a for a, _ in subset], [p for _, p in subset])
         if x is None:
             continue
         any_invertible = True
-        if x in seen:
+        if x in tight_at:
             continue
-        seen.add(x)
-        if all(dot(n, x) >= b for n, b in zip(normals, offsets)):
-            verts.append(x)
+        D = lcm(*(c.denominator for c in x))
+        X = [c.numerator * (D // c.denominator) for c in x]
+        tight = []
+        for k, (a, p) in enumerate(rows):
+            s = sum(map(mul, a, X)) - p * D
+            if s < 0:
+                tight_at[x] = None
+                break
+            if not s:
+                tight.append(k)
+        else:
+            tight_at[x] = frozenset(tight)
+    verts = sorted(x for x, tight in tight_at.items() if tight is not None)
 
     if not verts:
         if not any_invertible:
@@ -264,18 +275,15 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
 
     _check_bounded(dim, normals)
 
-    verts.sort()
-    vertex_facets = tuple(
-        frozenset(k for k, h in enumerate(canon) if dot(h.normal, v) == h.offset)
-        for v in verts)
+    vertex_facets = tuple(tight_at[v] for v in verts)
     edges = []
     for i, j in combinations(range(len(verts)), 2):
         shared = vertex_facets[i] & vertex_facets[j]
         if len(shared) < dim - 1:
             continue
-        if linalg.rank([list(normals[k]) for k in shared]) == dim - 1:
+        if linalg.rank([normals[k] for k in shared]) == dim - 1:
             edges.append((i, j))
-    return Polytope(dim, tuple(canon), tuple(verts), vertex_facets, tuple(edges))
+    return Polytope(dim, tuple(canon), tuple(verts), vertex_facets, tuple(edges), rows)
 
 
 # ---------------------------------------------------------------------------

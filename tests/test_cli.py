@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from momentkit import cli, gkm, localization, polar
+from momentkit import cli, gkm, localization, polar, polytopes
 from momentkit.gkm import facet_class, gkm_class_to_json, moment_graph
 from momentkit.polytopes import (
     catalog_specs,
@@ -234,6 +234,28 @@ def test_count_over_the_work_limit_exits_3(capsys):
     # the oracle would scan 1001^3 box points; refused before any scan
     start = time.process_time()
     assert cli.main(["count", "cube:3:1000"]) == 3
+    assert time.process_time() - start < 1.0
+    assert "over the limit" in capsys.readouterr().err
+
+
+def test_constraint_subsets_over_the_limit_exit_3(tmp_path, monkeypatch, capsys):
+    # cube:3 in a file: C(6, 3) + C(6, 2) = 35 constraint subsets
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(polytope_to_json(from_spec("cube:3:1"))))
+    monkeypatch.setattr(polytopes, "MAX_CONSTRAINT_SUBSETS", 35)
+    assert cli.main(["validate", str(path)]) == 0
+    monkeypatch.setattr(polytopes, "MAX_CONSTRAINT_SUBSETS", 34)
+    assert cli.main(["validate", str(path)]) == 3
+    assert "over the limit of 34" in capsys.readouterr().err
+    monkeypatch.undo()
+    # dim 12 with 60 half-spaces: refused before any of its C(60, 12) solves
+    rows = [{"normal": [str(s * int(j == i)) for j in range(12)], "offset": "-1"}
+            for i in range(12) for s in (1, -1)]
+    rows += [{"normal": [str((i * j) % 7 - 3) for j in range(12)], "offset": "-9"}
+             for i in range(1, 37)]
+    path.write_text(json.dumps({"dim": 12, "halfspaces": rows}))
+    start = time.process_time()
+    assert cli.main(["validate", str(path)]) == 3
     assert time.process_time() - start < 1.0
     assert "over the limit" in capsys.readouterr().err
 

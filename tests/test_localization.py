@@ -1,5 +1,6 @@
 """Fixed-point push-forwards, vanishing, and exact volumes."""
 
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -17,6 +18,7 @@ from momentkit import (
     fixed_point_data,
     from_halfspaces,
     hirzebruch,
+    is_smooth,
     moment_graph,
     pushforward,
     pushforward_degree_vanishing,
@@ -24,7 +26,9 @@ from momentkit import (
     volume_localization,
     volume_oracle,
 )
+from momentkit import linalg
 from momentkit.algebra import (
+    dot,
     linear_poly,
     poly_const,
     poly_mul,
@@ -202,6 +206,44 @@ def test_volume_dilation():
     base = volume_localization(P, xi)
     Q = dilate(P, 3)
     assert volume_localization(Q, xi) == 9 * base
+
+
+def _lattice_map(rng, n):
+    """U in GL_n(Z), a signed permutation times a few integer shears, and
+    an integer translation t."""
+    perm = rng.sample(range(n), n)
+    U = [[rng.choice((1, -1)) * int(perm[i] == j) for j in range(n)]
+         for i in range(n)]
+    for _ in range(3 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U, [rng.randint(-5, 5) for _ in range(n)]
+
+
+def test_volume_is_invariant_under_lattice_maps():
+    # y = U x + t sends <a, x> >= b to <U^-T a, y> >= b + <U^-T a, t>
+    rng = random.Random(11)
+    for spec in catalog_specs():
+        P = from_spec(spec)
+        n = P.dim
+        assert is_smooth(P)
+        volume = volume_oracle(P)
+        for _ in range(3):
+            U, t = _lattice_map(rng, n)
+            inv = linalg.inverse(U)
+            hs = []
+            for h in P.halfspaces:
+                a = tuple(sum(inv[i][k] * h.normal[i] for i in range(n))
+                          for k in range(n))
+                hs.append((a, h.offset + dot(a, t)))
+            Q = from_halfspaces(n, hs)
+            assert len(Q.vertices) == len(P.vertices)
+            assert set(Q.vertices) == {
+                tuple(dot(row, v) + c for row, c in zip(U, t)) for v in P.vertices}
+            assert volume_oracle(Q) == volume
+            xi = choose_polarizing_vector(Q, seed=0)
+            assert volume_localization(Q, xi) == volume
 
 
 def test_volume_rejects_non_generic_direction():

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentkit import (
     DegenerateInputError,
@@ -22,8 +25,11 @@ from momentkit import (
     smoothness_report,
     volume_oracle,
 )
-from momentkit.algebra import dot, primitive, vec, vsub
+from momentkit import linalg, polytopes
+from momentkit.algebra import dot, primitive, vec, vec_to_json, vsub
 from momentkit.polytopes import (
+    HalfSpace,
+    _canonical_halfspace,
     catalog_specs,
     integer_box,
     polytope_from_json,
@@ -336,3 +342,204 @@ def test_json_round_trip():
         polytope_from_json({"dim": 1, "halfspaces": [
             {"normal": [True], "offset": "0"},
             {"normal": ["-1"], "offset": "-1"}]})
+
+
+# ---------------------------------------------------------------------------
+# the Fraction subset loop, kept as the oracle twin of from_halfspaces
+
+
+def _fraction_check_bounded(dim, normals):
+    if linalg.rank([list(n) for n in normals]) < dim:
+        raise UnboundedRegionError(
+            "constraint normals do not span: recession cone contains a line")
+    for subset in combinations(range(len(normals)), dim - 1):
+        rows = [list(normals[i]) for i in subset]
+        if rows and linalg.rank(rows) != dim - 1:
+            continue
+        kernel = linalg.nullspace(rows, ncols=dim)
+        if len(kernel) != 1:
+            continue
+        d = kernel[0]
+        for cand in (d, tuple(-c for c in d)):
+            if all(dot(n, cand) >= 0 for n in normals):
+                raise UnboundedRegionError(
+                    f"unbounded along direction {vec_to_json(primitive(cand))}")
+
+
+def _fraction_build(dim, halfspaces):
+    """Vertices, vertex_facets and edges by Fraction arithmetic throughout:
+    a solve per n-subset, a Fraction dot per row for feasibility, a second
+    sweep for the tight facets, and the recession test on Fraction signs."""
+    canon = []
+    for h in halfspaces:
+        c = _canonical_halfspace(HalfSpace.make(*h))
+        if c not in canon:
+            canon.append(c)
+    normals = [h.normal for h in canon]
+    offsets = [h.offset for h in canon]
+    any_invertible = False
+    verts, seen = [], set()
+    for subset in combinations(range(len(canon)), dim):
+        x = linalg.solve_square([list(normals[i]) for i in subset],
+                                [offsets[i] for i in subset])
+        if x is None:
+            continue
+        any_invertible = True
+        if x in seen:
+            continue
+        seen.add(x)
+        if all(dot(n, x) >= b for n, b in zip(normals, offsets)):
+            verts.append(x)
+    if not verts:
+        if not any_invertible:
+            raise DegenerateInputError(
+                "every constraint subset is singular: the normals do not span, "
+                "so the region is empty or contains a line")
+        raise EmptyRegionError("the half-spaces have empty intersection")
+    _fraction_check_bounded(dim, normals)
+    verts.sort()
+    vertex_facets = tuple(
+        frozenset(k for k, h in enumerate(canon) if dot(h.normal, v) == h.offset)
+        for v in verts)
+    edges = []
+    for i, j in combinations(range(len(verts)), 2):
+        shared = vertex_facets[i] & vertex_facets[j]
+        if len(shared) < dim - 1:
+            continue
+        if linalg.rank([list(normals[k]) for k in shared]) == dim - 1:
+            edges.append((i, j))
+    return tuple(verts), vertex_facets, tuple(edges)
+
+
+def _assert_matches_twin(dim, halfspaces):
+    try:
+        expect = _fraction_build(dim, halfspaces)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            from_halfspaces(dim, halfspaces)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    P = from_halfspaces(dim, halfspaces)
+    assert (P.vertices, P.vertex_facets, P.edges) == expect
+    return None
+
+
+TWIN_CASES = {
+    # the apex (0,0,1) lies on four facets
+    "pyramid": (None, 3, [((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1),
+                          ((0, -1, -1), -1), ((0, 1, -1), -1)]),
+    "rational": (None, 2, [((1, 0), F(-1, 2)), ((0, 3), F(1, 3)),
+                           ((-2, -1), F(-7, 2))]),
+    "duplicate_and_redundant": (None, 2, [
+        ((1, 0), 0), ((2, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1),
+        ((1, 1), -5), ((-3, -3), F(-9, 2))]),
+    "empty": (EmptyRegionError, 2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 0),
+                                    ((0, -1), -1)]),
+    "unbounded": (UnboundedRegionError, 3, [
+        ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, 0), -1)]),
+    # normals that do not span leave every subset singular
+    "line": (DegenerateInputError, 3, [
+        ((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1),
+        ((1, 1, 0), F(1, 2))]),
+    "all_singular": (DegenerateInputError, 3, [
+        ((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_CASES))
+def test_integer_build_matches_fraction_twin_on_edge_cases(name):
+    error, dim, hs = TWIN_CASES[name]
+    assert _assert_matches_twin(dim, hs) is error
+
+
+@st.composite
+def halfspace_systems(draw):
+    """The box [-a, a]^n, n = 2..4, with some of its rows dropped, cut by
+    half-spaces with small integer normals and rational offsets, some of
+    them repeated at a positive scale.  Small entries make vertices on more
+    than n planes, empty and unbounded regions common."""
+    n = draw(st.integers(2, 4))
+    a = draw(st.sampled_from((F(1), F(3, 2), F(2))))
+    hs = []
+    for i in range(n):
+        for s in (1, -1):
+            if draw(st.integers(0, 7)):
+                hs.append((tuple(s * int(j == i) for j in range(n)), -a))
+    for _ in range(draw(st.integers(0 if hs else 1, 4))):
+        normal = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+        offset = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        hs.append((normal, offset))
+        if draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(2, 3))
+            hs.append((tuple(k * c for c in normal), k * offset))
+    return n, draw(st.permutations(hs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(halfspace_systems())
+def test_integer_build_matches_fraction_twin(system):
+    _assert_matches_twin(*system)
+
+
+def test_integer_build_matches_fraction_twin_on_catalog():
+    for spec in catalog_specs() + ["cube:4:1", "simplex:4:2"]:
+        P = from_spec(spec)
+        for Q in (P, dilate(P, F(5, 3))):
+            hs = [(h.normal, h.offset) for h in Q.halfspaces]
+            assert _assert_matches_twin(Q.dim, hs) is None
+
+
+# ---------------------------------------------------------------------------
+# the work limit of the subset loop
+
+
+def test_subset_limit_refuses_before_any_solve(monkeypatch):
+    # the largest shape in use, C(16, 8) + C(16, 7) = 24,310 subsets
+    assert polytopes.MAX_CONSTRAINT_SUBSETS == 50_000
+    assert len(cube(8, 1).vertices) == 256
+    # cube:3 has 6 distinct rows: C(6, 3) + C(6, 2) = 35 subsets; the
+    # repeated rows are merged before counting
+    hs = [(h.normal, h.offset) for h in cube(3, 1).halfspaces]
+    hs += [(tuple(2 * c for c in n), 2 * b) for n, b in hs]
+    calls = []
+    solve = linalg.solve_square
+    monkeypatch.setattr(linalg, "solve_square",
+                        lambda a, b: calls.append(1) or solve(a, b))
+    monkeypatch.setattr(polytopes, "MAX_CONSTRAINT_SUBSETS", 35)
+    assert len(from_halfspaces(3, hs).vertices) == 8
+    assert len(calls) == 20
+    monkeypatch.setattr(polytopes, "MAX_CONSTRAINT_SUBSETS", 34)
+    calls.clear()
+    with pytest.raises(DomainError, match="35 constraint subsets, over the limit of 34"):
+        from_halfspaces(3, hs)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the integer row table
+
+
+def test_integer_rows_are_the_table_the_build_made(monkeypatch):
+    built = []
+
+    class Recording(polytopes.Polytope):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(polytopes, "Polytope", Recording)
+    shapes = [from_spec(s) for s in catalog_specs()]
+    shapes += [dilate(P, F(5, 2)) for P in shapes[::3]]
+    assert len(built) == len(shapes)
+    for P, rows in zip(shapes, built):
+        assert P.integer_rows() is rows
+        assert rows == [(tuple(int(c) * h.offset.denominator for c in h.normal),
+                         h.offset.numerator) for h in P.halfspaces]
+        lattice_points_oracle(P)
+        assert P.integer_rows() is rows
+        box = [range(lo - 1, hi + 2) for lo, hi in tight_box(P)]
+        for x in product(*box):
+            assert P.contains_int(x) == P.contains(x), (P, x)
