@@ -31,7 +31,6 @@ from .polytopes import (
     HalfSpace,
     Polytope,
     SmoothnessReport,
-    VertexFigure,
     catalog_specs,
     cube,
     dilate,
@@ -71,10 +70,7 @@ from .gkm import (
     ordinary_betti,
 )
 from .localization import (
-    FixedPointData,
-    choose_evaluation_point,
     euler_class_at,
-    fixed_point_data,
     pushforward,
     pushforward_degree_vanishing,
     volume_localization,

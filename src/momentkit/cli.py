@@ -62,9 +62,9 @@ def _parse_box(text: str, dim: int):
 def _direction(P: polytopes.Polytope, args):
     """``--xi`` when given, else the direction drawn from ``--seed``.
 
-    Every seeded chooser (polarizing vector, generic direction, evaluation
-    point) draws from ``generic_vector`` with the same seed and tests the
-    same edge lines, so one choice serves every command.
+    Both seeded choosers (polarizing vector, generic direction) draw from
+    ``generic_vector`` with the same seed and test the same edge lines, so
+    one choice serves every command.
     """
     if args.xi is not None:
         return _parse_xi(args.xi, P.dim)
@@ -252,14 +252,11 @@ def _cmd_gkm_dim(P, args):
 
 def _cmd_integrate(P, args):
     G = gkm.moment_graph(P)
-    data = localization.fixed_point_data(G)
     cls = _load_class(args.class_file, G)
     xi = _direction(P, args)
-    value = localization.pushforward(cls, data, xi)
-    checks = []
-    for s in (1, 2):
-        other = localization.choose_evaluation_point(data, seed=args.seed + s)
-        checks.append(localization.pushforward(cls, data, other))
+    value = localization.pushforward(cls, G, xi)
+    others = (gkm.choose_generic_direction(G, seed=args.seed + s) for s in (1, 2))
+    checks = [localization.pushforward(cls, G, other) for other in others]
     consistent = all(c == value for c in checks)
     result = {"value": format_rat(value), "xi": vec_to_json(xi)}
     oracle = {

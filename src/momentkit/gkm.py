@@ -16,6 +16,7 @@ serialization deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -36,6 +37,7 @@ from .algebra import (
     poly_from_json,
     poly_sub,
     poly_to_json,
+    primitive,
     restrict_to_hyperplane,
     vec_to_json,
     vsub,
@@ -56,7 +58,7 @@ class MomentGraph:
     depend on that sign choice.  At every vertex the incident labels must
     be pairwise linearly independent.  ``incidence[v]`` lists the indices
     of the edges at vertex v in increasing order, built once on
-    construction.
+    construction; ``isotropy[v]`` holds their weights as seen from v.
     """
 
     positions: tuple[Vec, ...]
@@ -92,7 +94,8 @@ class MomentGraph:
             for a, b in combinations([self.weights[k] for k in ks], 2):
                 if linalg.rank([list(a), list(b)]) < 2:
                     raise DomainError(
-                        f"parallel weights at vertex {v}: {a} and {b}")
+                        f"parallel weights at vertex {v}: {vec_to_json(a)} and "
+                        f"{vec_to_json(b)}")
 
     @property
     def dim(self) -> int:
@@ -102,8 +105,16 @@ class MomentGraph:
     def labels(self) -> list[str]:
         return [f"v{i}" for i in range(len(self.positions))]
 
-    def incident_edges(self, v: int) -> list[int]:
-        return list(self.incidence[v])
+    @functools.cached_property
+    def isotropy(self) -> tuple[tuple[Vec, ...], ...]:
+        """Per vertex, the primitive weights pointing away from it, in
+        ``incidence`` order.  Oriented by positions, so flipping edge labels
+        never changes them; built on first read."""
+        return tuple(
+            tuple(primitive(vsub(self.positions[j if i == v else i],
+                                 self.positions[v]))
+                  for i, j in (self.edges[k] for k in ks))
+            for v, ks in enumerate(self.incidence))
 
 
 def moment_graph(P: Polytope) -> MomentGraph:
@@ -243,9 +254,8 @@ def gkm_degree_basis(G: MomentGraph, k: int) -> list[GKMClass]:
 
 
 def choose_generic_direction(G: MomentGraph, seed=0) -> Vec:
-    """Direction pairing nonzero with every edge's position difference."""
-    diffs = [vsub(G.positions[j], G.positions[i]) for i, j in G.edges]
-    return generic_vector(G.dim, diffs, seed=seed)
+    """Direction pairing nonzero with every isotropy weight."""
+    return generic_vector(G.dim, [w for ws in G.isotropy for w in ws], seed=seed)
 
 
 def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
@@ -255,22 +265,16 @@ def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
     other endpoint pairs lower against xi.
     """
     xi = as_vec(xi)
-    down_counts = []
-    for v, ks in enumerate(G.incidence):
-        down = 0
-        for k in ks:
-            i, j = G.edges[k]
-            other = j if v == i else i
-            pairing = dot(vsub(G.positions[other], G.positions[v]), xi)
+    pairings = [[dot(w, xi) for w in ws] for ws in G.isotropy]
+    for ks, at_v in zip(G.incidence, pairings):
+        for k, pairing in zip(ks, at_v):
             if pairing == 0:
+                i, j = G.edges[k]
                 raise NotGenericError(
                     f"direction is not generic: edge ({i}, {j}) pairs to zero")
-            if pairing < 0:
-                down += 1
-        down_counts.append(down)
-    profile = [0] * (max(len(ks) for ks in G.incidence) + 1)
-    for d in down_counts:
-        profile[d] += 1
+    profile = [0] * (max(map(len, pairings)) + 1)
+    for at_v in pairings:
+        profile[sum(p < 0 for p in at_v)] += 1
     return tuple(profile)
 
 

@@ -7,13 +7,14 @@ point; sampling several such points certifies the identities exactly at
 this scale, since the underlying sum is a constant rational function.
 
 One sum, ``_fixed_point_sum``, evaluates value_v / prod_w <w, xi> over the
-vertices.  ``pushforward`` feeds it a class's values; ``volume_localization``
-feeds it <v, xi>^n and scales by (-1)^n / n!.
+vertices.  ``pushforward`` takes the moment graph and feeds it a class's
+values over the weights ``MomentGraph.isotropy``; ``volume_localization``
+takes the polytope and feeds it <v, xi>^n over ``Polytope.weights``,
+scaled by (-1)^n / n!.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -24,56 +25,31 @@ from .algebra import (
     Vec,
     as_vec,
     dot,
-    generic_vector,
     linear_poly,
     poly_eval,
     poly_mul,
-    primitive,
-    vsub,
+    vec_to_json,
 )
 from .errors import DomainError, NotDelzantError, NotGenericError
 from .gkm import GKMClass, MomentGraph, gkm_check, gkm_degree_basis
 from .polytopes import Polytope, smoothness_report
 
 
-@dataclass(frozen=True)
-class FixedPointData:
-    """Per-vertex isotropy weights: the primitive edge directions pointing
-    away from each vertex.  Exactly dim independent weights per vertex."""
-
-    graph: MomentGraph
-    weights: tuple[tuple[Vec, ...], ...]
-
-
-def fixed_point_data(G: MomentGraph) -> FixedPointData:
-    """Weights oriented by positions: edge labels may carry either sign."""
-    n = G.dim
-    all_weights = []
-    for v, ks in enumerate(G.incidence):
-        at_v = []
-        for k in ks:
-            i, j = G.edges[k]
-            other = j if v == i else i
-            at_v.append(primitive(vsub(G.positions[other], G.positions[v])))
-        if len(at_v) != n:
+def _isotropy(G: MomentGraph) -> tuple[tuple[Vec, ...], ...]:
+    """``G.isotropy``, checked to hold exactly dim weights at every vertex."""
+    for v, at_v in enumerate(G.isotropy):
+        if len(at_v) != G.dim:
             raise DomainError(
-                f"vertex {v} has {len(at_v)} weights, expected {n}")
-        all_weights.append(tuple(at_v))
-    return FixedPointData(G, tuple(all_weights))
+                f"vertex {v} has {len(at_v)} weights, expected {G.dim}")
+    return G.isotropy
 
 
-def euler_class_at(data: FixedPointData, v: int) -> Poly:
+def euler_class_at(G: MomentGraph, v: int) -> Poly:
     """Product of the weight linear forms at a vertex, degree dim."""
-    out = {(0,) * data.graph.dim: Fraction(1)}
-    for w in data.weights[v]:
+    out = {(0,) * G.dim: Fraction(1)}
+    for w in _isotropy(G)[v]:
         out = poly_mul(out, linear_poly(w))
     return out
-
-
-def choose_evaluation_point(data: FixedPointData, seed=0) -> Vec:
-    """Deterministic-from-seed point where no weight vanishes."""
-    flat = [w for per_vertex in data.weights for w in per_vertex]
-    return generic_vector(data.graph.dim, flat, seed=seed)
 
 
 def _fixed_point_sum(values, weights, xi: Vec) -> Fraction:
@@ -85,43 +61,45 @@ def _fixed_point_sum(values, weights, xi: Vec) -> Fraction:
             pairing = dot(w, xi)
             if pairing == 0:
                 raise NotGenericError(
-                    f"weight {w} vanishes at evaluation point {xi}")
+                    f"weight {vec_to_json(w)} vanishes at evaluation point "
+                    f"{vec_to_json(xi)}")
             denom *= pairing
         total += value / denom
     return total
 
 
-def pushforward(cls: GKMClass, data: FixedPointData, xi) -> Fraction:
+def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """Sum over vertices of component value over Euler class value at xi.
 
     Only classes passing the divisibility conditions have a well-defined
     push-forward, so admissibility is enforced up front.
     """
     xi = as_vec(xi)
-    report = gkm_check(data.graph, cls)
+    weights = _isotropy(G)
+    report = gkm_check(G, cls)
     if not report.ok:
         raise DomainError(
             f"class fails the divisibility conditions on edges "
             f"{list(report.failures)}; its push-forward is undefined")
-    return _fixed_point_sum((poly_eval(f, xi) for f in cls), data.weights, xi)
+    return _fixed_point_sum((poly_eval(f, xi) for f in cls), weights, xi)
 
 
-def pushforward_degree_vanishing(data: FixedPointData, k: int, xi_samples) -> bool:
+def pushforward_degree_vanishing(G: MomentGraph, k: int, xi_samples) -> bool:
     """Do all degree-k admissible classes push forward to zero?
 
     Meaningful for k below the graph dimension, where vanishing is forced
     by degree counting; checked on a spanning set of degree-k classes at
     each supplied evaluation point.
     """
-    n = data.graph.dim
+    n = G.dim
     if k >= n:
         raise DomainError(f"degree {k} is not below the dimension {n}")
     points = [as_vec(xi) for xi in xi_samples]
     if not points:
         raise DomainError("at least one evaluation point is required")
-    for cls in gkm_degree_basis(data.graph, k):
+    for cls in gkm_degree_basis(G, k):
         for xi in points:
-            if pushforward(cls, data, xi) != 0:
+            if pushforward(cls, G, xi) != 0:
                 return False
     return True
 

@@ -1,11 +1,13 @@
 """Signed decomposition of a simple polytope into half-open vertex cones.
 
-Fix a direction xi that pairs nonzero with every edge vector.  At each
-vertex, edge generators pairing positively with xi are flipped so all
-generators point against xi; flipped generators get strict (open)
-coefficients and the cone enters with sign (-1)^(number flipped).  The
-signed sum of cone indicators then reproduces the polytope indicator at
-every point of R^n, boundary included, with no tolerance anywhere.
+Fix a direction xi that pairs nonzero with every edge vector.  The cone
+at vertex i is spanned by its primitive edge directions ``P.weights[i]``,
+read straight off the polytope.  Generators pairing positively with xi
+are flipped so all of them point against xi; flipped generators get
+strict (open) coefficients and the cone enters with sign
+(-1)^(number flipped).  The signed sum of cone indicators then
+reproduces the polytope indicator at every point of R^n, boundary
+included, with no tolerance anywhere.
 
 The same signs turn the cones' lattice-point generating functions into
 the lattice count of the polytope (Brion; Lawrence-Varchenko).  Each cone
@@ -30,9 +32,10 @@ from math import comb, factorial, lcm, prod
 from operator import add, floordiv, mul
 
 from . import linalg
-from .algebra import Vec, as_vec, dot, generic_vector, primitive, vneg, vsub
+from .algebra import (
+    Vec, as_vec, dot, generic_vector, primitive, vec_to_json, vneg, vsub)
 from .errors import DomainError, NonSimpleVertexError, NotPolarizingError
-from .polytopes import Polytope, VertexFigure
+from .polytopes import Polytope
 
 # signed_lattice_count refuses a decomposition whose parallelepipeds hold
 # more lattice points than this in total (the sum of |det| over the vertex
@@ -54,14 +57,14 @@ class PolarizedCone:
     sign: int
 
 
-def tangent_cone(vf: VertexFigure) -> PolarizedCone:
-    """Unpolarized tangent cone at a vertex: every generator closed, sign +1.
+def tangent_cone(P: Polytope, i: int) -> PolarizedCone:
+    """Unpolarized tangent cone at vertex i: every generator closed, sign +1.
 
     This is the plain positive span of the edge vectors; polarization
     rewrites it relative to a direction.
     """
-    gens = vf.primitive_edge_dirs
-    return PolarizedCone(vf.vertex, gens, (False,) * len(gens), 1)
+    gens = P.weights[i]
+    return PolarizedCone(P.vertices[i], gens, (False,) * len(gens), 1)
 
 
 def is_polarizing(P: Polytope, xi) -> bool:
@@ -78,16 +81,16 @@ def choose_polarizing_vector(P: Polytope, seed=0) -> Vec:
                           seed=seed)
 
 
-def polarize(vf: VertexFigure, xi) -> PolarizedCone:
-    """Polarized tangent cone at a vertex for the direction xi."""
+def polarize(P: Polytope, i: int, xi) -> PolarizedCone:
+    """Polarized tangent cone at vertex i for the direction xi."""
     xi = as_vec(xi)
     generators: list[Vec] = []
     flags: list[bool] = []
-    for alpha in vf.primitive_edge_dirs:
+    for alpha in P.weights[i]:
         pairing = dot(alpha, xi)
         if pairing == 0:
             raise NotPolarizingError(
-                f"direction pairs to zero with edge vector {alpha}")
+                f"direction pairs to zero with edge vector {vec_to_json(alpha)}")
         if pairing > 0:
             generators.append(vneg(alpha))
             flags.append(True)
@@ -95,7 +98,7 @@ def polarize(vf: VertexFigure, xi) -> PolarizedCone:
             generators.append(alpha)
             flags.append(False)
     sign = -1 if sum(flags) % 2 else 1
-    return PolarizedCone(vf.vertex, tuple(generators), tuple(flags), sign)
+    return PolarizedCone(P.vertices[i], tuple(generators), tuple(flags), sign)
 
 
 class _ConeTester:
@@ -243,7 +246,7 @@ def cone_contains(cone: PolarizedCone, x) -> bool:
 def _decomposition(P: Polytope, xi: Vec) -> list:
     """[cones, testers or None] for xi, kept on P so it dies with P."""
     if xi not in P._polar:
-        P._polar[xi] = [tuple(polarize(P.vertex_figure(i), xi)
+        P._polar[xi] = [tuple(polarize(P, i, xi)
                               for i in range(len(P.vertices))), None]
     return P._polar[xi]
 
@@ -269,6 +272,8 @@ def signed_indicator_sum(P: Polytope, xi, x) -> int:
     """
     xi = as_vec(xi)
     x = as_vec(x)
+    if len(x) != P.dim:
+        raise DomainError(f"point has dimension {len(x)}, expected {P.dim}")
     total = 0
     for tester, sign in _cached_testers(P, xi):
         if tester.contains(x):

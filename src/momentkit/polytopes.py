@@ -70,16 +70,6 @@ def _canonical_halfspace(hs: HalfSpace) -> HalfSpace:
 
 
 @dataclass(frozen=True)
-class VertexFigure:
-    """Local data at one vertex: neighbors and edge directions."""
-
-    vertex: Vec
-    neighbors: tuple[int, ...]
-    edge_dirs: tuple[Vec, ...]
-    primitive_edge_dirs: tuple[Vec, ...]
-
-
-@dataclass(frozen=True)
 class SmoothnessReport:
     simple: bool
     smooth: bool
@@ -104,7 +94,7 @@ class Polytope:
     of vertices joined to vertex i by an edge, built once from ``edges``.
     ``weights[i]`` holds the primitive directions of the edges leaving
     vertex i in ``neighbors[i]`` order (its isotropy weights), the one place
-    edge directions are derived; built on first read, then kept.
+    a polytope derives edge directions; built on first read, then kept.
     """
 
     __slots__ = ("dim", "halfspaces", "vertices", "vertex_facets", "edges",
@@ -164,15 +154,6 @@ class Polytope:
             raise DomainError(f"point has dimension {len(x)}, expected {self.dim}")
         return all(dot(h.normal, x) >= h.offset for h in self.halfspaces)
 
-    def vertex_figure(self, i: int) -> VertexFigure:
-        v = self.vertices[i]
-        return VertexFigure(
-            vertex=v,
-            neighbors=self.neighbors[i],
-            edge_dirs=tuple(vsub(self.vertices[j], v) for j in self.neighbors[i]),
-            primitive_edge_dirs=self.weights[i],
-        )
-
     def integer_rows(self) -> list[tuple[tuple[int, ...], int]]:
         """The half-spaces as integer rows (q*a, p) of q*<a, x> >= p, in
         ``halfspaces`` order: the table ``from_halfspaces`` built."""
@@ -229,7 +210,8 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
         raise DomainError("at least one half-space is required")
     for h in given:
         if len(h.normal) != dim:
-            raise DomainError(f"normal {h.normal} does not have dimension {dim}")
+            raise DomainError(f"normal {vec_to_json(h.normal)} does not have "
+                              f"dimension {dim}")
         if is_zero_vec(h.normal):
             raise DomainError("half-space normal must be nonzero")
     canon = list(dict.fromkeys(_canonical_halfspace(h) for h in given))

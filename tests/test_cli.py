@@ -130,8 +130,7 @@ def test_gkm_dim_command():
 def test_integrate_command(tmp_path):
     P = simplex(2, 1)
     G = moment_graph(P)
-    data = localization.fixed_point_data(G)
-    euler0 = localization.euler_class_at(data, 0)
+    euler0 = localization.euler_class_at(G, 0)
     delta = tuple(euler0 if v == 0 else {} for v in range(3))
     path = tmp_path / "delta.json"
     path.write_text(json.dumps(gkm_class_to_json(G, delta)))
@@ -153,11 +152,9 @@ def test_seeded_direction_choosers_agree():
     for spec in catalog_specs():
         P = from_spec(spec)
         G = moment_graph(P)
-        data = localization.fixed_point_data(G)
         for seed in range(4):
             xi = polar.choose_polarizing_vector(P, seed=seed)
             assert gkm.choose_generic_direction(G, seed=seed) == xi
-            assert localization.choose_evaluation_point(data, seed=seed) == xi
 
 
 def test_deterministic_output(capsys):
@@ -223,6 +220,25 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     assert cli.main(["betti", str(non_delzant)]) == 3
     assert cli.main(["betti", "simplex:2:1", "--xi", "1,1"]) == 3
     capsys.readouterr()
+
+
+def test_zero_direction_errors_print_rationals(tmp_path, capsys):
+    G = moment_graph(simplex(2, 1))
+    delta = tuple(localization.euler_class_at(G, 0) if v == 0 else {}
+                  for v in range(3))
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps(gkm_class_to_json(G, delta)))
+    capsys.readouterr()
+    cone = "error: direction pairs to zero with edge vector ['0', '1']\n"
+    for argv, expected in (
+            (["decompose", "simplex:2:1"], cone),
+            (["count", "simplex:2:1"], cone),
+            (["integrate", "simplex:2:1", "--class", str(path)],
+             "error: weight ['0', '1'] vanishes at evaluation point ['0', '0']\n")):
+        assert cli.main(argv + ["--xi", "0,0"]) == 3
+        err = capsys.readouterr().err
+        assert "Fraction(" not in err
+        assert err == expected
 
 
 def test_degree_over_the_limit_exits_3(capsys):

@@ -85,8 +85,9 @@ def test_moment_graph_validation():
         MomentGraph((vec(0, 0), vec(1, 0)), ((0, 1),), ())
     with pytest.raises(DomainError):
         MomentGraph((vec(0, 0), vec(1, 0)), ((1, 0),), ((F(1), F(0)),))
-    with pytest.raises(DomainError):
-        # parallel weights at vertex 0
+    # parallel weights at vertex 0, printed as rational strings
+    message = r"parallel weights at vertex 0: \['1', '0'\] and \['2', '0'\]$"
+    with pytest.raises(DomainError, match=message):
         MomentGraph(
             (vec(0, 0), vec(1, 0), vec(2, 0)),
             ((0, 1), (0, 2)),

@@ -52,8 +52,8 @@ def _box_scan_count(P, xi, box):
     return total
 
 
-def _figure_at(P, vertex):
-    return P.vertex_figure(P.vertices.index(vertex))
+def _polarize_at(P, vertex, xi):
+    return polarize(P, P.vertices.index(vertex), xi)
 
 
 def test_polarizing_validity_on_simplex():
@@ -72,7 +72,7 @@ def test_choose_polarizing_vector_deterministic():
 
 def test_polarize_square_origin_nothing_flips():
     sq = cube(2, 1)
-    cone = polarize(_figure_at(sq, vec(0, 0)), vec(-1, -1))
+    cone = _polarize_at(sq, vec(0, 0), vec(-1, -1))
     assert cone.sign == 1
     assert cone.open_flags == (False, False)
     assert set(cone.generators) == {vec(1, 0), vec(0, 1)}
@@ -80,7 +80,7 @@ def test_polarize_square_origin_nothing_flips():
 
 def test_polarize_square_origin_both_flip():
     sq = cube(2, 1)
-    cone = polarize(_figure_at(sq, vec(0, 0)), vec(1, 1))
+    cone = _polarize_at(sq, vec(0, 0), vec(1, 1))
     assert cone.sign == 1
     assert cone.open_flags == (True, True)
     assert set(cone.generators) == {vec(-1, 0), vec(0, -1)}
@@ -88,7 +88,7 @@ def test_polarize_square_origin_both_flip():
 
 def test_polarize_square_side_vertex_one_flip():
     sq = cube(2, 1)
-    cone = polarize(_figure_at(sq, vec(1, 0)), vec(1, 1))
+    cone = _polarize_at(sq, vec(1, 0), vec(1, 1))
     assert cone.sign == -1
     assert sum(cone.open_flags) == 1
     assert set(cone.generators) == {vec(-1, 0), vec(0, -1)}
@@ -97,14 +97,25 @@ def test_polarize_square_side_vertex_one_flip():
 def test_polarize_rejects_zero_pairing():
     P = simplex(2, 1)
     with pytest.raises(NotPolarizingError):
-        polarize(_figure_at(P, vec(0, 1)), vec(1, 1))
+        _polarize_at(P, vec(0, 1), vec(1, 1))
+
+
+def test_signed_indicator_sum_rejects_wrong_dimension():
+    P = simplex(2, 1)
+    xi = choose_polarizing_vector(P, seed=0)
+    assert signed_indicator_sum(P, xi, (0, 0)) == 1
+    for x in ((0, 0, 5), (0,), ()):
+        with pytest.raises(DomainError, match="point has dimension"):
+            signed_indicator_sum(P, xi, x)
+        with pytest.raises(DomainError):
+            P.contains(x)
 
 
 def test_tangent_cone_contains_the_polytope():
     P = hirzebruch(1)
     probes = list(P.vertices) + [(F(1, 2), F(1, 2)), (F(3, 2), F(1, 4))]
     for i in range(len(P.vertices)):
-        cone = tangent_cone(P.vertex_figure(i))
+        cone = tangent_cone(P, i)
         assert cone.sign == 1 and not any(cone.open_flags)
         for x in probes:
             if P.contains(x):

@@ -99,6 +99,10 @@ def test_input_validation():
         from_halfspaces(2, [((0, 0), 1)])
     with pytest.raises(DomainError):
         from_halfspaces(0, [((1,), 0)])
+    # vectors in messages print as rational strings
+    with pytest.raises(DomainError) as got:
+        from_halfspaces(2, [((1, 0), 0), ((F(1, 2), 0, 1), 0)])
+    assert str(got.value) == "normal ['1/2', '0', '1'] does not have dimension 2"
 
 
 def test_duplicate_and_redundant_halfspaces_tolerated():
@@ -177,21 +181,19 @@ def test_catalog_specs_cover_dims_1_to_3():
 def test_vertex_figure_square_origin():
     P = unit_square()
     i = P.vertices.index(vec(0, 0))
-    vf = P.vertex_figure(i)
-    assert set(vf.edge_dirs) == {vec(1, 0), vec(0, 1)}
+    assert set(P.weights[i]) == {vec(1, 0), vec(0, 1)}
 
 
 def test_vertex_figure_simplex_corner():
     P = simplex(2, 1)
     i = P.vertices.index(vec(1, 0))
-    vf = P.vertex_figure(i)
-    assert set(vf.edge_dirs) == {vec(-1, 0), vec(-1, 1)}
+    assert set(P.weights[i]) == {vec(-1, 0), vec(-1, 1)}
 
 
 def test_vertex_figure_hirzebruch_all_vertices():
     P = hirzebruch(1)
     for i in range(4):
-        assert len(P.vertex_figure(i).edge_dirs) == 2
+        assert len(P.weights[i]) == 2
 
 
 def test_edge_dirs_match_across_endpoints():
@@ -199,8 +201,8 @@ def test_edge_dirs_match_across_endpoints():
         P = from_spec(spec)
         for i, j in P.edges:
             d = primitive(vsub(P.vertices[j], P.vertices[i]))
-            assert d in P.vertex_figure(i).primitive_edge_dirs
-            assert tuple(-c for c in d) in P.vertex_figure(j).primitive_edge_dirs
+            assert d in P.weights[i]
+            assert tuple(-c for c in d) in P.weights[j]
 
 
 # ---------------------------------------------------------------------------
