@@ -76,6 +76,7 @@ class MomentGraph:
             raise DomainError("vertex positions have mixed dimensions")
         if len(self.weights) != len(self.edges):
             raise DomainError("one weight per edge required")
+        dim = dims.pop()
         seen = set()
         incidence: list[list[int]] = [[] for _ in range(nverts)]
         for k, ((i, j), w) in enumerate(zip(self.edges, self.weights)):
@@ -84,6 +85,9 @@ class MomentGraph:
             if (i, j) in seen:
                 raise DomainError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
+            if len(w) != dim:
+                raise DomainError(f"weight on edge ({i}, {j}) has dimension "
+                                  f"{len(w)}, expected {dim}")
             if is_zero_vec(w):
                 raise DomainError(f"zero weight on edge ({i}, {j})")
             incidence[i].append(k)

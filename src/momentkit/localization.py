@@ -68,6 +68,15 @@ def _fixed_point_sum(values, weights, xi: Vec) -> Fraction:
     return total
 
 
+def _check_admissible(cls: GKMClass, G: MomentGraph) -> None:
+    """Raise DomainError unless ``cls`` passes the divisibility conditions."""
+    report = gkm_check(G, cls)
+    if not report.ok:
+        raise DomainError(
+            f"class fails the divisibility conditions on edges "
+            f"{list(report.failures)}; its push-forward is undefined")
+
+
 def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """Sum over vertices of component value over Euler class value at xi.
 
@@ -76,11 +85,7 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """
     xi = as_vec(xi)
     weights = _isotropy(G)
-    report = gkm_check(G, cls)
-    if not report.ok:
-        raise DomainError(
-            f"class fails the divisibility conditions on edges "
-            f"{list(report.failures)}; its push-forward is undefined")
+    _check_admissible(cls, G)
     return _fixed_point_sum((poly_eval(f, xi) for f in cls), weights, xi)
 
 
@@ -89,7 +94,7 @@ def pushforward_degree_vanishing(G: MomentGraph, k: int, xi_samples) -> bool:
 
     Meaningful for k below the graph dimension, where vanishing is forced
     by degree counting; checked on a spanning set of degree-k classes at
-    each supplied evaluation point.
+    each supplied evaluation point, admissibility once per class.
     """
     n = G.dim
     if k >= n:
@@ -98,8 +103,11 @@ def pushforward_degree_vanishing(G: MomentGraph, k: int, xi_samples) -> bool:
     if not points:
         raise DomainError("at least one evaluation point is required")
     for cls in gkm_degree_basis(G, k):
+        weights = _isotropy(G)
+        _check_admissible(cls, G)
         for xi in points:
-            if pushforward(cls, G, xi) != 0:
+            values = (poly_eval(f, xi) for f in cls)
+            if _fixed_point_sum(values, weights, xi) != 0:
                 return False
     return True
 

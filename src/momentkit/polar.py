@@ -18,8 +18,9 @@ series per generator; the count is the constant term of the signed sum,
 exact rational work that does not grow with dilation.
 
 Only simple vertices are supported, so each cone is one n-by-n integer
-matrix, eliminated once: its adjugate gives exact membership signs and
-the parallelepiped's lattice points.
+matrix, eliminated once, on the first read of ``PolarizedCone.lattice``:
+its adjugate gives exact membership signs and the parallelepiped's
+lattice points.
 """
 
 from __future__ import annotations
@@ -55,6 +56,30 @@ class PolarizedCone:
     generators: tuple[Vec, ...]
     open_flags: tuple[bool, ...]
     sign: int
+
+    @functools.cached_property
+    def lattice(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """(cols, adj, det) of the integer matrix A whose columns are the
+        primitive generators (rescaling one never changes the cone): one
+        elimination per cone, on first read."""
+        n = len(self.apex)
+        if len(self.generators) != n:
+            raise NonSimpleVertexError(
+                f"cone needs exactly {n} generators, got {len(self.generators)}")
+        for g in self.generators:
+            if len(g) != n:
+                raise DomainError(f"generator {vec_to_json(g)} has dimension "
+                                  f"{len(g)}, expected {n}")
+        if len(self.open_flags) != n:
+            raise DomainError(
+                f"cone has {len(self.open_flags)} open flags, expected {n}")
+        cols = [[int(e) for e in primitive(g)] for g in self.generators]
+        found = linalg.adjugate_int([[c[i] for c in cols] for i in range(n)])
+        if found is None:
+            raise NonSimpleVertexError(
+                "cone generators are linearly dependent; non-simple vertices "
+                "are unsupported")
+        return cols, *found
 
 
 def tangent_cone(P: Polytope, i: int) -> PolarizedCone:
@@ -101,91 +126,62 @@ def polarize(P: Polytope, i: int, xi) -> PolarizedCone:
     return PolarizedCone(P.vertices[i], tuple(generators), tuple(flags), sign)
 
 
-class _ConeTester:
-    """Membership of a polarized cone via integer sign tests.
+def _contains(cone: PolarizedCone, x: Vec) -> bool:
+    """x in the cone iff its coefficients A^-1 (x - apex) obey the flags,
+    each sign read from an integer product with adj(A)."""
+    _, adj, det = cone.lattice
+    diff = vsub(x, cone.apex)
+    denom = lcm(*(e.denominator for e in diff))
+    y = [int(e * denom) for e in diff]
+    for row, is_open in zip(adj, cone.open_flags):
+        # det * (adj row . y) has the sign of the coefficient
+        t = sum(a * b for a, b in zip(row, y)) * det
+        if t < 0 or (is_open and t == 0):
+            return False
+    return True
 
-    With A the generator matrix (columns = generators), x is in the cone
-    iff the coefficients c = A^-1 (x - apex) obey the flags.  Using
-    adj(A) and clearing denominators reduces each coefficient sign to an
-    integer product.  ``cols`` are the integer columns of A and ``det`` its
-    signed determinant; ``shift`` is the apex times ``scale``, the least
-    multiplier that makes it integral.
+
+def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
+    """S_k = sum of <p, xi>^k over the lattice points p of the cone's
+    half-open fundamental parallelepiped, k = 0..n; xi must be integral
+    and ``ws[j]`` the pairing of column j of ``cone.lattice`` with it.
+
+    Its points are apex + A c with c_j in [0, 1) for closed and (0, 1]
+    for open generators, one per class of Z^n modulo the lattice of A.
+    The classes are the points 0 <= r_i < h_i, h the diagonal of a
+    lower-triangular Hermite form of A; each r is moved into the
+    parallelepiped by p = r - A m with m = floor(A^-1 (r - apex)), or
+    ceil(.) - 1 for open generators.
     """
-
-    __slots__ = ("apex", "open_flags", "cols", "adj", "det", "scale", "shift")
-
-    def __init__(self, cone: PolarizedCone):
-        n = len(cone.apex)
-        if len(cone.generators) != n:
-            raise NonSimpleVertexError(
-                f"cone needs exactly {n} generators, got {len(cone.generators)}")
-        # positive per-generator rescaling never changes membership, so work
-        # with primitive integer generators
-        cols = [[int(e) for e in primitive(g)] for g in cone.generators]
-        matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        found = linalg.adjugate_int(matrix)
-        if found is None:
-            raise NonSimpleVertexError(
-                "cone generators are linearly dependent; non-simple vertices "
-                "are unsupported")
-        self.apex = cone.apex
-        self.open_flags = cone.open_flags
-        self.cols = cols
-        self.adj, self.det = found
-        self.scale = lcm(*(e.denominator for e in cone.apex))
-        self.shift = [int(self.scale * e) for e in cone.apex]
-
-    def contains(self, x: Vec) -> bool:
-        diff = vsub(x, self.apex)
-        denom = lcm(*(e.denominator for e in diff))
-        y = [int(e * denom) for e in diff]
-        for row, is_open in zip(self.adj, self.open_flags):
-            # det * (adj row . y) has the sign of the coefficient
-            t = sum(a * b for a, b in zip(row, y)) * self.det
-            if t < 0 or (is_open and t == 0):
-                return False
-        return True
-
-    def power_sums(self, xi: list[int], ws: list[int]) -> list[int]:
-        """S_k = sum of <p, xi>^k over the lattice points p of the half-open
-        fundamental parallelepiped, k = 0..n; xi must be integral and
-        ``ws[j]`` the pairing of column j with it.
-
-        Its points are apex + A c with c_j in [0, 1) for closed and (0, 1]
-        for open generators, one per class of Z^n modulo the lattice of A.
-        The classes are the points 0 <= r_i < h_i, h the diagonal of a
-        lower-triangular Hermite form of A; each r is moved into the
-        parallelepiped by p = r - A m with m = floor(A^-1 (r - apex)), or
-        ceil(.) - 1 for open generators.
-        """
-        n = len(xi)
-        h = _hermite_diagonal(self.cols)
-        # A^-1 (r - apex) = adj (scale r - shift) / (scale det); both
-        # signs flipped so the denominator is positive, and an open
-        # generator's ceil(c) - 1 read as floor((num - 1) / den)
-        den = self.scale * self.det
-        sgn = 1 if den > 0 else -1
-        adj = [[sgn * a for a in row] for row in self.adj]
-        den *= sgn
-        base = [-sum(a * s for a, s in zip(row, self.shift)) - is_open
-                for row, is_open in zip(adj, self.open_flags)]
-        step = [self.scale * row[-1] for row in adj]
-        dens = [den] * n
-        sums = [0] * (n + 1)
-        for head in product(*(range(k) for k in h[:-1])):
-            nums = [b + self.scale * sum(a * r for a, r in zip(row, head))
-                    for b, row in zip(base, adj)]
-            q0 = sum(r * x for r, x in zip(head, xi))
-            for _ in range(h[-1]):
-                # <p, xi> = <r, xi> - sum_j m_j <g_j, xi>
-                q = q0 - sum(map(mul, ws, map(floordiv, nums, dens)))
-                power = 1
-                for k in range(n + 1):
-                    sums[k] += power
-                    power *= q
-                q0 += xi[-1]
-                nums = list(map(add, nums, step))
-        return sums
+    n = len(xi)
+    cols, adj, det = cone.lattice
+    h = _hermite_diagonal(cols)
+    # A^-1 (r - apex) = adj (scale r - shift) / (scale det), scale making
+    # the apex integral; signs flipped so the denominator is positive, and
+    # an open generator's ceil(c) - 1 read as floor((num - 1) / den)
+    scale = lcm(*(e.denominator for e in cone.apex))
+    shift = [int(scale * e) for e in cone.apex]
+    sgn = 1 if det > 0 else -1
+    adj = [[sgn * a for a in row] for row in adj]
+    base = [-sum(a * s for a, s in zip(row, shift)) - is_open
+            for row, is_open in zip(adj, cone.open_flags)]
+    step = [scale * row[-1] for row in adj]
+    dens = [scale * abs(det)] * n
+    sums = [0] * (n + 1)
+    for head in product(*(range(k) for k in h[:-1])):
+        nums = [b + scale * sum(a * r for a, r in zip(row, head))
+                for b, row in zip(base, adj)]
+        q0 = sum(r * x for r, x in zip(head, xi))
+        for _ in range(h[-1]):
+            # <p, xi> = <r, xi> - sum_j m_j <g_j, xi>
+            q = q0 - sum(map(mul, ws, map(floordiv, nums, dens)))
+            power = 1
+            for k in range(n + 1):
+                sums[k] += power
+                power *= q
+            q0 += xi[-1]
+            nums = list(map(add, nums, step))
+    return sums
 
 
 def _hermite_diagonal(cols: list[list[int]]) -> list[int]:
@@ -239,28 +235,19 @@ def cone_contains(cone: PolarizedCone, x) -> bool:
     """Exact membership honoring each generator's closed/open flag."""
     x = as_vec(x)
     if len(x) != len(cone.apex):
-        raise DomainError("point dimension does not match the cone")
-    return _ConeTester(cone).contains(x)
-
-
-def _decomposition(P: Polytope, xi: Vec) -> list:
-    """[cones, testers or None] for xi, kept on P so it dies with P."""
-    if xi not in P._polar:
-        P._polar[xi] = [tuple(polarize(P, i, xi)
-                              for i in range(len(P.vertices))), None]
-    return P._polar[xi]
+        raise DomainError(
+            f"point has dimension {len(x)}, expected {len(cone.apex)}")
+    return _contains(cone, x)
 
 
 def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
-    """Polarized tangent cone at every vertex, in vertex order."""
-    return _decomposition(P, as_vec(xi))[0]
-
-
-def _cached_testers(P: Polytope, xi: Vec) -> tuple[tuple[_ConeTester, int], ...]:
-    entry = _decomposition(P, xi)
-    if entry[1] is None:
-        entry[1] = tuple((_ConeTester(c), c.sign) for c in entry[0])
-    return entry[1]
+    """Polarized tangent cone at every vertex, in vertex order; cached on P,
+    so the cones and their eliminations die with it."""
+    xi = as_vec(xi)
+    if xi not in P._polar:
+        P._polar[xi] = tuple(polarize(P, i, xi)
+                             for i in range(len(P.vertices)))
+    return P._polar[xi]
 
 
 def signed_indicator_sum(P: Polytope, xi, x) -> int:
@@ -274,11 +261,8 @@ def signed_indicator_sum(P: Polytope, xi, x) -> int:
     x = as_vec(x)
     if len(x) != P.dim:
         raise DomainError(f"point has dimension {len(x)}, expected {P.dim}")
-    total = 0
-    for tester, sign in _cached_testers(P, xi):
-        if tester.contains(x):
-            total += sign
-    return total
+    return sum(cone.sign for cone in polar_decompose(P, xi)
+               if _contains(cone, x))
 
 
 def signed_lattice_count(P: Polytope, xi, box) -> int:
@@ -305,8 +289,8 @@ def signed_lattice_count(P: Polytope, xi, box) -> int:
                 raise DomainError(
                     f"box does not contain the polytope: vertex coordinate "
                     f"{coord} outside [{lo}, {hi}]")
-    testers = _cached_testers(P, xi)
-    points = sum(abs(tester.det) for tester, _ in testers)
+    cones = polar_decompose(P, xi)
+    points = sum(abs(cone.lattice[2]) for cone in cones)
     if points > MAX_PARALLELEPIPED_POINTS:
         raise DomainError(
             f"vertex cones hold {points} parallelepiped points, over the "
@@ -315,8 +299,8 @@ def signed_lattice_count(P: Polytope, xi, box) -> int:
     scale = lcm(*(e.denominator for e in xi))
     xi_int = [int(e * scale) for e in xi]
     total = Fraction(0)
-    for tester, sign in testers:
-        ws = [sum(g * x for g, x in zip(col, xi_int)) for col in tester.cols]
-        total += sign * _constant_term(tester.power_sums(xi_int, ws), ws)
+    for cone in cones:
+        ws = [sum(map(mul, col, xi_int)) for col in cone.lattice[0]]
+        total += cone.sign * _constant_term(_power_sums(cone, xi_int, ws), ws)
     assert total.denominator == 1, f"non-integral lattice count {total}"
     return int(total)

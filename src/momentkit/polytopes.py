@@ -116,7 +116,7 @@ class Polytope:
         self._weights: tuple[tuple[Vec, ...], ...] | None = None
         self._facets: tuple[int, ...] | None = None
         self._int_rows: list[tuple[tuple[int, ...], int]] = int_rows
-        # polarizing direction -> [cones, cone testers]; owned by polar
+        # polarizing direction -> its polarized vertex cones; owned by polar
         self._polar: dict = {}
 
     def __repr__(self) -> str:

@@ -93,6 +93,10 @@ def test_moment_graph_validation():
             ((0, 1), (0, 2)),
             (vec(1, 0), vec(2, 0)),
         )
+    # a weight of the wrong dimension
+    message = r"weight on edge \(0, 1\) has dimension 3, expected 2$"
+    with pytest.raises(DomainError, match=message):
+        MomentGraph(((0, 0), (1, 0)), ((0, 1),), ((0, 0, 1),))
 
 
 def _random_simple_polytope(rng):

@@ -158,6 +158,30 @@ def test_degree_vanishing():
         pushforward_degree_vanishing(TRIANGLE, 2, samples)
 
 
+def test_degree_vanishing_checks_each_class_once(monkeypatch):
+    from momentkit import localization
+
+    G = moment_graph(cube(3, 1))
+    points = [choose_generic_direction(G, seed=s) for s in range(3)]
+    basis = gkm_degree_basis(G, 2)
+    assert len(basis) == 18
+    # the same answers as one checked push-forward per class and point
+    assert all(pushforward(cls, G, xi) == 0 for cls in basis for xi in points)
+    checked = []
+    check = localization.gkm_check
+    monkeypatch.setattr(localization, "gkm_check",
+                        lambda G, cls: checked.append(cls) or check(G, cls))
+    for k in (0, 1, 2):
+        assert pushforward_degree_vanishing(G, k, points)
+    assert checked[-18:] == basis
+    assert len(checked) == sum(len(gkm_degree_basis(G, k)) for k in (0, 1, 2))
+    # pushforward itself still checks its class at every call
+    checked.clear()
+    for xi in points:
+        pushforward(basis[0], G, xi)
+    assert len(checked) == 3
+
+
 def test_delta_classes_integrate_to_one():
     for spec in ("simplex:2:1", "cube:2:1", "hirzebruch:2"):
         G = moment_graph(from_spec(spec))

@@ -36,7 +36,7 @@ from momentkit import (
     volume_localization,
 )
 from momentkit import linalg, polar, polytopes
-from momentkit.polar import _ConeTester, _cached_testers, tangent_cone
+from momentkit.polar import _contains, _power_sums, tangent_cone
 from momentkit.algebra import dot, primitive, vec, vsub
 from momentkit.polytopes import catalog_specs
 
@@ -47,8 +47,7 @@ def _box_scan_count(P, xi, box):
     ranges = [range(lo, hi + 1) for lo, hi in box]
     total = 0
     for cone in polar_decompose(P, xi):
-        tester = _ConeTester(cone)
-        total += cone.sign * sum(tester.contains(x) for x in product(*ranges))
+        total += cone.sign * sum(_contains(cone, x) for x in product(*ranges))
     return total
 
 
@@ -144,6 +143,59 @@ def test_cone_contains_rejects_dependent_generators():
     short = PolarizedCone(vec(0, 0), (vec(1, 1),), (False,), 1)
     with pytest.raises(NonSimpleVertexError):
         cone_contains(short, vec(0, 0))
+
+
+def test_cone_rejects_mismatched_lengths():
+    # every generator has the apex's dimension, never truncated to it
+    long_gens = PolarizedCone((0, 0), ((1, 0, 5), (0, 1, 7)), (False, False), 1)
+    with pytest.raises(DomainError, match=r"generator \['1', '0', '5'\] has "
+                       r"dimension 3, expected 2$"):
+        cone_contains(long_gens, (1, 1))
+    # one open flag per generator, a missing one never read as closed
+    few_flags = PolarizedCone(vec(0, 0), (vec(1, 0), vec(0, 1)), (True,), 1)
+    with pytest.raises(DomainError, match="cone has 1 open flags, expected 2$"):
+        cone_contains(few_flags, vec(1, 0))
+    too_many = PolarizedCone(vec(0, 0), (vec(1, 0), vec(0, 1)),
+                             (True, False, False), 1)
+    with pytest.raises(DomainError, match="cone has 3 open flags, expected 2$"):
+        too_many.lattice
+    cone = PolarizedCone(vec(0, 0), (vec(1, 0), vec(0, 1)), (False, False), 1)
+    for x in ((0, 0, 5), (0,), ()):
+        with pytest.raises(DomainError, match=rf"point has dimension {len(x)}, "
+                           r"expected 2$"):
+            cone_contains(cone, x)
+
+
+def test_cone_eliminates_once(monkeypatch):
+    calls = []
+    adjugate_int = linalg.adjugate_int
+    monkeypatch.setattr(linalg, "adjugate_int",
+                        lambda a: calls.append(a) or adjugate_int(a))
+    cone = PolarizedCone(vec(1, 0), (vec(-1, 0), vec(0, -1)), (False, True), -1)
+    probes = [vec(F(1, 2), 0), vec(F(1, 2), F(-1, 3)), vec(1, 0), vec(0, -1),
+              vec(2, -1)]
+    assert [cone_contains(cone, x) for x in probes] == [
+        False, True, False, True, False]
+    assert len(calls) == 1
+
+
+def test_cone_equality_ignores_its_elimination():
+    def make():
+        return PolarizedCone(vec(0, 0), (vec(1, 2), vec(1, -1)),
+                             (False, True), -1)
+
+    a, b = make(), make()
+    assert a.lattice[2] == -3
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_decomposition_is_cached_as_cones():
+    P = simplex(2, 1)
+    xi = choose_polarizing_vector(P, seed=0)
+    cones = polar_decompose(P, xi)
+    assert P._polar[xi] is cones and type(cones) is tuple
+    assert all(isinstance(c, PolarizedCone) for c in cones)
 
 
 def test_signed_indicator_simplex_examples():
@@ -314,9 +366,10 @@ def test_power_sums_visit_each_parallelepiped_point_once():
               dilate(simplex(3, 1), F(5, 2))):
         xi = choose_polarizing_vector(P, seed=1)
         xi_int = [int(e * 6) for e in xi]
-        for tester, _ in _cached_testers(P, xi):
-            ws = [dot(col, xi_int) for col in tester.cols]
-            assert tester.power_sums(xi_int, ws)[0] == abs(tester.det)
+        for cone in polar_decompose(P, xi):
+            cols, _, det = cone.lattice
+            ws = [dot(col, xi_int) for col in cols]
+            assert _power_sums(cone, xi_int, ws)[0] == abs(det)
 
 
 def test_ehrhart_polynomial_leads_with_the_localization_volume():
