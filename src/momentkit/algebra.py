@@ -73,23 +73,21 @@ def primitive(v) -> Vec:
     return tuple(Fraction(i // g) for i in ints)
 
 
-def generic_vector(dim: int, vectors, seed=0, attempts: int = 1000) -> Vec:
+def generic_vector(dim: int, vectors, seed=0) -> Vec:
     """Deterministic-from-seed integer vector pairing nonzero with every input.
 
-    Candidates are drawn with entries in [-999, 999]; a generic draw succeeds
-    essentially immediately, so hitting the attempt bound signals a bug.
+    At most 1000 candidates are drawn, with entries in [-999, 999]; a generic
+    draw succeeds essentially immediately, so running out signals a bug.
     """
     vectors = [as_vec(v) for v in vectors]
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(1000):
         cand = tuple(Fraction(rng.randint(-999, 999)) for _ in range(dim))
         if is_zero_vec(cand):
             continue
         if all(dot(cand, v) != 0 for v in vectors):
             return cand
-    raise RuntimeError(
-        f"internal error: no generic vector found in {attempts} attempts"
-    )
+    raise RuntimeError("internal error: no generic vector found in 1000 attempts")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ intersection of half-spaces ``<normal, x> >= offset`` with inward-pointing
 normals.  Vertices come from all n-subsets of constraints, edges from shared
 active facets, both exact: one solve per subset, then integer sign tests on
 one table of integer rows, which is fast enough at the scale this package
-targets (dimension <= 4, a few dozen half-spaces).  MAX_CONSTRAINT_SUBSETS
-bounds the loop.  A pivoting walk would replace it once the benchmark's
+targets (dimension <= 4, a few dozen half-spaces).  MAX_DIMENSION and
+MAX_CONSTRAINT_SUBSETS bound the loop.  A pivoting walk would replace it once the benchmark's
 probes stop counting its solves (C(2n, n) on cube:n).
 
 Besides the representation itself this module carries the two brute-force
@@ -17,6 +17,7 @@ bounding-box filtering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -73,8 +74,6 @@ def _canonical_halfspace(hs: HalfSpace) -> HalfSpace:
 class SmoothnessReport:
     simple: bool
     smooth: bool
-    # per vertex index, |det| of the primitive edge matrix (simple case only)
-    vertex_dets: tuple[tuple[int, Fraction], ...]
     failing_vertex: int | None
     failing_det: Fraction | None
 
@@ -92,14 +91,13 @@ class Polytope:
     frozenset of half-space indices active (tight) at vertex i; ``edges``
     are index pairs (i, j) with i < j; ``neighbors[i]`` is the sorted tuple
     of vertices joined to vertex i by an edge, built once from ``edges``.
-    ``weights[i]`` holds the primitive directions of the edges leaving
-    vertex i in ``neighbors[i]`` order (its isotropy weights), the one place
-    a polytope derives edge directions; built on first read, then kept.
+    ``int_rows`` is the table of integer rows (q*a, p) of q*<a, x> >= p, in
+    ``halfspaces`` order, that ``from_halfspaces`` built.  ``weights[i]``
+    holds the primitive directions of the edges leaving vertex i in
+    ``neighbors[i]`` order (its isotropy weights), the one place a polytope
+    derives edge directions.  ``weights`` and ``facets`` are built on first
+    read, then kept (``functools.cached_property``).
     """
-
-    __slots__ = ("dim", "halfspaces", "vertices", "vertex_facets", "edges",
-                 "neighbors", "_weights", "_facets", "_int_rows", "_polar",
-                 "__weakref__")
 
     def __init__(self, dim, halfspaces, vertices, vertex_facets, edges, int_rows):
         self.dim: int = dim
@@ -107,15 +105,13 @@ class Polytope:
         self.vertices: tuple[Vec, ...] = vertices
         self.vertex_facets: tuple[frozenset[int], ...] = vertex_facets
         self.edges: tuple[tuple[int, int], ...] = edges
+        self.int_rows: list[tuple[tuple[int, ...], int]] = int_rows
         adjacent: list[list[int]] = [[] for _ in vertices]
         for i, j in edges:
             adjacent[i].append(j)
             adjacent[j].append(i)
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in adjacent)
-        self._weights: tuple[tuple[Vec, ...], ...] | None = None
-        self._facets: tuple[int, ...] | None = None
-        self._int_rows: list[tuple[tuple[int, ...], int]] = int_rows
         # polarizing direction -> its polarized vertex cones; owned by polar
         self._polar: dict = {}
 
@@ -123,26 +119,22 @@ class Polytope:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
                 f"edges={len(self.edges)}, halfspaces={len(self.halfspaces)})")
 
-    @property
+    @functools.cached_property
     def weights(self) -> tuple[tuple[Vec, ...], ...]:
-        if self._weights is None:
-            self._weights = tuple(
-                tuple(primitive(vsub(self.vertices[j], v)) for j in adjacent)
-                for v, adjacent in zip(self.vertices, self.neighbors))
-        return self._weights
+        return tuple(
+            tuple(primitive(vsub(self.vertices[j], v)) for j in adjacent)
+            for v, adjacent in zip(self.vertices, self.neighbors))
 
-    @property
+    @functools.cached_property
     def facets(self) -> tuple[int, ...]:
         """Half-space indices whose active vertex set is (dim-1)-dimensional."""
-        if self._facets is None:
-            out = []
-            for k in range(len(self.halfspaces)):
-                active = [v for v, facets in zip(self.vertices, self.vertex_facets)
-                          if k in facets]
-                if linalg.affine_rank(active) == self.dim - 1:
-                    out.append(k)
-            self._facets = tuple(out)
-        return self._facets
+        out = []
+        for k in range(len(self.halfspaces)):
+            active = [v for v, facets in zip(self.vertices, self.vertex_facets)
+                      if k in facets]
+            if linalg.affine_rank(active) == self.dim - 1:
+                out.append(k)
+        return tuple(out)
 
     def facet_vertices(self, k: int) -> tuple[int, ...]:
         return tuple(i for i, facets in enumerate(self.vertex_facets) if k in facets)
@@ -154,13 +146,8 @@ class Polytope:
             raise DomainError(f"point has dimension {len(x)}, expected {self.dim}")
         return all(dot(h.normal, x) >= h.offset for h in self.halfspaces)
 
-    def integer_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        """The half-spaces as integer rows (q*a, p) of q*<a, x> >= p, in
-        ``halfspaces`` order: the table ``from_halfspaces`` built."""
-        return self._int_rows
-
     def contains_int(self, x: tuple[int, ...]) -> bool:
-        for normal, rhs in self._int_rows:
+        for normal, rhs in self.int_rows:
             if sum(map(mul, normal, x)) < rhs:
                 return False
         return True
@@ -186,6 +173,17 @@ def _check_bounded(dim: int, normals: list[tuple[int, ...]]) -> None:
                                            f"{vec_to_json([sign * c for c in d])}")
 
 
+# from_halfspaces, simplex and cube refuse a larger ambient dimension before
+# they make any half-space; each constraint subset costs about n^2, so the
+# subset limit alone would admit simplex:300 (45,451 subsets)
+MAX_DIMENSION = 16
+
+
+def _check_dimension(dim: int) -> None:
+    if dim > MAX_DIMENSION:
+        raise DomainError(f"dimension {dim} is over the limit of {MAX_DIMENSION}")
+
+
 # from_halfspaces refuses, before any solve, m distinct half-spaces in
 # dimension n when C(m, n) vertex solves plus C(m, n-1) boundedness rank
 # tests exceed this; cube:8 needs 24,310, a 40-half-space 3-D polytope 10,660
@@ -198,13 +196,14 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     Duplicate (positively proportional) constraints are merged; redundant
     ones are harmless.  Raises EmptyRegionError, UnboundedRegionError, or
     DegenerateInputError when the data does not cut out a compact polytope,
-    and DomainError over MAX_CONSTRAINT_SUBSETS.  Each half-space
-    <a, x> >= p/q, a primitive, becomes the integer row (q*a, p).  For the
-    solution x of an n-subset, with common denominator D, the sign of
-    q*<a, D*x> - p*D rejects x or marks the row tight in ``vertex_facets``.
+    and DomainError over MAX_DIMENSION or MAX_CONSTRAINT_SUBSETS.  Each
+    half-space <a, x> >= p/q, a primitive, becomes the integer row (q*a, p).
+    For the solution x of an n-subset, with common denominator D, the sign
+    of q*<a, D*x> - p*D rejects x or marks the row tight in ``vertex_facets``.
     """
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
+    _check_dimension(dim)
     given = [h if isinstance(h, HalfSpace) else HalfSpace.make(*h) for h in halfspaces]
     if not given:
         raise DomainError("at least one half-space is required")
@@ -277,6 +276,7 @@ def simplex(n: int, scale=1) -> Polytope:
     scale = Fraction(scale)
     if n < 1 or scale <= 0:
         raise DomainError("simplex needs n >= 1 and scale > 0")
+    _check_dimension(n)
     hs = [HalfSpace.make([1 if j == i else 0 for j in range(n)], 0) for i in range(n)]
     hs.append(HalfSpace.make([-1] * n, -scale))
     return from_halfspaces(n, hs)
@@ -287,6 +287,7 @@ def cube(n: int, scale=1) -> Polytope:
     scale = Fraction(scale)
     if n < 1 or scale <= 0:
         raise DomainError("cube needs n >= 1 and scale > 0")
+    _check_dimension(n)
     hs = []
     for i in range(n):
         e = [1 if j == i else 0 for j in range(n)]
@@ -341,18 +342,12 @@ def from_spec(spec: str) -> Polytope:
         f"cube:n:scale, or hirzebruch:a")
 
 
-def catalog_specs(max_dim: int = 3, max_scale: int = 3, max_a: int = 3) -> list[str]:
-    """Builder specs of the standard verification catalog."""
-    specs = []
-    for n in range(1, max_dim + 1):
-        for s in range(1, max_scale + 1):
-            specs.append(f"simplex:{n}:{s}")
-    for n in range(1, max_dim + 1):
-        for s in range(1, max_scale + 1):
-            specs.append(f"cube:{n}:{s}")
-    for a in range(1, max_a + 1):
-        specs.append(f"hirzebruch:{a}")
-    return specs
+def catalog_specs() -> list[str]:
+    """Builder specs of the standard verification catalog: simplices and
+    cubes of dimension 1-3 and scale 1-3, then hirzebruch:1-3."""
+    specs = [f"simplex:{n}:{s}" for n in range(1, 4) for s in range(1, 4)]
+    specs += [f"cube:{n}:{s}" for n in range(1, 4) for s in range(1, 4)]
+    return specs + [f"hirzebruch:{a}" for a in range(1, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,24 +360,18 @@ def is_simple(P: Polytope) -> bool:
 
 
 def smoothness_report(P: Polytope) -> SmoothnessReport:
+    """The Delzant test; stops at the first vertex that fails it."""
     for i, n in enumerate(P.neighbors):
         if len(n) != P.dim:
-            return SmoothnessReport(simple=False, smooth=False, vertex_dets=(),
+            return SmoothnessReport(simple=False, smooth=False,
                                     failing_vertex=i, failing_det=None)
-    dets: list[tuple[int, Fraction]] = []
-    failing: tuple[int, Fraction] | None = None
     for i, at_v in enumerate(P.weights):
         d = abs(linalg.det([list(w) for w in at_v]))
-        dets.append((i, d))
-        if d != 1 and failing is None:
-            failing = (i, d)
-    return SmoothnessReport(
-        simple=True,
-        smooth=failing is None,
-        vertex_dets=tuple(dets),
-        failing_vertex=None if failing is None else failing[0],
-        failing_det=None if failing is None else failing[1],
-    )
+        if d != 1:
+            return SmoothnessReport(simple=True, smooth=False,
+                                    failing_vertex=i, failing_det=d)
+    return SmoothnessReport(simple=True, smooth=True,
+                            failing_vertex=None, failing_det=None)
 
 
 def is_smooth(P: Polytope) -> bool:

@@ -276,6 +276,32 @@ def test_constraint_subsets_over_the_limit_exit_3(tmp_path, monkeypatch, capsys)
     assert "over the limit" in capsys.readouterr().err
 
 
+def test_dimension_over_the_limit_exits_3(monkeypatch, capsys):
+    made = []
+    init = polytopes.HalfSpace.__init__
+    monkeypatch.setattr(polytopes.HalfSpace, "__init__",
+                        lambda self, *a: made.append(1) or init(self, *a))
+    for spec in ("simplex:17:1", "simplex:2000:1", "cube:17:1"):
+        assert cli.main(["validate", spec]) == 3
+        assert "over the limit of 16" in capsys.readouterr().err
+    assert made == []
+
+
+@pytest.mark.parametrize("command", ["gkm-check", "integrate"])
+def test_class_degree_over_the_limit_exits_3(command, tmp_path, monkeypatch, capsys):
+    # x^(10^9) at every vertex: refused before any divisibility test or
+    # evaluation
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({f"v{i}": {"1000000000,0": "1"} for i in range(3)}))
+    for module, name in ((gkm, "gkm_check"), (localization, "pushforward")):
+        monkeypatch.setattr(module, name, None)
+    start = time.process_time()
+    assert cli.main([command, "simplex:2:1", "--class", str(path)]) == 3
+    assert time.process_time() - start < 1.0
+    assert "class has degree 1000000000, over the limit of 50000" in \
+        capsys.readouterr().err
+
+
 def test_abbreviated_json_flag_prints_json(capsys):
     assert cli.main(["validate", "simplex:2:1", "--js"]) == 0
     report = json.loads(capsys.readouterr().out)

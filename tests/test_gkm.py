@@ -35,6 +35,7 @@ from momentkit.algebra import (
     vsub,
 )
 from momentkit.gkm import (
+    MAX_CLASS_DEGREE,
     MAX_DEGREE_UNKNOWNS,
     choose_generic_direction,
     class_degree,
@@ -332,3 +333,19 @@ def test_json_round_trips():
     assert back == cls
     with pytest.raises(ValueError):
         gkm_class_from_json(G, {"v0": {}})
+
+
+def test_class_degree_limit():
+    G = TRIANGLE
+    assert MAX_CLASS_DEGREE == 50_000
+
+    def power(d, coeff="1"):
+        return {label: {f"0,{d}": coeff} for label in G.labels}
+
+    assert gkm_class_from_json(G, power(50_000)) == ({(0, 50_000): 1},) * 3
+    for d in (50_001, 10**9):
+        with pytest.raises(DomainError, match=f"class has degree {d}, over the "
+                           "limit of 50000"):
+            gkm_class_from_json(G, power(d))
+    # zero terms carry no degree
+    assert gkm_class_from_json(G, power(10**9, "0")) == ({},) * 3

@@ -236,6 +236,41 @@ def test_smoothness_report_not_simple():
     assert rep.reason == "not simple"
 
 
+def _count_dets(monkeypatch):
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: calls.append(1) or det(m))
+    return calls
+
+
+def test_smoothness_report_stops_at_the_first_failing_vertex(monkeypatch):
+    calls = _count_dets(monkeypatch)
+    # the square pyramid's apex, vertex 2, has four edges; no determinant
+    # is taken
+    rep = smoothness_report(square_pyramid())
+    assert (rep.simple, rep.failing_vertex, rep.failing_det) == (False, 2, None)
+    assert calls == []
+    # conv{(0,0), (2,0), (0,1)}: |det| is 1 at (0, 0) and 2 at (0, 1); the
+    # third vertex, (2, 0), is never tested
+    P = from_halfspaces(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -2)])
+    assert P.vertices == (vec(0, 0), vec(0, 1), vec(2, 0))
+    rep = smoothness_report(P)
+    assert (rep.simple, rep.failing_vertex, rep.failing_det) == (True, 1, 2)
+    assert len(calls) == 2
+    # a smooth polytope tests every vertex
+    calls.clear()
+    assert smoothness_report(cube(3, 1)).smooth
+    assert len(calls) == 8
+
+
+def test_vertex_data_is_built_once():
+    P = hirzebruch(2)
+    assert P.weights is P.weights
+    assert P.facets is P.facets
+    assert "weights" not in vars(simplex(2, 1))
+    assert not hasattr(P, "__slots__")
+
+
 def test_smooth_implies_simple():
     for spec in catalog_specs():
         rep = smoothness_report(from_spec(spec))
@@ -518,6 +553,21 @@ def test_subset_limit_refuses_before_any_solve(monkeypatch):
     assert calls == []
 
 
+def test_dimension_limit_refuses_before_any_halfspace(monkeypatch):
+    assert polytopes.MAX_DIMENSION == 16
+    assert len(simplex(16, 1).vertices) == 17
+    made = []
+    init = HalfSpace.__init__
+    monkeypatch.setattr(HalfSpace, "__init__",
+                        lambda self, *a: made.append(1) or init(self, *a))
+    with pytest.raises(DomainError, match="dimension 2000 is over the limit"):
+        cube(2000, 1)
+    with pytest.raises(DomainError, match="dimension 17 is over the limit"):
+        from_halfspaces(17, [((1,) + (0,) * 16, 0)])
+    assert made == []
+    assert len(cube(2, 1).vertices) == 4 and made
+
+
 # ---------------------------------------------------------------------------
 # the integer row table
 
@@ -526,8 +576,6 @@ def test_integer_rows_are_the_table_the_build_made(monkeypatch):
     built = []
 
     class Recording(polytopes.Polytope):
-        __slots__ = ()
-
         def __init__(self, *args):
             built.append(args[-1])
             super().__init__(*args)
@@ -537,11 +585,11 @@ def test_integer_rows_are_the_table_the_build_made(monkeypatch):
     shapes += [dilate(P, F(5, 2)) for P in shapes[::3]]
     assert len(built) == len(shapes)
     for P, rows in zip(shapes, built):
-        assert P.integer_rows() is rows
+        assert P.int_rows is rows
         assert rows == [(tuple(int(c) * h.offset.denominator for c in h.normal),
                          h.offset.numerator) for h in P.halfspaces]
         lattice_points_oracle(P)
-        assert P.integer_rows() is rows
+        assert P.int_rows is rows
         box = [range(lo - 1, hi + 2) for lo, hi in tight_box(P)]
         for x in product(*box):
             assert P.contains_int(x) == P.contains(x), (P, x)
