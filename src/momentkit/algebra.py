@@ -14,8 +14,9 @@ dictionary equality.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import DomainError
 
@@ -95,7 +96,15 @@ def generic_vector(dim: int, vectors, seed=0) -> Vec:
 
 
 def format_rat(q) -> str:
-    return str(Fraction(q))
+    q = Fraction(q)
+    try:
+        return str(q)
+    except ValueError:  # a part has over sys.get_int_max_str_digits() digits
+        big = max(abs(q.numerator), q.denominator)
+        digits = int(big.bit_length() * 0.30103) + 1  # within one of exact
+        raise DomainError(
+            f"a rational of about {digits} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing") from None
 
 
 def parse_rat(s) -> Fraction:
@@ -126,14 +135,6 @@ def poly_const(nvars: int, value) -> Poly:
     if c == 0:
         return {}
     return {(0,) * nvars: c}
-
-
-def poly_var(nvars: int, index: int) -> Poly:
-    if not 0 <= index < nvars:
-        raise ValueError(f"variable index {index} out of range for {nvars} vars")
-    e = [0] * nvars
-    e[index] = 1
-    return {tuple(e): ONE}
 
 
 def linear_poly(coeffs: Vec) -> Poly:
@@ -217,16 +218,6 @@ def poly_degree(f: Poly) -> int:
     return max(sum(mono) for mono in f)
 
 
-def homogeneous_degree(f: Poly) -> int | None:
-    """Common total degree of all terms, -1 for zero, None if mixed."""
-    if not f:
-        return -1
-    degs = {sum(mono) for mono in f}
-    if len(degs) == 1:
-        return degs.pop()
-    return None
-
-
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, descending lex order."""
     if degree < 0:
@@ -265,11 +256,18 @@ def pivot_index(ell: Vec) -> int:
     return best
 
 
+# restrict_to_hyperplane refuses to expand to more terms: gkm-check of x^649
+# at a vertex with edge weight (1,1,1) takes about 1 s on one x86 core, and
+# the cost grows faster than the square of the term count
+MAX_RESTRICTION_TERMS = 650
+
+
 def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
     """Substitute the solution of ell = 0 for its pivot variable in f.
 
     The result has exponent 0 in the pivot slot; it is identically zero
-    exactly when ell divides f.
+    exactly when ell divides f.  A monomial with pivot exponent t expands
+    to C(t + s - 1, s - 1) terms when the solution has s >= 2 terms.
     """
     ell = as_vec(ell)
     if piv is None:
@@ -282,6 +280,14 @@ def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
             e = [0] * n
             e[j] = 1
             sol[tuple(e)] = -c / a
+    s = len(sol)
+    if s > 1:
+        terms = sum(comb(mono[piv] + s - 1, s - 1) for mono in f)
+        if terms > MAX_RESTRICTION_TERMS:
+            raise DomainError(
+                f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
+                f"expands to {terms} terms, over the limit of "
+                f"{MAX_RESTRICTION_TERMS}")
 
     powers: dict[int, Poly] = {}  # t -> sol**t
     out: Poly = {}
@@ -342,58 +348,14 @@ def poly_quotient_by_linear(ell: Vec, f: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# canonical text and JSON forms
-
-
-def _grlex_descending(f: Poly) -> list[tuple[int, ...]]:
-    return sorted(f, key=lambda m: (sum(m), m), reverse=True)
-
-
-_SHORT_NAMES = ("x", "y", "z", "w")
-
-
-def var_names(nvars: int) -> list[str]:
-    if nvars <= len(_SHORT_NAMES):
-        return list(_SHORT_NAMES[:nvars])
-    return [f"x{i + 1}" for i in range(nvars)]
-
-
-def poly_str(f: Poly, names: list[str] | None = None) -> str:
-    """Canonical human-readable form, graded lexicographic term order."""
-    if not f:
-        return "0"
-    monos = _grlex_descending(f)
-    if names is None:
-        names = var_names(len(monos[0]))
-    pieces: list[str] = []
-    for mono, first in zip(monos, (True,) + (False,) * (len(monos) - 1)):
-        c = f[mono]
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            body = format_rat(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rat(mag)] + factors)
-        if first:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f"{sign} {body}")
-    return " ".join(pieces)
+# canonical JSON form
 
 
 def poly_to_json(f: Poly) -> dict[str, str]:
     """Map exponent strings like "2,0" to coefficient strings, grlex order."""
     return {
         ",".join(str(e) for e in mono): format_rat(f[mono])
-        for mono in _grlex_descending(f)
+        for mono in sorted(f, key=lambda m: (sum(m), m), reverse=True)
     }
 
 

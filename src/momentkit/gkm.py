@@ -29,7 +29,6 @@ from .algebra import (
     divides_linear,
     dot,
     generic_vector,
-    homogeneous_degree,
     is_zero_vec,
     linear_poly,
     monomials,
@@ -167,16 +166,6 @@ def gkm_check(G: MomentGraph, cls: GKMClass) -> GKMCheckReport:
     return GKMCheckReport(ok=not failures, failures=tuple(failures))
 
 
-def class_degree(cls: GKMClass) -> int | None:
-    """Common homogeneous degree, -1 for the zero class, None if mixed."""
-    degs = {homogeneous_degree(f) for f in cls if f}
-    if not degs:
-        return -1
-    if len(degs) == 1:
-        return degs.pop()
-    return None
-
-
 # ---------------------------------------------------------------------------
 # degreewise dimensions by exact rank
 
@@ -283,14 +272,13 @@ def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
     return tuple(profile)
 
 
-def free_module_check(G: MomentGraph, k_max: int, xi=None, seed=0) -> bool:
+def free_module_check(G: MomentGraph, k_max: int) -> bool:
     """Hilbert-series test: degreewise dimensions match a free module with
-    one generator of degree j per vertex of downward count j."""
+    one generator of degree j per vertex of downward count j.  The
+    downward-edge profile is the same for every generic direction."""
     if k_max < 0:
         raise DomainError("k_max must be non-negative")
-    if xi is None:
-        xi = choose_generic_direction(G, seed=seed)
-    b = betti_numbers(G, xi)
+    b = betti_numbers(G, choose_generic_direction(G))
     n = G.dim
     for k in range(k_max + 1):
         expected = sum(b[j] * comb(k - j + n - 1, n - 1)
@@ -300,17 +288,15 @@ def free_module_check(G: MomentGraph, k_max: int, xi=None, seed=0) -> bool:
     return True
 
 
-def ordinary_betti(G: MomentGraph, k: int, xi=None, seed=0) -> int:
+def ordinary_betti(G: MomentGraph, k: int) -> int:
     """Degree-k dimension after collapsing the polynomial coefficients.
 
     Valid once the free-module identity holds through degree k; the answer
     is then the k-th entry of the downward-edge profile.
     """
-    if not free_module_check(G, k, xi=xi, seed=seed):
+    if not free_module_check(G, k):
         raise DomainError("free module check failed through the requested degree")
-    if xi is None:
-        xi = choose_generic_direction(G, seed=seed)
-    b = betti_numbers(G, xi)
+    b = betti_numbers(G, choose_generic_direction(G))
     return b[k] if k < len(b) else 0
 
 
@@ -345,15 +331,6 @@ def facet_class(P: Polytope, G: MomentGraph, facet: int) -> GKMClass:
 
 # ---------------------------------------------------------------------------
 # JSON forms
-
-
-def moment_graph_to_json(G: MomentGraph) -> dict:
-    return {
-        "labels": G.labels,
-        "positions": [vec_to_json(p) for p in G.positions],
-        "edges": [list(e) for e in G.edges],
-        "weights": [vec_to_json(w) for w in G.weights],
-    }
 
 
 def gkm_class_to_json(G: MomentGraph, cls: GKMClass) -> dict:

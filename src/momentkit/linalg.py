@@ -17,7 +17,6 @@ from math import prod
 
 from .algebra import ONE, ZERO, Vec, as_vec, vsub
 
-Matrix = list[list[Fraction]]
 # column -> nonzero entry, the leading 1 of a pivot row left implicit
 Row = dict[int, Fraction]
 
@@ -78,19 +77,6 @@ def _det(pivots: dict[int, Row], leads: list[Fraction], n: int) -> Fraction:
     return (-1) ** inversions * prod(leads, start=ONE)
 
 
-def _invert(a_rows) -> tuple[Matrix, Fraction] | None:
-    """A^-1 and det A from one reduced elimination of [A | I]; None when A
-    is singular.  While A is invertible the identity block never decides a
-    pivot, so the leading entries are those of A alone."""
-    n = len(a_rows)
-    pivots, leads = _eliminate([list(row) + [int(i == j) for j in range(n)]
-                                for i, row in enumerate(a_rows)], reduced=True)
-    if any(c >= n for c in pivots):
-        return None
-    inv = [[pivots[c].get(n + j, ZERO) for j in range(n)] for c in range(n)]
-    return inv, _det(pivots, leads, n)
-
-
 def rank(rows) -> int:
     return len(_eliminate(rows)[0])
 
@@ -132,23 +118,22 @@ def det(a_rows) -> Fraction:
     return _det(*_eliminate(a_rows), len(a_rows))
 
 
-def inverse(a_rows) -> Matrix | None:
-    found = _invert(a_rows)
-    return None if found is None else found[0]
-
-
 def adjugate_int(a_rows) -> tuple[list[list[int]], int] | None:
     """Adjugate and determinant of an integer matrix, both exact integers;
     None when the matrix is singular.
 
     adj(A) @ A == det(A) * I, so signs of A^-1 y can be read off integer
-    products adj(A) @ y against the sign of det(A).
+    products adj(A) @ y against the sign of det(A).  Both come from one
+    reduced elimination of [A | I]: while A is invertible the identity
+    block never decides a pivot, so the leading entries are those of A.
     """
-    found = _invert(a_rows)
-    if found is None:
+    n = len(a_rows)
+    pivots, leads = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(a_rows)], reduced=True)
+    if any(c >= n for c in pivots):
         return None
-    inv, d = found
-    adj = [[d * x for x in row] for row in inv]
+    d = _det(pivots, leads, n)
+    adj = [[d * pivots[c].get(n + j, ZERO) for j in range(n)] for c in range(n)]
     assert all(x.denominator == 1 for row in adj for x in row)
     return [[int(x) for x in row] for row in adj], int(d)
 

@@ -136,9 +136,6 @@ class Polytope:
                 out.append(k)
         return tuple(out)
 
-    def facet_vertices(self, k: int) -> tuple[int, ...]:
-        return tuple(i for i, facets in enumerate(self.vertex_facets) if k in facets)
-
     def contains(self, x) -> bool:
         """Boundary-inclusive membership test."""
         x = as_vec(x)

@@ -86,7 +86,7 @@ def _sample_mix(P, rng, total=1000):
         for t in (F(1, 2), F(1, 3), F(2, 3)):
             pts.append(tuple(a + t * (b - a) for a, b in zip(verts[i], verts[j])))
     for k in P.facets:
-        members = [verts[i] for i in P.facet_vertices(k)]
+        members = [v for v, facets in zip(verts, P.vertex_facets) if k in facets]
         for _ in range(5):
             pts.append(_random_convex(rng, members))
     for _ in range(150):

@@ -302,6 +302,44 @@ def test_class_degree_over_the_limit_exits_3(command, tmp_path, monkeypatch, cap
         capsys.readouterr().err
 
 
+def test_restriction_over_the_limit_exits_3(tmp_path, capsys):
+    # the image of cube:3:1 under x -> [[1,0,0],[1,1,0],[1,0,1]] x has the
+    # edge weight (1,1,1) at v0 = 0, on which x^3200 restricts to 3201 terms
+    P = from_halfspaces(3, [((1, 0, 0), 0), ((-1, 0, 0), -1),
+                            ((-1, 1, 0), 0), ((1, -1, 0), -1),
+                            ((-1, 0, 1), 0), ((1, 0, -1), -1)])
+    poly, cls = tmp_path / "gl3.json", tmp_path / "class.json"
+    poly.write_text(json.dumps(polytope_to_json(P)))
+    cls.write_text(json.dumps({f"v{i}": {"3200,0,0": "1"} if i == 0 else {}
+                               for i in range(8)}))
+    start = time.process_time()
+    assert cli.main(["gkm-check", str(poly), "--class", str(cls)]) == 3
+    assert time.process_time() - start < 1.0
+    assert "expands to 3201 terms, over the limit of 650" in capsys.readouterr().err
+    # catalog weights have at most two nonzero entries, so no restriction
+    # there expands, even at the degree limit
+    for spec in catalog_specs():
+        G = moment_graph(from_spec(spec))
+        mono = ",".join([str(gkm.MAX_CLASS_DEGREE)] + ["0"] * (G.dim - 1))
+        cls.write_text(json.dumps({label: {mono: "1"} if label == "v0" else {}
+                                   for label in G.labels}))
+        assert cli.main(["gkm-check", spec, "--class", str(cls)]) == 0
+    capsys.readouterr()
+
+
+def test_rational_over_the_digit_limit_exits_3(tmp_path, capsys):
+    # the volume of cube:3:10^1500 is 10^4500; the pushforward of x^10000
+    # at v0 and 2x^10000 at v1 has about 30,000 digits
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"v0": {"10000": "1"}, "v1": {"10000": "2"}}))
+    for argv in (["volume", f"cube:3:1{'0' * 1500}"],
+                 ["integrate", "cube:1:1", "--class", str(path)]):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "digits for printing" in err
+        assert "set_int_max_str_digits" not in err
+
+
 def test_abbreviated_json_flag_prints_json(capsys):
     assert cli.main(["validate", "simplex:2:1", "--js"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -141,7 +141,6 @@ def test_square_kernels_match_dense_oracle(case, b):
     b = b[:n]
     assert linalg.det(a) == oracle_det(a)
     assert linalg.solve_square(a, b) == oracle_solve(a, b)
-    assert linalg.inverse(a) == oracle_inverse(a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,13 +190,6 @@ def test_rank_and_nullspace():
 def test_det_and_inverse():
     a = [[1, 2], [3, 4]]
     assert linalg.det(a) == -2
-    inv = linalg.inverse(a)
-    prod = [
-        [sum(F(a[i][k]) * inv[k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod == [[1, 0], [0, 1]]
-    assert linalg.inverse([[1, 2], [2, 4]]) is None
 
 
 def test_adjugate_int_identity():

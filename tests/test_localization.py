@@ -270,7 +270,8 @@ def test_volume_is_invariant_under_lattice_maps():
         volume = volume_oracle(P)
         for _ in range(3):
             U, t = _lattice_map(rng, n)
-            inv = linalg.inverse(U)
+            adj, d = linalg.adjugate_int(U)
+            inv = [[d * x for x in row] for row in adj]  # det U = +-1
             hs = []
             for h in P.halfspaces:
                 a = tuple(sum(inv[i][k] * h.normal[i] for i in range(n))

@@ -69,3 +69,51 @@ def test_readme_quickstart_values():
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     assert checked == [6, 2, 2, 4, (1, 2, 1)]
+
+
+SRC = README.parent / "src" / "momentkit"
+BENCH = README.parent / "bench"
+
+# Public functions that only tests call, each with its reason.
+CALLED_BY_TESTS_ONLY = {
+    "algebra.vec": "tests build exact vectors from ints and strings with it",
+    "polytopes.polytope_to_json": "tests write polytope files with it",
+}
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names a module reads or calls, except inside the def of the same
+    name (so recursion is not a caller)."""
+    used = set()
+
+    def visit(node, defs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs = defs | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defs:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defs:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_public_function_has_a_caller():
+    used = set(momentkit.__all__)
+    defined = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _names_used(tree)
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [f"{path.stem}.{f.name}" for f in members
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("_")]
+    uncalled = [name for name in defined
+                if name.rsplit(".", 1)[1] not in used
+                and name not in CALLED_BY_TESTS_ONLY]
+    assert not uncalled, f"no caller in src/ or bench/: {', '.join(uncalled)}"

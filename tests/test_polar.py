@@ -454,7 +454,8 @@ def affine_lattice_maps(draw):
 def _mapped(P, U, t):
     """The image of P under x -> U x + t: <a, x> >= b becomes
     <U^-T a, y> >= b + <U^-T a, t>."""
-    inv = linalg.inverse(U)
+    adj, d = linalg.adjugate_int(U)
+    inv = [[d * x for x in row] for row in adj]  # det U = +-1
     hs = []
     for h in P.halfspaces:
         normal = tuple(sum(inv[i][k] * h.normal[i] for i in range(3))
