@@ -108,8 +108,20 @@ def format_rat(q) -> str:
 
 
 def parse_rat(s) -> Fraction:
+    """The rational a string or int stands for.
+
+    A string written with more than sys.get_int_max_str_digits() digits is
+    a DomainError, told by its length before any parse and named by its
+    digit count, not echoed.
+    """
     if not isinstance(s, (str, int)) or isinstance(s, bool):
         raise ValueError(f"expected rational string, got {s!r}")
+    limit = sys.get_int_max_str_digits()
+    if isinstance(s, str) and 0 < limit < len(s):
+        digits = sum(map(str.isdecimal, s))
+        if digits > limit:
+            raise DomainError(f"a number written with {digits} digits is "
+                              f"over the limit of {limit} digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:

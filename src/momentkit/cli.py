@@ -37,6 +37,8 @@ class UsageError(Exception):
 def _parse_xi(text: str, dim: int):
     try:
         xi = as_vec(parse_rat(p) for p in text.split(","))
+    except DomainError:
+        raise
     except ValueError as exc:
         raise UsageError(f"malformed --xi {text!r}: {exc}") from exc
     if len(xi) != dim:

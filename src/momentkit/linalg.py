@@ -1,19 +1,25 @@
-"""Exact linear algebra over the rationals on one sparse elimination kernel.
+"""Exact linear algebra over the rationals on two elimination kernels.
 
-Matrices come in and go out as dense lists of rows, but inside the kernel a
-row is a dict from column to nonzero Fraction.  Rows enter one at a time and
-each is reduced at its lowest column against the pivots found so far, so the
-work follows the nonzeros, not the shape: GKM degree systems have hundreds
-of rows with two or three nonzeros each.  An optional back-substitution
-gives the reduced row echelon form, which is unique, so nullspace bases and
-solutions do not depend on the order of elimination.
+``rank`` and ``nullspace`` share one sparse kernel.  Matrices come in and go
+out as dense lists of rows, but inside it a row is a dict from column to
+nonzero Fraction.  Rows enter one at a time and each is reduced at its
+lowest column against the pivots found so far, so the work follows the
+nonzeros, not the shape: GKM degree systems have hundreds of rows with two
+or three nonzeros each.  An optional back-substitution gives the reduced
+row echelon form, which is unique, so nullspace bases do not depend on the
+order of elimination.
+
+Square systems (``solve_square``, ``det``, ``adjugate_int``) share one
+fraction-free Bareiss elimination on integer rows (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 1968): every intermediate entry is a minor of the input, so no
+Fraction and no gcd is made inside the loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from math import gcd, lcm
 
 from .algebra import ONE, ZERO, Vec, as_vec, vsub
 
@@ -32,17 +38,16 @@ def _cancel(row: Row, c: int, tail: Row) -> None:
             del row[j]
 
 
-def _eliminate(rows, reduced: bool = False) -> tuple[dict[int, Row], list[Fraction]]:
+def _eliminate(rows, reduced: bool = False) -> dict[int, Row]:
     """Echelon form of the dense ``rows``.
 
     Returns the pivots, mapping each pivot column to the rest of its row
-    scaled to a leading 1, in the order the rows came in, and the leading
-    entries before scaling, in the same order.  Rows that reduce to zero
-    leave no pivot.  With ``reduced`` every pivot row is then cleared at the
-    other pivot columns, which gives the reduced row echelon form.
+    scaled to a leading 1, in the order the rows came in.  Rows that reduce
+    to zero leave no pivot.  With ``reduced`` every pivot row is then
+    cleared at the other pivot columns, which gives the reduced row echelon
+    form.
     """
     pivots: dict[int, Row] = {}
-    leads: list[Fraction] = []
     for dense in rows:
         row = {j: Fraction(x) for j, x in enumerate(dense) if x}
         while row:
@@ -51,7 +56,6 @@ def _eliminate(rows, reduced: bool = False) -> tuple[dict[int, Row], list[Fracti
             if tail is None:
                 lead = row.pop(c)
                 pivots[c] = {j: x / lead for j, x in row.items()}
-                leads.append(lead)
                 break
             _cancel(row, c, tail)
     if reduced:
@@ -61,24 +65,11 @@ def _eliminate(rows, reduced: bool = False) -> tuple[dict[int, Row], list[Fracti
             tail = pivots[c]
             for p in [p for p in tail if p in pivots]:
                 _cancel(tail, p, pivots[p])
-    return pivots, leads
-
-
-def _det(pivots: dict[int, Row], leads: list[Fraction], n: int) -> Fraction:
-    """Determinant of an n-row square matrix from its forward elimination.
-
-    Elimination only adds multiples of earlier rows, and the rows sorted
-    by pivot column are upper triangular, so the determinant is the sign
-    of that sort times the product of the leading entries.
-    """
-    if len(pivots) < n:
-        return ZERO
-    inversions = sum(a > b for a, b in combinations(pivots, 2))
-    return (-1) ** inversions * prod(leads, start=ONE)
+    return pivots
 
 
 def rank(rows) -> int:
-    return len(_eliminate(rows)[0])
+    return len(_eliminate(rows))
 
 
 def nullspace(rows, ncols: int | None = None) -> list[Vec]:
@@ -91,7 +82,7 @@ def nullspace(rows, ncols: int | None = None) -> list[Vec]:
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("ncols required for an empty system")
-    pivots, _ = _eliminate(rows, reduced=True)
+    pivots = _eliminate(rows, reduced=True)
     basis: list[Vec] = []
     for f in range(ncols):
         if f in pivots:
@@ -104,18 +95,82 @@ def nullspace(rows, ncols: int | None = None) -> list[Vec]:
     return basis
 
 
-def solve_square(a_rows, b) -> Vec | None:
-    """Solve the square system a x = b exactly; None when a is singular."""
-    n = len(a_rows)
-    pivots, _ = _eliminate([list(row) + [bi] for row, bi in zip(a_rows, b)],
-                           reduced=True)
-    if len(pivots) < n or n in pivots:
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, as ints, in a new list,
+    and the product of those multipliers."""
+    # the subset loop of from_halfspaces passes ints: skip the scaling
+    if all(type(x) is int for row in rows for x in row):
+        return list(rows), 1
+    out, scale = [], 1
+    for row in rows:
+        s = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return out, scale
+
+
+def _bareiss(m: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
+    """adj(A) @ B and det(A) for the n integer rows [A | B] in the list
+    ``m``, which it reorders and refills without writing into any row; None
+    when A is singular.
+
+    Bareiss's fraction-free elimination: at step i every later row becomes
+    (p * row - f * pivot row) / q, p the pivot, f the row's entry under it
+    and q the previous pivot.  The division is exact, each entry being a
+    minor of [A | B], and the last pivot is det(A) up to the sign of the row
+    swaps.  Back-substitution then gives the integer X = det(A) A^-1 B:
+    U[i][i] X_i = det(A) y_i - sum over j > i of U[i][j] X_j, again exact.
+    """
+    sign, q = 1, 1
+    for i in range(n):
+        if not m[i][i]:
+            r = next((r for r in range(i + 1, n) if m[r][i]), None)
+            if r is None:
+                return None
+            m[i], m[r] = m[r], m[i]
+            sign = -sign
+        pivot = m[i]
+        p = pivot[i]
+        for r in range(i + 1, n):
+            row = m[r]
+            f = row[i]
+            if f:
+                m[r] = [(p * x - f * y) // q for x, y in zip(row, pivot)]
+            elif p != q:  # with f = 0 the row is only rescaled by p / q
+                m[r] = [p * x // q for x in row]
+        q = p
+    d = sign * q
+    X = [[0] * (len(row) - n) for row in m]
+    for i in reversed(range(n)):
+        row = m[i]
+        for c in range(len(X[i])):
+            s = d * row[n + c] - sum(row[j] * X[j][c] for j in range(i + 1, n))
+            X[i][c] = s // row[i]
+    return X, d
+
+
+def solve_square(a_rows, b) -> tuple[tuple[int, ...], int] | None:
+    """Solve the square system a x = b exactly; None when a is singular.
+
+    Returns the integer Cramer form (X, D): x = X / D with D > 0 and
+    gcd(X, D) = 1, so equal solutions give equal pairs.  A row holding
+    fractions is first scaled to integers by the lcm of its denominators.
+    """
+    m, _ = _integer_rows([[*row, bi] for row, bi in zip(a_rows, b)])
+    found = _bareiss(m, len(m))
+    if found is None:
         return None
-    return tuple(pivots[c].get(n, ZERO) for c in range(n))
+    X, D = [row[0] for row in found[0]], found[1]
+    g = gcd(*X, D)
+    if D < 0:
+        g = -g
+    return tuple(x // g for x in X), D // g
 
 
 def det(a_rows) -> Fraction:
-    return _det(*_eliminate(a_rows), len(a_rows))
+    m, scale = _integer_rows(a_rows)
+    found = _bareiss(m, len(m))
+    return ZERO if found is None else Fraction(found[1], scale)
 
 
 def adjugate_int(a_rows) -> tuple[list[list[int]], int] | None:
@@ -124,18 +179,14 @@ def adjugate_int(a_rows) -> tuple[list[list[int]], int] | None:
 
     adj(A) @ A == det(A) * I, so signs of A^-1 y can be read off integer
     products adj(A) @ y against the sign of det(A).  Both come from one
-    reduced elimination of [A | I]: while A is invertible the identity
-    block never decides a pivot, so the leading entries are those of A.
+    fraction-free solve against the identity.
     """
-    n = len(a_rows)
-    pivots, leads = _eliminate([list(row) + [int(i == j) for j in range(n)]
-                                for i, row in enumerate(a_rows)], reduced=True)
-    if any(c >= n for c in pivots):
-        return None
-    d = _det(pivots, leads, n)
-    adj = [[d * pivots[c].get(n + j, ZERO) for j in range(n)] for c in range(n)]
-    assert all(x.denominator == 1 for row in adj for x in row)
-    return [[int(x) for x in row] for row in adj], int(d)
+    m, scale = _integer_rows(a_rows)
+    if scale != 1:
+        raise ValueError("adjugate_int needs an integer matrix")
+    n = len(m)
+    return _bareiss([[*row, *(int(i == j) for j in range(n))]
+                     for i, row in enumerate(m)], n)
 
 
 def affine_rank(points) -> int:

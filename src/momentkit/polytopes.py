@@ -3,11 +3,17 @@
 A polytope is ingested exclusively in H-representation: the bounded
 intersection of half-spaces ``<normal, x> >= offset`` with inward-pointing
 normals.  Vertices come from all n-subsets of constraints, edges from shared
-active facets, both exact: one solve per subset, then integer sign tests on
-one table of integer rows, which is fast enough at the scale this package
+active facets, both exact.  Each subset is one fraction-free integer solve
+(``linalg.solve_square``), whose Cramer form (X, D), x = X/D, keys the
+dedupe and feeds integer sign tests against one table of integer rows;
+only the vertices kept become Fraction tuples.  Boundedness is then read
+from the vertices: an unbounded pointed region has a vertex with an
+unbounded edge, so only the (n-1)-subsets of rows tight at some vertex
+are tested, and the scan over every (n-1)-subset runs only to name the
+ray of an unbounded region.  This is fast enough at the scale this package
 targets (dimension <= 4, a few dozen half-spaces).  MAX_DIMENSION and
-MAX_CONSTRAINT_SUBSETS bound the loop.  A pivoting walk would replace it once the benchmark's
-probes stop counting its solves (C(2n, n) on cube:n).
+MAX_CONSTRAINT_SUBSETS bound the loop.  A pivoting walk would replace it
+once the benchmark's probes stop counting its solves (C(2n, n) on cube:n).
 
 Besides the representation itself this module carries the two brute-force
 oracles that the rest of the package is validated against: exact Euclidean
@@ -21,7 +27,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, comb, floor, lcm, prod
+from math import ceil, comb, floor, prod
 from operator import mul
 
 from . import linalg
@@ -150,24 +156,41 @@ class Polytope:
         return True
 
 
-def _check_bounded(dim: int, normals: list[tuple[int, ...]]) -> None:
+def _ray(dim: int, normals: list[tuple[int, ...]], rows) -> list[int] | None:
+    """The recession ray spanned by the kernel of ``rows``, dim-1 integer
+    normals, if that kernel is a line and d or -d lies in the cone
+    {d : <n_i, d> >= 0 for all i}; else None.
+
+    The kernel is scaled to a primitive integer vector d, and the integer
+    signs of <n_i, d> say whether d or -d lies in the cone.
+    """
+    if rows and linalg.rank(rows) != dim - 1:
+        return None
+    d = [int(c) for c in primitive(linalg.nullspace(rows, ncols=dim)[0])]
+    signs = [sum(map(mul, n, d)) for n in normals]
+    for sign in (1, -1):
+        if all(sign * s >= 0 for s in signs):
+            return [sign * c for c in d]
+    return None
+
+
+def _check_bounded(dim: int, normals: list[tuple[int, ...]],
+                   vertex_facets) -> None:
     """Raise unless the recession cone {d : <n_i, d> >= 0 for all i} is {0}.
 
-    Called once a vertex exists, so dim of the integer normals are
-    independent and the cone is pointed.  A pointed nontrivial cone has an
-    extreme ray, which spans the kernel of some dim-1 independent normals.
-    Each such kernel is scaled to a primitive integer vector d, and the
-    integer signs of <n_i, d> say whether d or -d lies in the cone.
+    Called once the vertices are known, so the cone is pointed.  A pointed
+    polyhedron that is unbounded has a vertex with an unbounded edge, whose
+    direction spans the kernel of dim-1 independent rows tight there, so
+    only the distinct (dim-1)-subsets of each vertex's tight rows are
+    scanned.  When one of them gives a ray, the scan over every
+    (dim-1)-subset of the normals, in order, names the first ray.
     """
-    for rows in combinations(normals, dim - 1):
-        if rows and linalg.rank(rows) != dim - 1:
-            continue
-        d = [int(c) for c in primitive(linalg.nullspace(rows, ncols=dim)[0])]
-        signs = [sum(map(mul, n, d)) for n in normals]
-        for sign in (1, -1):
-            if all(sign * s >= 0 for s in signs):
-                raise UnboundedRegionError("unbounded along direction "
-                                           f"{vec_to_json([sign * c for c in d])}")
+    tight = sorted({s for facets in vertex_facets
+                    for s in combinations(sorted(facets), dim - 1)})
+    if any(_ray(dim, normals, [normals[k] for k in s]) for s in tight):
+        ray = next(filter(None, (_ray(dim, normals, rows)
+                                 for rows in combinations(normals, dim - 1))))
+        raise UnboundedRegionError(f"unbounded along direction {vec_to_json(ray)}")
 
 
 # from_halfspaces, simplex and cube refuse a larger ambient dimension before
@@ -183,7 +206,10 @@ def _check_dimension(dim: int) -> None:
 
 # from_halfspaces refuses, before any solve, m distinct half-spaces in
 # dimension n when C(m, n) vertex solves plus C(m, n-1) boundedness rank
-# tests exceed this; cube:8 needs 24,310, a 40-half-space 3-D polytope 10,660
+# tests exceed this; cube:8 counts 24,310, a 40-half-space 3-D polytope
+# 10,660.  The sum is an upper bound: bounded input tests only the
+# (n-1)-subsets tight at a vertex, and the full C(m, n-1) scan runs only on
+# unbounded input, to name its ray
 MAX_CONSTRAINT_SUBSETS = 50_000
 
 
@@ -195,8 +221,8 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     DegenerateInputError when the data does not cut out a compact polytope,
     and DomainError over MAX_DIMENSION or MAX_CONSTRAINT_SUBSETS.  Each
     half-space <a, x> >= p/q, a primitive, becomes the integer row (q*a, p).
-    For the solution x of an n-subset, with common denominator D, the sign
-    of q*<a, D*x> - p*D rejects x or marks the row tight in ``vertex_facets``.
+    For the solution x = X/D of an n-subset, the sign of q*<a, X> - p*D
+    rejects x or marks the row tight in ``vertex_facets``.
     """
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
@@ -221,39 +247,42 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
              h.offset.numerator) for h in canon]
     normals = [a for a, _ in rows]
     any_invertible = False
-    # solution -> tight row indices, None when it violates some row
-    tight_at: dict[Vec, frozenset[int] | None] = {}
+    # (X, D) of the solution X/D -> tight row indices, None when it
+    # violates some row
+    tight_at: dict[tuple[tuple[int, ...], int], frozenset[int] | None] = {}
     for subset in combinations(rows, dim):
-        x = linalg.solve_square([a for a, _ in subset], [p for _, p in subset])
-        if x is None:
+        solution = linalg.solve_square([a for a, _ in subset],
+                                       [p for _, p in subset])
+        if solution is None:
             continue
         any_invertible = True
-        if x in tight_at:
+        if solution in tight_at:
             continue
-        D = lcm(*(c.denominator for c in x))
-        X = [c.numerator * (D // c.denominator) for c in x]
+        X, D = solution
         tight = []
         for k, (a, p) in enumerate(rows):
             s = sum(map(mul, a, X)) - p * D
             if s < 0:
-                tight_at[x] = None
+                tight_at[solution] = None
                 break
             if not s:
                 tight.append(k)
         else:
-            tight_at[x] = frozenset(tight)
-    verts = sorted(x for x, tight in tight_at.items() if tight is not None)
+            tight_at[solution] = frozenset(tight)
+    found = {tuple(Fraction(c, D) for c in X): tight
+             for (X, D), tight in tight_at.items() if tight is not None}
 
-    if not verts:
+    if not found:
         if not any_invertible:
             raise DegenerateInputError(
                 "every constraint subset is singular: the normals do not span, "
                 "so the region is empty or contains a line")
         raise EmptyRegionError("the half-spaces have empty intersection")
 
-    _check_bounded(dim, normals)
+    verts = tuple(sorted(found))
+    vertex_facets = tuple(found[v] for v in verts)
+    _check_bounded(dim, normals, vertex_facets)
 
-    vertex_facets = tuple(tight_at[v] for v in verts)
     edges = []
     for i, j in combinations(range(len(verts)), 2):
         shared = vertex_facets[i] & vertex_facets[j]
@@ -261,7 +290,7 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
             continue
         if linalg.rank([normals[k] for k in shared]) == dim - 1:
             edges.append((i, j))
-    return Polytope(dim, tuple(canon), tuple(verts), vertex_facets, tuple(edges), rows)
+    return Polytope(dim, tuple(canon), verts, vertex_facets, tuple(edges), rows)
 
 
 # ---------------------------------------------------------------------------

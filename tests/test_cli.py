@@ -340,6 +340,24 @@ def test_rational_over_the_digit_limit_exits_3(tmp_path, capsys):
         assert "set_int_max_str_digits" not in err
 
 
+def test_input_over_the_digit_limit_exits_3(tmp_path, capsys):
+    # parse_rat refuses these by length; Python's own int conversion limit
+    # would name set_int_max_str_digits, and the spec error would echo them
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"v0": {"0": "1" + "0" * 4400}, "v1": {}}))
+    for argv, digits in (
+            (["gkm-check", "cube:1:1", "--class", str(path)], 4401),
+            (["validate", "cube:2:1" + "0" * 4400], 4401),
+            (["volume", "cube:2:1", "--xi", "1," + "3" * 4301], 4301)):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: a number written with {digits} digits is over "
+                       "the limit of 4300 digits\n")
+    # at the limit the number is parsed as before
+    assert cli.main(["validate", "cube:1:1" + "0" * 4299]) == 0
+    capsys.readouterr()
+
+
 def test_abbreviated_json_flag_prints_json(capsys):
     assert cli.main(["validate", "simplex:2:1", "--js"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,13 +136,24 @@ def test_rank_and_nullspace_match_dense_oracle(case):
     assert linalg.nullspace(rows, ncols=ncols) == oracle_nullspace(rows, ncols)
 
 
+def _solution(found):
+    """The Fraction vector X/D of a Cramer form (X, D), checked to be
+    reduced: D > 0 and gcd(X, D) = 1."""
+    if found is None:
+        return None
+    X, D = found
+    assert all(type(x) is int for x in (*X, D))
+    assert D > 0 and gcd(*X, D) == 1
+    return tuple(F(x, D) for x in X)
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices(square=True, max_size=5), st.lists(entries, min_size=5, max_size=5))
 def test_square_kernels_match_dense_oracle(case, b):
     a, n = case
     b = b[:n]
     assert linalg.det(a) == oracle_det(a)
-    assert linalg.solve_square(a, b) == oracle_solve(a, b)
+    assert _solution(linalg.solve_square(a, b)) == oracle_solve(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,8 +185,14 @@ def test_degree_systems_of_the_catalog_match_dense_oracle():
 
 def test_solve_square():
     x = linalg.solve_square([[2, 1], [1, -1]], [F(3), F(0)])
-    assert x == (F(1), F(1))
+    assert x == ((1, 1), 1)
+    assert _solution(x) == (F(1), F(1))
+    # rows with fractions are scaled to integers: x = (1/7, 4/7)
+    x = linalg.solve_square([[F(1, 2), 1], [-2, F(3, 4)]], [F(9, 14), F(1, 7)])
+    assert x == ((1, 4), 7)
+    assert linalg.solve_square([[0, 3], [-6, 0]], [2, 4]) == ((-2, 2), 3)
     assert linalg.solve_square([[1, 2], [2, 4]], [1, 2]) is None
+    assert linalg.solve_square([], []) == ((), 1)
 
 
 def test_rank_and_nullspace():
@@ -190,6 +209,12 @@ def test_rank_and_nullspace():
 def test_det_and_inverse():
     a = [[1, 2], [3, 4]]
     assert linalg.det(a) == -2
+
+
+def test_adjugate_int_refuses_fractions():
+    with pytest.raises(ValueError, match="integer matrix"):
+        linalg.adjugate_int([[F(1, 2), 0], [0, 1]])
+    assert linalg.adjugate_int([[F(2), 0], [0, 1]]) == ([[1, 0], [0, 2]], 2)
 
 
 def test_adjugate_int_identity():

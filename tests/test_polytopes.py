@@ -403,6 +403,25 @@ def _fraction_check_bounded(dim, normals):
                     f"unbounded along direction {vec_to_json(primitive(cand))}")
 
 
+def _fraction_solve(a, b):
+    """x with a x = b by Gauss-Jordan on [a | b] in Fractions; None when a
+    is singular."""
+    n = len(a)
+    m = [[F(x) for x in row] + [F(bi)] for row, bi in zip(a, b)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            return None
+        m[c], m[r] = m[r], m[c]
+        p = m[c][c]
+        m[c] = [x / p for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return tuple(row[n] for row in m)
+
+
 def _fraction_build(dim, halfspaces):
     """Vertices, vertex_facets and edges by Fraction arithmetic throughout:
     a solve per n-subset, a Fraction dot per row for feasibility, a second
@@ -417,8 +436,8 @@ def _fraction_build(dim, halfspaces):
     any_invertible = False
     verts, seen = [], set()
     for subset in combinations(range(len(canon)), dim):
-        x = linalg.solve_square([list(normals[i]) for i in subset],
-                                [offsets[i] for i in subset])
+        x = _fraction_solve([normals[i] for i in subset],
+                            [offsets[i] for i in subset])
         if x is None:
             continue
         any_invertible = True
@@ -475,6 +494,11 @@ TWIN_CASES = {
                                     ((0, -1), -1)]),
     "unbounded": (UnboundedRegionError, 3, [
         ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, 0), -1)]),
+    # the apex (0,0,1) of the pyramid without its base: one degenerate
+    # vertex, four unbounded edges
+    "pyramid_unbounded": (UnboundedRegionError, 3, [
+        ((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1),
+        ((0, 1, -1), -1)]),
     # normals that do not span leave every subset singular
     "line": (DegenerateInputError, 3, [
         ((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1),
@@ -488,6 +512,48 @@ TWIN_CASES = {
 def test_integer_build_matches_fraction_twin_on_edge_cases(name):
     error, dim, hs = TWIN_CASES[name]
     assert _assert_matches_twin(dim, hs) is error
+
+
+# Unbounded regions whose first ray in combinations order comes from a row
+# tight at no vertex, so the tight rows alone would name another ray
+REDUNDANT_FIRST = [
+    # the wedge between (1,0) and (1,1), led by x - y >= -5: the tight rows
+    # first give (1,0), the redundant row (1,1)
+    (2, [((1, -1), -5), ((0, 1), 0), ((1, -1), 0)], ["1", "1"]),
+    # the orthant, led by x + y >= -1: the tight rows first give e2, the
+    # full scan first gives e3 from rows 0 and 2
+    (3, [((1, 1, 0), -1), ((0, 0, 1), 0), ((1, 0, 0), 0), ((0, 1, 0), 0)],
+     ["0", "0", "1"]),
+]
+
+
+@pytest.mark.parametrize("dim, hs, ray", REDUNDANT_FIRST)
+def test_unbounded_message_names_the_first_ray_of_the_full_scan(dim, hs, ray):
+    with pytest.raises(UnboundedRegionError) as got:
+        from_halfspaces(dim, hs)
+    assert str(got.value) == f"unbounded along direction {ray}"
+    assert _assert_matches_twin(dim, hs) is UnboundedRegionError
+    # capped by sum(x) <= 100, the region keeps its vertex, the origin, and
+    # the first row is tight at no vertex
+    P = from_halfspaces(dim, hs + [((-1,) * dim, -100)])
+    assert (F(0),) * dim in P.vertices
+    assert all(0 not in facets for facets in P.vertex_facets)
+
+
+def test_boundedness_scans_the_tight_subsets_once(monkeypatch):
+    # one test and one nullspace per edge of cube:n: its n * 2^(n-1)
+    # distinct tight (n-1)-subsets, against C(2n, n-1) in the full scan
+    tested, kernels = [], []
+    ray, nullspace = polytopes._ray, linalg.nullspace
+    monkeypatch.setattr(polytopes, "_ray",
+                        lambda *a: tested.append(1) or ray(*a))
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda *a, **k: kernels.append(1) or nullspace(*a, **k))
+    for n in range(2, 6):
+        tested.clear()
+        kernels.clear()
+        cube(n, 1)
+        assert len(tested) == len(kernels) == n * 2 ** (n - 1)
 
 
 @st.composite
