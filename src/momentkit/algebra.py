@@ -107,21 +107,38 @@ def format_rat(q) -> str:
             f"{sys.get_int_max_str_digits()} digits for printing") from None
 
 
-def parse_rat(s) -> Fraction:
-    """The rational a string or int stands for.
-
-    A string written with more than sys.get_int_max_str_digits() digits is
-    a DomainError, told by its length before any parse and named by its
-    digit count, not echoed.
-    """
-    if not isinstance(s, (str, int)) or isinstance(s, bool):
-        raise ValueError(f"expected rational string, got {s!r}")
+def check_digits(s: str) -> None:
+    """Raise DomainError when ``s`` is written with more than
+    sys.get_int_max_str_digits() digits, told by its length before any
+    parse and named by its digit count, not echoed."""
     limit = sys.get_int_max_str_digits()
-    if isinstance(s, str) and 0 < limit < len(s):
+    if 0 < limit < len(s):
         digits = sum(map(str.isdecimal, s))
         if digits > limit:
             raise DomainError(f"a number written with {digits} digits is "
                               f"over the limit of {limit} digits")
+
+
+def parse_rat(s) -> Fraction:
+    """The rational a string or int stands for.
+
+    A string over the digit limit (``check_digits``) is a DomainError, and
+    so is an exponent, positive or negative, whose absolute value exceeds
+    sys.get_int_max_str_digits(): ``Fraction`` would expand it in full.
+    """
+    if not isinstance(s, (str, int)) or isinstance(s, bool):
+        raise ValueError(f"expected rational string, got {s!r}")
+    if isinstance(s, str):
+        check_digits(s)
+        limit = sys.get_int_max_str_digits()
+        try:
+            power = int(s.lower().partition("e")[2])
+        except ValueError:  # no exponent, or a malformed one Fraction refuses
+            power = 0
+        if 0 < limit < abs(power):
+            raise DomainError(f"a number written with an exponent over {limit} "
+                              f"in absolute value is over the limit of "
+                              f"{limit} digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:

@@ -18,7 +18,9 @@ once the benchmark's probes stop counting its solves (C(2n, n) on cube:n).
 Besides the representation itself this module carries the two brute-force
 oracles that the rest of the package is validated against: exact Euclidean
 volume by recursive cones over facets, and lattice-point enumeration by
-bounding-box filtering.
+bounding-box filtering.  The volume recursion restricts each facet from its
+parent (the parent's tight vertices and substituted rows), never through
+``from_halfspaces``, and a memo local to one call computes each face once.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from . import linalg
 from .algebra import (
     Vec,
     as_vec,
+    check_digits,
     dot,
     is_zero_vec,
     parse_rat,
@@ -134,13 +137,8 @@ class Polytope:
     @functools.cached_property
     def facets(self) -> tuple[int, ...]:
         """Half-space indices whose active vertex set is (dim-1)-dimensional."""
-        out = []
-        for k in range(len(self.halfspaces)):
-            active = [v for v, facets in zip(self.vertices, self.vertex_facets)
-                      if k in facets]
-            if linalg.affine_rank(active) == self.dim - 1:
-                out.append(k)
-        return tuple(out)
+        return _facet_rows(self.dim, self.vertices, self.vertex_facets,
+                           len(self.halfspaces))
 
     def contains(self, x) -> bool:
         """Boundary-inclusive membership test."""
@@ -154,6 +152,13 @@ class Polytope:
             if sum(map(mul, normal, x)) < rhs:
                 return False
         return True
+
+
+def _facet_rows(dim: int, points, tight, nrows: int) -> tuple[int, ...]:
+    """The rows k < nrows whose tight points, those p with k in t for the
+    pairs (p, t) of ``points`` and ``tight``, span dimension dim - 1."""
+    return tuple(k for k in range(nrows) if linalg.affine_rank(
+        [p for p, t in zip(points, tight) if k in t]) == dim - 1)
 
 
 def _ray(dim: int, normals: list[tuple[int, ...]], rows) -> list[int] | None:
@@ -349,8 +354,14 @@ def dilate(P: Polytope, k) -> Polytope:
 
 
 def from_spec(spec: str) -> Polytope:
-    """Parse builder specs like "simplex:2:1", "cube:3:2", "hirzebruch:1"."""
+    """Parse builder specs like "simplex:2:1", "cube:3:2", "hirzebruch:1".
+
+    A part written with more digits than the limit is refused
+    (``check_digits``) before ``int`` sees it.
+    """
     parts = spec.split(":")
+    for part in parts:
+        check_digits(part)
     name = parts[0]
     try:
         if name == "simplex" and len(parts) == 3:
@@ -415,49 +426,76 @@ def volume_oracle(P: Polytope) -> Fraction:
     From a base vertex, each facet not through it contributes
     height/|pivot coefficient| times the facet volume computed in projected
     coordinates; dropping the pivot coordinate cancels the Euclidean norm
-    factors exactly, keeping every intermediate value rational.
+    factors exactly, keeping every intermediate value rational.  A facet is
+    restricted from its parent, never rebuilt: its vertices are the parent's
+    vertices tight on its row, with the pivot coordinate dropped, and its
+    rows are the parent's other rows, substituted on the facet hyperplane,
+    made canonical and deduplicated.  A face's projected volume depends only
+    on its vertex set and the coordinates it keeps, so a memo local to the
+    call computes each face once, however many facet orderings reach it.
     """
     if linalg.affine_rank(P.vertices) < P.dim:
         raise DegenerateInputError("polytope is not full-dimensional")
-    return _volume(P)
+    return _volume(P.vertices, tuple(range(P.dim)), range(len(P.vertices)),
+                   P.halfspaces, P.vertex_facets, {})
 
 
-def _volume(P: Polytope) -> Fraction:
-    n = P.dim
+def _volume(top, kept, ids, rows, tight, memo) -> Fraction:
+    """Volume of the face with vertices top[i], i in ``ids``, projected on
+    the coordinates ``kept``.  ``rows`` are its half-spaces in those
+    coordinates, and ``tight[j]`` holds the rows tight at vertex ids[j].
+    ``memo`` maps (frozenset of ids, kept) to the volumes already found."""
+    n = len(kept)
+    points = [tuple(top[i][c] for c in kept) for i in ids]
     if n == 1:
-        xs = [v[0] for v in P.vertices]
+        xs = [p[0] for p in points]
         return max(xs) - min(xs)
-    base = P.vertices[0]
+    base = points[0]
     total = Fraction(0)
-    for k in P.facets:
-        h = P.halfspaces[k]
+    for k in _facet_rows(n, points, tight, len(rows)):
+        h = rows[k]
         height = dot(h.normal, base) - h.offset
         if height == 0:
             continue
         piv = pivot_index(h.normal)
-        total += height / abs(h.normal[piv]) * _volume(_project_facet(P, k, piv))
+        on = [j for j, t in enumerate(tight) if k in t]
+        face = [ids[j] for j in on]
+        key = (frozenset(face), kept[:piv] + kept[piv + 1:])
+        if key not in memo:
+            memo[key] = _volume(top, key[1], face,
+                                *_restrict_facet(rows, k, piv,
+                                                 [tight[j] for j in on]),
+                                memo)
+        total += height / abs(h.normal[piv]) * memo[key]
     return total / n
 
 
-def _project_facet(P: Polytope, k: int, piv: int) -> Polytope:
-    """The facet of half-space k as a full polytope in the coordinates
-    obtained by eliminating the pivot coordinate on the facet hyperplane."""
-    a = P.halfspaces[k].normal
-    b = P.halfspaces[k].offset
-    rows = []
-    for j, h in enumerate(P.halfspaces):
+def _restrict_facet(rows, k: int, piv: int, tight):
+    """The rows of the facet of row k in the coordinates left by eliminating
+    the pivot coordinate on its hyperplane, and the tight sets ``tight`` of
+    its vertices re-indexed to those rows.
+
+    A row whose normal vanishes is constant on the facet, which its own
+    vertices satisfy, so it cuts nothing and is skipped.  The others are put
+    in canonical form; rows that become equal are merged into one, whose
+    tight vertices are those of either.
+    """
+    a = rows[k].normal
+    b = rows[k].offset
+    index: dict[HalfSpace, int] = {}
+    renumber: dict[int, int] = {}
+    for j, h in enumerate(rows):
         if j == k:
             continue
         factor = h.normal[piv] / a[piv]
         normal = tuple(c - factor * ac
                        for i, (c, ac) in enumerate(zip(h.normal, a)) if i != piv)
-        offset = h.offset - factor * b
         if is_zero_vec(normal):
-            if offset > 0:
-                raise EmptyRegionError("facet substitution became infeasible")
             continue
-        rows.append(HalfSpace(normal, offset))
-    return from_halfspaces(P.dim - 1, rows)
+        row = _canonical_halfspace(HalfSpace(normal, h.offset - factor * b))
+        renumber[j] = index.setdefault(row, len(index))
+    return (tuple(index),
+            [frozenset(renumber[j] for j in t if j in renumber) for t in tight])
 
 
 def _vertex_box(P: Polytope, low, high) -> list[tuple[int, int]]:

@@ -13,6 +13,7 @@ from momentkit.algebra import (
     generic_vector,
     linear_poly,
     monomials,
+    parse_rat,
     pivot_index,
     poly_add,
     poly_const,
@@ -242,3 +243,17 @@ def test_generic_vector_deterministic_and_generic():
 
 def test_as_vec_coerces_strings():
     assert as_vec(["1/2", 3]) == (F(1, 2), F(3))
+
+
+def test_parse_rat_refuses_an_exponent_over_the_digit_limit():
+    for text in ("1e10000000", "1e-10000000", "2E4301", "2e-4301", "1e+4_301"):
+        with pytest.raises(DomainError) as got:
+            parse_rat(text)
+        assert text not in str(got.value)
+    # small exponents, and those at the limit, still parse
+    assert parse_rat("3e2") == 300
+    assert parse_rat(" 25E-2 ") == F(1, 4)
+    assert parse_rat("1.5e+1") == 15
+    assert parse_rat("1e-4300") == F(1, 10 ** 4300)
+    with pytest.raises(ValueError):
+        parse_rat("1e")

@@ -348,6 +348,8 @@ def test_input_over_the_digit_limit_exits_3(tmp_path, capsys):
     for argv, digits in (
             (["gkm-check", "cube:1:1", "--class", str(path)], 4401),
             (["validate", "cube:2:1" + "0" * 4400], 4401),
+            # the dimension of a spec, which from_spec reads with int()
+            (["validate", "cube:1" + "0" * 4400 + ":1"], 4401),
             (["volume", "cube:2:1", "--xi", "1," + "3" * 4301], 4301)):
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
@@ -356,6 +358,36 @@ def test_input_over_the_digit_limit_exits_3(tmp_path, capsys):
     # at the limit the number is parsed as before
     assert cli.main(["validate", "cube:1:1" + "0" * 4299]) == 0
     capsys.readouterr()
+
+
+def test_exponent_over_the_digit_limit_exits_3(tmp_path, capsys):
+    # Fraction("1e10000000") would expand the power in full, about 10 s,
+    # and a negative exponent makes the same power its denominator
+    path = tmp_path / "long.json"
+    for exponent in ("10000000", "-10000000", "+4301", "-4301", "4_301"):
+        path.write_text(json.dumps({"v0": {"0": f"1e{exponent}"}, "v1": {}}))
+        for argv in (["validate", f"cube:2:1e{exponent}"],
+                     ["volume", "cube:2:1", "--xi", f"1,3E{exponent}"],
+                     ["gkm-check", "cube:1:1", "--class", str(path)]):
+            start = time.process_time()
+            assert cli.main(argv) == 3
+            assert time.process_time() - start < 1.0
+            assert capsys.readouterr().err == (
+                "error: a number written with an exponent over 4300 in "
+                "absolute value is over the limit of 4300 digits\n")
+    assert cli.main(["validate", "cube:2:1e50"]) == 0
+    capsys.readouterr()
+
+
+def test_volume_of_cube_7_runs_in_bounded_time(capsys):
+    # the oracle computes each of the 3^7 faces once; rebuilding each facet
+    # once per ordering of the facets above it took about 7 s
+    start = time.process_time()
+    assert cli.main(["volume", "cube:7:1", "--json"]) == 0
+    assert time.process_time() - start < 4.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["result"]["volume"] == report["oracle"]["volume"] == "1"
 
 
 def test_abbreviated_json_flag_prints_json(capsys):

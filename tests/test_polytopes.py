@@ -26,7 +26,15 @@ from momentkit import (
     volume_oracle,
 )
 from momentkit import linalg, polytopes
-from momentkit.algebra import dot, primitive, vec, vec_to_json, vsub
+from momentkit.algebra import (
+    dot,
+    is_zero_vec,
+    pivot_index,
+    primitive,
+    vec,
+    vec_to_json,
+    vsub,
+)
 from momentkit.polytopes import (
     HalfSpace,
     _canonical_halfspace,
@@ -312,6 +320,107 @@ def test_volume_dilation_law():
         Q = dilate(P, k)
         assert volume_oracle(Q) == F(k) ** P.dim * base
         assert set(Q.vertices) == {tuple(F(k) * c for c in v) for v in P.vertices}
+
+
+# the old recursion, which rebuilt every facet with from_halfspaces, kept as
+# the oracle twin of the facet restriction and the per-face memo
+
+
+def _rebuild_volume(P):
+    n = P.dim
+    if n == 1:
+        xs = [v[0] for v in P.vertices]
+        return max(xs) - min(xs)
+    base = P.vertices[0]
+    total = F(0)
+    for k in P.facets:
+        h = P.halfspaces[k]
+        height = dot(h.normal, base) - h.offset
+        if height == 0:
+            continue
+        piv = pivot_index(h.normal)
+        total += height / abs(h.normal[piv]) * _rebuild_volume(
+            _rebuild_facet(P, k, piv))
+    return total / n
+
+
+def _rebuild_facet(P, k, piv):
+    a = P.halfspaces[k].normal
+    b = P.halfspaces[k].offset
+    rows = []
+    for j, h in enumerate(P.halfspaces):
+        if j == k:
+            continue
+        factor = h.normal[piv] / a[piv]
+        normal = tuple(c - factor * ac
+                       for i, (c, ac) in enumerate(zip(h.normal, a)) if i != piv)
+        offset = h.offset - factor * b
+        if is_zero_vec(normal):
+            if offset > 0:
+                raise EmptyRegionError("facet substitution became infeasible")
+            continue
+        rows.append(HalfSpace(normal, offset))
+    return from_halfspaces(P.dim - 1, rows)
+
+
+def ridge_tight_cube():
+    # cube:3 and -x - y >= -2, tight only along the edge x = y = 1; on the
+    # facets x = 1 and y = 1 it turns into a copy of another row
+    hs = [(h.normal, h.offset) for h in cube(3, 1).halfspaces]
+    return from_halfspaces(3, hs + [((-1, -1, 0), -2)])
+
+
+def random_cut_boxes(seed, count):
+    """The box [-3, 3]^3 cut by 3 to 8 half-spaces with normals in
+    [-2, 2]^3 and offsets in [-4, 0]: many cuts are redundant, and some
+    vertices lie on more than three planes."""
+    rng = random.Random(seed)
+    normals = [n for n in product(range(-2, 3), repeat=3) if any(n)]
+    box = [(tuple(s * int(j == i) for j in range(3)), -3)
+           for i in range(3) for s in (1, -1)]
+    for _ in range(count):
+        cuts = [(rng.choice(normals), F(rng.randint(-8, 0), rng.randint(1, 2)))
+                for _ in range(rng.randint(3, 8))]
+        yield from_halfspaces(3, box + cuts)
+
+
+def test_volume_oracle_matches_the_rebuild_twin():
+    shapes = [from_spec(s) for s in catalog_specs()]
+    shapes += [cube(n, 1) for n in range(2, 6)]
+    shapes += [simplex(n, 1) for n in range(2, 6)]
+    shapes += [square_pyramid(), ridge_tight_cube()]
+    # seed 4 draws six polytopes on which a memo keyed by vertex set alone,
+    # without the kept coordinates, gives a wrong volume
+    shapes += random_cut_boxes(4, 30)
+    for P in shapes:
+        assert volume_oracle(P) == _rebuild_volume(P), P
+    assert volume_oracle(ridge_tight_cube()) == 1
+
+
+def test_volume_oracle_restricts_facets_and_computes_each_face_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("volume_oracle rebuilt a facet")
+
+    seen = []
+    volume = polytopes._volume
+
+    def record(top, kept, ids, *rest):
+        seen.append((frozenset(ids), kept))
+        return volume(top, kept, ids, *rest)
+
+    shapes = [cube(5, 1), square_pyramid(), ridge_tight_cube(),
+              *random_cut_boxes(5, 5)]
+    monkeypatch.setattr(polytopes, "from_halfspaces", refuse)
+    monkeypatch.setattr(polytopes, "_volume", record)
+    for P in shapes:
+        seen.clear()
+        volume_oracle(P)
+        assert len(seen) == len(set(seen))
+        # cube:5 from the origin: the faces x_S = 1 for the 31 sets S of
+        # at most four coordinates; the rebuild reached each once per
+        # ordering of S, 206 times in all
+        if P.dim == 5:
+            assert len(seen) == 2 ** 5 - 1
 
 
 # ---------------------------------------------------------------------------
