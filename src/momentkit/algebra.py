@@ -289,6 +289,12 @@ def pivot_index(ell: Vec) -> int:
 # at a vertex with edge weight (1,1,1) takes about 1 s on one x86 core, and
 # the cost grows faster than the square of the term count
 MAX_RESTRICTION_TERMS = 650
+# nor to more bits, estimated as terms x pivot exponent x the largest bit
+# length (numerator plus denominator) of the substitution's coefficients:
+# x^649 on (1,1,1) is 650 x 649 x 2, the limit; z^649 on (1,100,101), at 14
+# bits, took 10 s under the term limit alone; z^244, the most it admits
+# there, takes 0.6 s
+MAX_RESTRICTION_BITS = 843_700
 
 
 def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
@@ -311,12 +317,20 @@ def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
             sol[tuple(e)] = -c / a
     s = len(sol)
     if s > 1:
-        terms = sum(comb(mono[piv] + s - 1, s - 1) for mono in f)
+        name = ",".join(vec_to_json(ell))
+        counts = [(comb(mono[piv] + s - 1, s - 1), mono[piv]) for mono in f]
+        terms = sum(c for c, _ in counts)
         if terms > MAX_RESTRICTION_TERMS:
             raise DomainError(
-                f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
-                f"expands to {terms} terms, over the limit of "
-                f"{MAX_RESTRICTION_TERMS}")
+                f"restricting to the hyperplane of {name} expands to {terms} "
+                f"terms, over the limit of {MAX_RESTRICTION_TERMS}")
+        bits = max(c.numerator.bit_length() + c.denominator.bit_length()
+                   for c in sol.values())
+        size = bits * sum(c * t for c, t in counts)
+        if size > MAX_RESTRICTION_BITS:
+            raise DomainError(
+                f"restricting to the hyperplane of {name} expands to about "
+                f"{size} bits, over the limit of {MAX_RESTRICTION_BITS}")
 
     powers: dict[int, Poly] = {}  # t -> sol**t
     out: Poly = {}

@@ -18,9 +18,9 @@ once the benchmark's probes stop counting its solves (C(2n, n) on cube:n).
 Besides the representation itself this module carries the two brute-force
 oracles that the rest of the package is validated against: exact Euclidean
 volume by recursive cones over facets, and lattice-point enumeration by
-bounding-box filtering.  The volume recursion restricts each facet from its
-parent (the parent's tight vertices and substituted rows), never through
-``from_halfspaces``, and a memo local to one call computes each face once.
+bounding-box filtering.  The volume recursion reads each face as a vertex
+set from the vertex-facet incidence, restricts no rows, and computes each
+face once, in a memo local to one call.
 """
 
 from __future__ import annotations
@@ -137,8 +137,9 @@ class Polytope:
     @functools.cached_property
     def facets(self) -> tuple[int, ...]:
         """Half-space indices whose active vertex set is (dim-1)-dimensional."""
-        return _facet_rows(self.dim, self.vertices, self.vertex_facets,
-                           len(self.halfspaces))
+        return tuple(k for k in range(len(self.halfspaces)) if linalg.affine_rank(
+            [v for v, t in zip(self.vertices, self.vertex_facets) if k in t])
+            == self.dim - 1)
 
     def contains(self, x) -> bool:
         """Boundary-inclusive membership test."""
@@ -152,13 +153,6 @@ class Polytope:
             if sum(map(mul, normal, x)) < rhs:
                 return False
         return True
-
-
-def _facet_rows(dim: int, points, tight, nrows: int) -> tuple[int, ...]:
-    """The rows k < nrows whose tight points, those p with k in t for the
-    pairs (p, t) of ``points`` and ``tight``, span dimension dim - 1."""
-    return tuple(k for k in range(nrows) if linalg.affine_rank(
-        [p for p, t in zip(points, tight) if k in t]) == dim - 1)
 
 
 def _ray(dim: int, normals: list[tuple[int, ...]], rows) -> list[int] | None:
@@ -353,6 +347,11 @@ def dilate(P: Polytope, k) -> Polytope:
         P.dim, [HalfSpace(h.normal, h.offset * k) for h in P.halfspaces])
 
 
+# a spec error quotes a longer spec only by this many leading characters
+# and its length, and leaves out the parse error, which repeats the part
+MAX_SPEC_ECHO = 80
+
+
 def from_spec(spec: str) -> Polytope:
     """Parse builder specs like "simplex:2:1", "cube:3:2", "hirzebruch:1".
 
@@ -363,6 +362,9 @@ def from_spec(spec: str) -> Polytope:
     for part in parts:
         check_digits(part)
     name = parts[0]
+    long = len(spec) > MAX_SPEC_ECHO
+    shown = (f"{spec[:MAX_SPEC_ECHO]!r}... ({len(spec)} characters)" if long
+             else repr(spec))
     try:
         if name == "simplex" and len(parts) == 3:
             return simplex(int(parts[1]), parse_rat(parts[2]))
@@ -373,9 +375,10 @@ def from_spec(spec: str) -> Polytope:
     except ValueError as exc:
         if isinstance(exc, DomainError):
             raise
-        raise ValueError(f"malformed builder spec {spec!r}: {exc}") from exc
+        detail = "" if long else f": {exc}"
+        raise ValueError(f"malformed builder spec {shown}{detail}") from exc
     raise ValueError(
-        f"unknown builder spec {spec!r}; expected simplex:n:scale, "
+        f"unknown builder spec {shown}; expected simplex:n:scale, "
         f"cube:n:scale, or hirzebruch:a")
 
 
@@ -426,76 +429,50 @@ def volume_oracle(P: Polytope) -> Fraction:
     From a base vertex, each facet not through it contributes
     height/|pivot coefficient| times the facet volume computed in projected
     coordinates; dropping the pivot coordinate cancels the Euclidean norm
-    factors exactly, keeping every intermediate value rational.  A facet is
-    restricted from its parent, never rebuilt: its vertices are the parent's
-    vertices tight on its row, with the pivot coordinate dropped, and its
-    rows are the parent's other rows, substituted on the facet hyperplane,
-    made canonical and deduplicated.  A face's projected volume depends only
-    on its vertex set and the coordinates it keeps, so a memo local to the
-    call computes each face once, however many facet orderings reach it.
+    factors exactly, keeping every intermediate value rational.  A face is
+    its vertex set, read from ``P.vertex_facets``; no row is restricted.  Its
+    projected volume depends only on that set and the coordinates it keeps,
+    so a memo local to the call computes each face once, however many facet
+    orderings reach it.
     """
     if linalg.affine_rank(P.vertices) < P.dim:
         raise DegenerateInputError("polytope is not full-dimensional")
-    return _volume(P.vertices, tuple(range(P.dim)), range(len(P.vertices)),
-                   P.halfspaces, P.vertex_facets, {})
+    on_row = {frozenset(i for i, t in enumerate(P.vertex_facets) if k in t)
+              for k in frozenset().union(*P.vertex_facets)}
+    return _volume(P.vertices, on_row, frozenset(range(len(P.vertices))),
+                   tuple(range(P.dim)), {})
 
 
-def _volume(top, kept, ids, rows, tight, memo) -> Fraction:
-    """Volume of the face with vertices top[i], i in ``ids``, projected on
-    the coordinates ``kept``.  ``rows`` are its half-spaces in those
-    coordinates, and ``tight[j]`` holds the rows tight at vertex ids[j].
-    ``memo`` maps (frozenset of ids, kept) to the volumes already found."""
+def _volume(top, on_row, face, kept, memo) -> Fraction:
+    """Volume of the face with vertices top[i], i in ``face``, projected on
+    the coordinates ``kept``; ``on_row`` holds the vertices tight on each
+    row, and ``memo`` maps (face, kept) to the volumes found.  A facet F of
+    the face G is G & R, where R holds the vertices tight on a row tight on
+    F but not on all of G (G & R is a proper face of G containing F), and
+    the one kernel vector of F's edge vectors is its normal."""
     n = len(kept)
-    points = [tuple(top[i][c] for c in kept) for i in ids]
     if n == 1:
-        xs = [p[0] for p in points]
+        xs = [top[i][kept[0]] for i in face]
         return max(xs) - min(xs)
-    base = points[0]
+    base = tuple(top[min(face)][c] for c in kept)
     total = Fraction(0)
-    for k in _facet_rows(n, points, tight, len(rows)):
-        h = rows[k]
-        height = dot(h.normal, base) - h.offset
+    for facet in {face & s for s in on_row}:
+        if len(facet) < n or facet == face:
+            continue
+        first, *rest = [tuple(top[i][c] for c in kept) for i in sorted(facet)]
+        kernel = linalg.nullspace([vsub(p, first) for p in rest])
+        if len(kernel) != 1:
+            continue
+        normal = kernel[0]
+        height = abs(dot(normal, vsub(base, first)))
         if height == 0:
             continue
-        piv = pivot_index(h.normal)
-        on = [j for j, t in enumerate(tight) if k in t]
-        face = [ids[j] for j in on]
-        key = (frozenset(face), kept[:piv] + kept[piv + 1:])
+        piv = pivot_index(normal)
+        key = (facet, kept[:piv] + kept[piv + 1:])
         if key not in memo:
-            memo[key] = _volume(top, key[1], face,
-                                *_restrict_facet(rows, k, piv,
-                                                 [tight[j] for j in on]),
-                                memo)
-        total += height / abs(h.normal[piv]) * memo[key]
+            memo[key] = _volume(top, on_row, facet, key[1], memo)
+        total += height / abs(normal[piv]) * memo[key]
     return total / n
-
-
-def _restrict_facet(rows, k: int, piv: int, tight):
-    """The rows of the facet of row k in the coordinates left by eliminating
-    the pivot coordinate on its hyperplane, and the tight sets ``tight`` of
-    its vertices re-indexed to those rows.
-
-    A row whose normal vanishes is constant on the facet, which its own
-    vertices satisfy, so it cuts nothing and is skipped.  The others are put
-    in canonical form; rows that become equal are merged into one, whose
-    tight vertices are those of either.
-    """
-    a = rows[k].normal
-    b = rows[k].offset
-    index: dict[HalfSpace, int] = {}
-    renumber: dict[int, int] = {}
-    for j, h in enumerate(rows):
-        if j == k:
-            continue
-        factor = h.normal[piv] / a[piv]
-        normal = tuple(c - factor * ac
-                       for i, (c, ac) in enumerate(zip(h.normal, a)) if i != piv)
-        if is_zero_vec(normal):
-            continue
-        row = _canonical_halfspace(HalfSpace(normal, h.offset - factor * b))
-        renumber[j] = index.setdefault(row, len(index))
-    return (tuple(index),
-            [frozenset(renumber[j] for j in t if j in renumber) for t in tight])
 
 
 def _vertex_box(P: Polytope, low, high) -> list[tuple[int, int]]:

@@ -327,6 +327,26 @@ def test_restriction_over_the_limit_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_restriction_over_the_size_limit_exits_3(tmp_path, capsys):
+    # the image of cube:3:1 under x -> [[1,0,0],[100,1,0],[101,0,1]] x has
+    # the edge weight (1,100,101) at v0 = 0, on which z^649 restricts to 650
+    # terms, at the term limit, but with 101^649 in every denominator
+    P = from_halfspaces(3, [((1, 0, 0), 0), ((-1, 0, 0), -1),
+                            ((-100, 1, 0), 0), ((100, -1, 0), -1),
+                            ((-101, 0, 1), 0), ((101, 0, -1), -1)])
+    poly, cls = tmp_path / "gl3.json", tmp_path / "class.json"
+    poly.write_text(json.dumps(polytope_to_json(P)))
+    for degree, code in ((649, 3), (150, 0)):
+        cls.write_text(json.dumps({f"v{i}": {f"0,0,{degree}": "1"} if i == 0
+                                   else {} for i in range(8)}))
+        start = time.process_time()
+        assert cli.main(["gkm-check", str(poly), "--class", str(cls)]) == code
+        if code == 3:
+            assert time.process_time() - start < 1.0
+            assert "over the limit of 843700" in capsys.readouterr().err
+    capsys.readouterr()
+
+
 def test_rational_over_the_digit_limit_exits_3(tmp_path, capsys):
     # the volume of cube:3:10^1500 is 10^4500; the pushforward of x^10000
     # at v0 and 2x^10000 at v1 has about 30,000 digits
@@ -358,6 +378,21 @@ def test_input_over_the_digit_limit_exits_3(tmp_path, capsys):
     # at the limit the number is parsed as before
     assert cli.main(["validate", "cube:1:1" + "0" * 4299]) == 0
     capsys.readouterr()
+
+
+def test_long_malformed_spec_is_not_echoed(capsys):
+    # the spec and the parse error it wraps each held the whole part, about
+    # 200,000 bytes for the first; a long spec is named by a prefix and its
+    # length, a short one in full
+    for spec in ("cube:2:" + "x" * 100_000, "octahedron:" + "7" * 4000):
+        assert cli.main(["validate", spec]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 300
+        assert f"({len(spec)} characters)" in err
+    assert cli.main(["validate", "cube:2:x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed builder spec 'cube:2:x': Invalid literal for "
+        "Fraction: 'x'\n")
 
 
 def test_exponent_over_the_digit_limit_exits_3(tmp_path, capsys):
