@@ -18,7 +18,7 @@ import sys
 
 from . import gkm, localization, polar, polytopes
 from .algebra import as_vec, format_rat, parse_rat, vec_to_json
-from .errors import DomainError
+from .errors import DomainError, quoted
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,7 +40,7 @@ def _parse_xi(text: str, dim: int):
     except DomainError:
         raise
     except ValueError as exc:
-        raise UsageError(f"malformed --xi {text!r}: {exc}") from exc
+        raise UsageError(f"malformed --xi {quoted(text, exc)}") from exc
     if len(xi) != dim:
         raise UsageError(f"--xi has {len(xi)} entries, polytope has dimension {dim}")
     return xi
@@ -51,11 +51,11 @@ def _parse_box(text: str, dim: int):
     for part in text.split(","):
         lo, sep, hi = part.partition("..")
         if not sep:
-            raise UsageError(f"malformed --box range {part!r}, expected lo..hi")
+            raise UsageError(f"malformed --box range {quoted(part)}, expected lo..hi")
         try:
             ranges.append((int(lo), int(hi)))
         except ValueError as exc:
-            raise UsageError(f"malformed --box range {part!r}: {exc}") from exc
+            raise UsageError(f"malformed --box range {quoted(part, exc)}") from exc
     if len(ranges) != dim:
         raise UsageError(f"--box has {len(ranges)} ranges, polytope has dimension {dim}")
     return ranges
@@ -86,7 +86,7 @@ def _check_threads_env() -> None:
     try:
         cap = int(raw)
     except ValueError:
-        raise UsageError(f"MOMENTKIT_THREADS must be an integer, got {raw!r}")
+        raise UsageError(f"MOMENTKIT_THREADS must be an integer, got {quoted(raw)}")
     if cap < 1:
         raise UsageError("MOMENTKIT_THREADS must be at least 1")
     # computations currently run on a single worker, which respects any cap
@@ -99,15 +99,17 @@ def _load_json(path: str, kind: str, parse):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {kind} file {path!r}: {exc}") from exc
+        raise UsageError(f"cannot read {kind} file {quoted(path)}: "
+                         f"{exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{kind} file {path!r} is not valid JSON: {exc}") from exc
+        raise UsageError(f"{kind} file {quoted(path)} is not valid JSON: "
+                         f"{exc}") from exc
     try:
         return parse(obj)
     except DomainError:
         raise
     except ValueError as exc:
-        raise UsageError(f"bad {kind} file {path!r}: {exc}") from exc
+        raise UsageError(f"bad {kind} file {quoted(path)}: {exc}") from exc
 
 
 def _load_polytope(source: str) -> polytopes.Polytope:

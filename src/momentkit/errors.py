@@ -1,4 +1,17 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the quoting of user
+input in error messages."""
+
+# an error message names a longer argument by a prefix and its length
+MAX_ECHO = 80
+
+
+def quoted(text: str, exc=None) -> str:
+    """repr(text), then ": exc" when a parse error is given; over MAX_ECHO
+    characters, the repr of a prefix and the length, without the error,
+    which would repeat the text."""
+    if len(text) > MAX_ECHO:
+        return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
+    return repr(text) if exc is None else f"{text!r}: {exc}"
 
 
 class DomainError(ValueError):

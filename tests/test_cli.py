@@ -395,6 +395,27 @@ def test_long_malformed_spec_is_not_echoed(capsys):
         "Fraction: 'x'\n")
 
 
+def test_long_arguments_are_not_echoed(capsys):
+    # each was quoted in full, and a path twice (its OSError repeats it):
+    # 100,049 to 200,071 bytes on stderr
+    for argv in (["validate", "p" * 100_000],
+                 ["volume", "cube:2:1", "--xi", "a" * 100_000],
+                 ["gkm-check", "cube:1:1", "--class", "c" * 50_000],
+                 ["count", "cube:2:1", "--box", "z" * 100_000]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 400
+        assert f"({len(argv[-1])} characters)" in err
+    assert cli.main(["count", "cube:2:1", "--box", "0..1,0..x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed --box range '0..x': invalid literal for int() "
+        "with base 10: 'x'\n")
+    assert cli.main(["validate", "no_such_file.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read polytope file 'no_such_file.json': "
+        "No such file or directory\n")
+
+
 def test_exponent_over_the_digit_limit_exits_3(tmp_path, capsys):
     # Fraction("1e10000000") would expand the power in full, about 10 s,
     # and a negative exponent makes the same power its denominator

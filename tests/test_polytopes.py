@@ -44,6 +44,7 @@ from momentkit.polytopes import (
     polytope_to_json,
     tight_box,
 )
+from test_polar import rational_simple_polytopes
 
 
 def unit_square():
@@ -445,6 +446,52 @@ def test_lattice_points_are_inside():
         assert P.contains(x)
 
 
+def _box_filter_points(P):
+    """The oracle's twin: every point of the integer bounding box, in
+    ``product`` order, kept when ``P.contains`` (Fraction half-spaces, no
+    integer rows) holds."""
+    ranges = [range(lo, hi + 1) for lo, hi in integer_box(P)]
+    return [x for x in product(*ranges) if P.contains(x)]
+
+
+def translated_hirzebruch(a, k, shift):
+    """k * hirzebruch(a) translated by the integer vector ``shift``."""
+    base = [((1, 0), 0), ((0, 1), 0), ((0, -1), -1), ((-1, -a), -(a + 1))]
+    return from_halfspaces(2, [(n, k * b + dot(n, shift)) for n, b in base])
+
+
+def thin_triangle():
+    # between y = (2x + 1)/14 and y = (10x + 25)/72 for 0 <= x <= 139/2:
+    # under 0.28 wide, so the run of y is empty at most x
+    return from_halfspaces(2, [((1, 0), 0), ((-1, 7), F(1, 2)),
+                               ((5, -36), F(-25, 2))])
+
+
+def test_lattice_oracle_matches_the_box_filter_twin():
+    shapes = [from_spec(s) for s in catalog_specs()]
+    shapes += [dilate(P, k) for P in shapes
+               for k in (2, F(5, 2), F(7, 2), F(19, 2))]
+    shapes += [from_halfspaces(1, [((1,), lo), ((-1,), -hi)])
+               for lo, hi in [(F(-7, 3), F(5, 2)), (F(1, 3), F(2, 3)),
+                              (F(-9, 2), F(-4, 3)), (F(2), F(2))]]
+    shapes += [translated_hirzebruch(a, k, shift)
+               for a, k, shift in [(1, 1, (-3, -7)), (2, F(5, 2), (-41, 12)),
+                                   (3, F(7, 3), (-6, -50)), (1, 4, (0, -9))]]
+    shapes += random_cut_boxes(2, 30)
+    shapes.append(thin_triangle())
+    for P in shapes:
+        assert lattice_points_oracle(P) == _box_filter_points(P), P
+    head = integer_box(thin_triangle())[0]
+    columns = {x for x, _ in lattice_points_oracle(thin_triangle())}
+    assert len(columns) < (head[1] - head[0] + 1) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_simple_polytopes())
+def test_lattice_oracle_matches_the_box_filter_twin_on_random_input(P):
+    assert lattice_points_oracle(P) == _box_filter_points(P)
+
+
 def test_boxes():
     P = dilate(simplex(2, 1), F(3, 2))
     assert integer_box(P) == [(0, 1), (0, 1)]
@@ -767,8 +814,5 @@ def test_integer_rows_are_the_table_the_build_made(monkeypatch):
         assert P.int_rows is rows
         assert rows == [(tuple(int(c) * h.offset.denominator for c in h.normal),
                          h.offset.numerator) for h in P.halfspaces]
-        lattice_points_oracle(P)
+        assert lattice_points_oracle(P) == _box_filter_points(P)
         assert P.int_rows is rows
-        box = [range(lo - 1, hi + 2) for lo, hi in tight_box(P)]
-        for x in product(*box):
-            assert P.contains_int(x) == P.contains(x), (P, x)
