@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import DomainError
+from .errors import DomainError, quoted
 
 Vec = tuple[Fraction, ...]
 
@@ -127,7 +127,7 @@ def parse_rat(s) -> Fraction:
     sys.get_int_max_str_digits(): ``Fraction`` would expand it in full.
     """
     if not isinstance(s, (str, int)) or isinstance(s, bool):
-        raise ValueError(f"expected rational string, got {s!r}")
+        raise ValueError(f"expected rational string, got {quoted(s)}")
     if isinstance(s, str):
         check_digits(s)
         limit = sys.get_int_max_str_digits()
@@ -142,7 +142,9 @@ def parse_rat(s) -> Fraction:
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise ValueError(f"zero denominator in {quoted(s)}") from None
+    except ValueError:  # Fraction's own message, with a long literal cut
+        raise ValueError(f"Invalid literal for Fraction: {quoted(s)}") from None
 
 
 def vec_to_json(v: Vec) -> list[str]:
@@ -151,7 +153,8 @@ def vec_to_json(v: Vec) -> list[str]:
 
 def vec_from_json(items) -> Vec:
     if not isinstance(items, (list, tuple)):
-        raise ValueError(f"expected list of rational strings, got {items!r}")
+        raise ValueError(
+            f"expected list of rational strings, got {quoted(items)}")
     return tuple(parse_rat(e) for e in items)
 
 

@@ -73,6 +73,15 @@ def _direction(P: polytopes.Polytope, args):
     return polar.choose_polarizing_vector(P, seed=args.seed)
 
 
+def _int_option(text: str) -> int:
+    """argparse's int type, naming a long bad value by a prefix and length."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {quoted(text)}") from None
+
+
 def _check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise UsageError("--seed must fit in an unsigned 64-bit integer")
@@ -343,11 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if box:
             p.add_argument("--box", default="auto", help='auto or "lo..hi,lo..hi,..."')
         if k:
-            p.add_argument("--k", type=int, required=True, help="polynomial degree")
+            p.add_argument("--k", type=_int_option, required=True,
+                           help="polynomial degree")
         if class_file:
             p.add_argument("--class", dest="class_file", required=True,
                            help="class JSON file (vertex label -> monomial map)")
-        p.add_argument("--seed", type=int, default=0, help="seed for direction choices")
+        p.add_argument("--seed", type=_int_option, default=0,
+                       help="seed for direction choices")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 

@@ -5,13 +5,16 @@ input in error messages."""
 MAX_ECHO = 80
 
 
-def quoted(text: str, exc=None) -> str:
-    """repr(text), then ": exc" when a parse error is given; over MAX_ECHO
-    characters, the repr of a prefix and the length, without the error,
-    which would repeat the text."""
+def quoted(value, exc=None) -> str:
+    """repr(value), then ": exc" when a parse error is given; a string
+    over MAX_ECHO characters, or another value with a longer repr, is named
+    by a prefix and its length, without the error, which repeats it."""
+    if isinstance(value, str) and len(value) > MAX_ECHO:
+        return f"{value[:MAX_ECHO]!r}... ({len(value)} characters)"
+    text = repr(value)
     if len(text) > MAX_ECHO:
-        return f"{text[:MAX_ECHO]!r}... ({len(text)} characters)"
-    return repr(text) if exc is None else f"{text!r}: {exc}"
+        return f"{text[:MAX_ECHO]}... (repr of {len(text)} characters)"
+    return text if exc is None else f"{text}: {exc}"
 
 
 class DomainError(ValueError):

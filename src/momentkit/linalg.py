@@ -13,12 +13,16 @@ Square systems (``solve_square``, ``det``, ``adjugate_int``) share one
 fraction-free Bareiss elimination on integer rows (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 1968): every intermediate entry is a minor of the input, so no
-Fraction and no gcd is made inside the loop.
+Fraction and no gcd is made inside the loop.  It is one list comprehension
+per row update and plain loops elsewhere, since ``from_halfspaces`` calls
+``solve_square`` once per constraint subset: tens of thousands of small
+solves in one build.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .algebra import ONE, ZERO, Vec, as_vec, vsub
@@ -99,7 +103,7 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, as ints, in a new list,
     and the product of those multipliers."""
     # the subset loop of from_halfspaces passes ints: skip the scaling
-    if all(type(x) is int for row in rows for x in row):
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
         return list(rows), 1
     out, scale = [], 1
     for row in rows:
@@ -118,18 +122,22 @@ def _bareiss(m: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
     (p * row - f * pivot row) / q, p the pivot, f the row's entry under it
     and q the previous pivot.  The division is exact, each entry being a
     minor of [A | B], and the last pivot is det(A) up to the sign of the row
-    swaps.  Back-substitution then gives the integer X = det(A) A^-1 B:
-    U[i][i] X_i = det(A) y_i - sum over j > i of U[i][j] X_j, again exact.
+    swaps.  Back-substitution then gives the integer X = det(A) A^-1 B, one
+    column at a time: U[i][i] x_i = det(A) y_i - sum over j > i of
+    U[i][j] x_j, again exact.
     """
     sign, q = 1, 1
     for i in range(n):
-        if not m[i][i]:
-            r = next((r for r in range(i + 1, n) if m[r][i]), None)
-            if r is None:
-                return None
-            m[i], m[r] = m[r], m[i]
-            sign = -sign
         pivot = m[i]
+        if not pivot[i]:
+            for r in range(i + 1, n):
+                if m[r][i]:
+                    break
+            else:
+                return None
+            m[i], m[r] = m[r], pivot
+            pivot = m[i]
+            sign = -sign
         p = pivot[i]
         for r in range(i + 1, n):
             row = m[r]
@@ -141,11 +149,14 @@ def _bareiss(m: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
         q = p
     d = sign * q
     X = [[0] * (len(row) - n) for row in m]
-    for i in reversed(range(n)):
-        row = m[i]
-        for c in range(len(X[i])):
-            s = d * row[n + c] - sum(row[j] * X[j][c] for j in range(i + 1, n))
-            X[i][c] = s // row[i]
+    x = [0] * n
+    for c in range(n, len(m[0]) if m else 0):
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            s = d * row[c]
+            for j in range(i + 1, n):
+                s -= row[j] * x[j]
+            X[i][c - n] = x[i] = s // row[i]
     return X, d
 
 

@@ -160,9 +160,10 @@ def _ray(dim: int, normals: list[tuple[int, ...]], rows) -> list[int] | None:
     The kernel is scaled to a primitive integer vector d, and the integer
     signs of <n_i, d> say whether d or -d lies in the cone.
     """
-    if rows and linalg.rank(rows) != dim - 1:
+    kernel = linalg.nullspace(rows, ncols=dim)
+    if len(kernel) != 1:
         return None
-    d = [int(c) for c in primitive(linalg.nullspace(rows, ncols=dim)[0])]
+    d = [int(c) for c in primitive(kernel[0])]
     signs = [sum(map(mul, n, d)) for n in normals]
     for sign in (1, -1):
         if all(sign * s >= 0 for s in signs):
@@ -201,7 +202,7 @@ def _check_dimension(dim: int) -> None:
 
 
 # from_halfspaces refuses, before any solve, m distinct half-spaces in
-# dimension n when C(m, n) vertex solves plus C(m, n-1) boundedness rank
+# dimension n when C(m, n) vertex solves plus C(m, n-1) boundedness kernel
 # tests exceed this; cube:8 counts 24,310, a 40-half-space 3-D polytope
 # 10,660.  The sum is an upper bound: bounded input tests only the
 # (n-1)-subsets tight at a vertex, and the full C(m, n-1) scan runs only on
@@ -543,18 +544,18 @@ def polytope_from_json(obj) -> Polytope:
         raise ValueError("polytope JSON must have 'dim' and 'halfspaces'")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValueError(f"'dim' must be an integer, got {dim!r}")
+        raise ValueError(f"'dim' must be an integer, got {quoted(dim)}")
     entries = obj["halfspaces"]
     if not isinstance(entries, list):
-        raise ValueError(f"'halfspaces' must be a list, got {entries!r}")
+        raise ValueError(f"'halfspaces' must be a list, got {quoted(entries)}")
     hs = []
     for entry in entries:
         if not isinstance(entry, dict) or not {"normal", "offset"} <= entry.keys():
             raise ValueError("half-space entry must be an object with "
-                             f"'normal' and 'offset', got {entry!r}")
+                             f"'normal' and 'offset', got {quoted(entry)}")
         normal = vec_from_json(entry["normal"])
         if len(normal) != dim:
-            raise ValueError(f"normal {entry['normal']!r} has {len(normal)} "
-                             f"entries, expected {dim}")
+            raise ValueError(f"normal {quoted(entry['normal'])} has "
+                             f"{len(normal)} entries, expected {dim}")
         hs.append(HalfSpace(normal, parse_rat(entry["offset"])))
     return from_halfspaces(dim, hs)

@@ -416,6 +416,67 @@ def test_long_arguments_are_not_echoed(capsys):
         "No such file or directory\n")
 
 
+def test_malformed_polytope_files_are_not_echoed(tmp_path, monkeypatch,
+                                                capsys):
+    # each value was quoted in full: 100,087 to 250,099 bytes on stderr
+    monkeypatch.chdir(tmp_path)
+    long = "x" * 100_000
+    for obj in ({"dim": long, "halfspaces": []},
+                {"dim": 1, "halfspaces": long},
+                {"dim": 1, "halfspaces": [long]},
+                {"dim": 1, "halfspaces": [{"normal": [1] * 50_000}]},
+                {"dim": 1, "halfspaces": [{"normal": ["1"] * 50_000,
+                                           "offset": "0"}]},
+                {"dim": 1, "halfspaces": [{"normal": long, "offset": "0"}]},
+                {"dim": 1, "halfspaces": [{"normal": ["1"], "offset": long}]},
+                {"dim": 1, "halfspaces": [{"normal": ["1"],
+                                           "offset": [1] * 50_000}]}):
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        assert cli.main(["validate", "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 400
+        assert " characters)" in err
+    # short values keep their messages byte for byte
+    for obj, message in (
+            ({"dim": 1.5, "halfspaces": []},
+             "'dim' must be an integer, got 1.5"),
+            ({"dim": 1, "halfspaces": "abc"},
+             "'halfspaces' must be a list, got 'abc'"),
+            ({"dim": 1, "halfspaces": [3]},
+             "half-space entry must be an object with 'normal' and 'offset', "
+             "got 3"),
+            ({"dim": 1, "halfspaces": [{"normal": ["1", "2"], "offset": "0"}]},
+             "normal ['1', '2'] has 2 entries, expected 1"),
+            ({"dim": 1, "halfspaces": [{"normal": "ab", "offset": "0"}]},
+             "expected list of rational strings, got 'ab'"),
+            ({"dim": 1, "halfspaces": [{"normal": ["1"], "offset": "x"}]},
+             "Invalid literal for Fraction: 'x'"),
+            ({"dim": 1, "halfspaces": [{"normal": ["1"], "offset": [1]}]},
+             "expected rational string, got [1]")):
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        assert cli.main(["validate", "bad.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad polytope file 'bad.json': {message}\n")
+
+
+def test_long_int_options_are_not_echoed(capsys):
+    # argparse quoted them in full: 50,130 bytes on stderr
+    for argv in (["gkm-dim", "cube:2:1", "--k"],
+                 ["validate", "cube:2:1", "--seed"]):
+        for value in ("9" * 50_000, "x" * 50_000):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv + [value])
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert len(err) < 400
+            assert "(50000 characters)" in err
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["abc"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {argv[-1]}: invalid int value: 'abc'\n")
+
+
 def test_exponent_over_the_digit_limit_exits_3(tmp_path, capsys):
     # Fraction("1e10000000") would expand the power in full, about 10 s,
     # and a negative exponent makes the same power its denominator

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +167,75 @@ def test_adjugate_int_matches_dense_oracle(a):
     adj, det = linalg.adjugate_int(a)
     assert det == d
     assert adj == [[x * d for x in row] for row in oracle_inverse(a)]
+
+
+def _lu(n, rng, zero_at=None, last_pivot=None):
+    """Integer L U, L unit lower and U upper triangular with small random
+    entries, U's diagonal nonzero except at ``last_pivot``; L[j][i] = 0
+    for ``zero_at`` = (i, j).  Returns the rows and prod(diag U)."""
+    L = [[int(r == c) or (rng.randint(-2, 2) if c < r else 0)
+          for c in range(n)] for r in range(n)]
+    if zero_at is not None:
+        i, j = zero_at
+        L[j][i] = 0
+    U = [[rng.choice((-3, -2, -1, 1, 2, 3)) if r == c
+          else (rng.randint(-3, 3) if c > r else 0) for c in range(n)]
+         for r in range(n)]
+    if last_pivot is not None:
+        U[last_pivot][last_pivot] = 0
+    rows = [[sum(L[r][k] * U[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)]
+    return rows, prod(U[k][k] for k in range(n))
+
+
+def _leading_rank(a, k):
+    return oracle_rank([row[:k] for row in a[:k]])
+
+
+def _check_square_kernels(a, d, rng):
+    """solve_square, det and adjugate_int on a, whose determinant is d,
+    against the dense oracle."""
+    b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in a]
+    assert _solution(linalg.solve_square(a, b)) == oracle_solve(a, b)
+    assert linalg.det(a) == d
+    if len(a) <= 5:
+        assert oracle_det(a) == d
+    if d == 0:
+        assert linalg.adjugate_int(a) is None
+        return
+    adj, det = linalg.adjugate_int(a)
+    assert det == d
+    assert adj == [[x * d for x in row] for row in oracle_inverse(a)]
+
+
+def test_square_kernels_swap_rows_at_every_pivot_position():
+    # rows i and j > i of L U swapped, with L[j][i] = 0: the leading minors
+    # of order up to i stay nonzero and the one of order i + 1 vanishes,
+    # so the elimination meets a zero pivot at position i and swaps; j is
+    # the last row, and the next one up to size 8, and i runs up to n - 2,
+    # the last pivot with a row below it
+    rng = random.Random(15)
+    for n in (*range(2, 9), 12, 16):
+        for i in range(n - 1):
+            for j in sorted({i + 1 if n <= 8 else n - 1, n - 1}):
+                a, d = _lu(n, rng, zero_at=(i, j))
+                a[i], a[j] = a[j], a[i]
+                assert _leading_rank(a, i) == i
+                assert _leading_rank(a, i + 1) == i
+                _check_square_kernels(a, -d, rng)
+
+
+def test_square_kernels_singular_only_at_the_last_pivot():
+    # every leading minor but the last is nonzero: the elimination runs to
+    # the last pivot, finds it zero with no row below, and reports singular
+    rng = random.Random(16)
+    for n in range(1, 17):
+        a, d = _lu(n, rng, last_pivot=n - 1)
+        assert d == 0
+        assert all(_leading_rank(a, k) == k for k in range(n))
+        assert oracle_rank(a) == n - 1
+        _check_square_kernels(a, 0, rng)
+        assert linalg.solve_square(a, [1] * n) is None
 
 
 def test_degree_systems_of_the_catalog_match_dense_oracle():

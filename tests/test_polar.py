@@ -2,10 +2,12 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import add, floordiv, mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +38,8 @@ from momentkit import (
     volume_localization,
 )
 from momentkit import linalg, polar, polytopes
-from momentkit.polar import _contains, _power_sums, tangent_cone
+from momentkit.polar import (
+    _contains, _hermite_diagonal, _power_sums, tangent_cone)
 from momentkit.algebra import dot, primitive, vec, vsub
 from momentkit.polytopes import catalog_specs
 
@@ -370,6 +373,98 @@ def test_power_sums_visit_each_parallelepiped_point_once():
             cols, _, det = cone.lattice
             ws = [dot(col, xi_int) for col in cols]
             assert _power_sums(cone, xi_int, ws)[0] == abs(det)
+
+
+def _power_sums_by_point(cone, xi, ws):
+    """The former body of _power_sums, kept as its twin: the same classes
+    r of Z^n modulo the cone's lattice, walked one point at a time, each
+    <p, xi> raised to the powers 0..n by repeated products."""
+    n = len(xi)
+    cols, adj, det = cone.lattice
+    h = _hermite_diagonal(cols)
+    scale = lcm(*(e.denominator for e in cone.apex))
+    shift = [int(scale * e) for e in cone.apex]
+    sgn = 1 if det > 0 else -1
+    adj = [[sgn * a for a in row] for row in adj]
+    base = [-sum(a * s for a, s in zip(row, shift)) - is_open
+            for row, is_open in zip(adj, cone.open_flags)]
+    step = [scale * row[-1] for row in adj]
+    dens = [scale * abs(det)] * n
+    sums = [0] * (n + 1)
+    for head in product(*(range(k) for k in h[:-1])):
+        nums = [b + scale * sum(a * r for a, r in zip(row, head))
+                for b, row in zip(base, adj)]
+        q0 = sum(r * x for r, x in zip(head, xi))
+        for _ in range(h[-1]):
+            q = q0 - sum(map(mul, ws, map(floordiv, nums, dens)))
+            power = 1
+            for k in range(n + 1):
+                sums[k] += power
+                power *= q
+            q0 += xi[-1]
+            nums = list(map(add, nums, step))
+    return sums
+
+
+def _assert_power_sums_match(cone, xi):
+    """_power_sums equals its per-point twin for the integral xi."""
+    ws = [dot(col, xi) for col in cone.lattice[0]]
+    assert _power_sums(cone, xi, ws) == _power_sums_by_point(cone, xi, ws)
+
+
+def test_power_sums_match_the_per_point_twin():
+    shapes = [from_spec(spec) for spec in catalog_specs()]
+    # rational apexes, and open flags at the vertices the direction flips
+    shapes += [dilate(P, k) for P in shapes[:] for k in (F(5, 2), F(7, 2),
+                                                         F(19, 2))]
+    # one line of 2, 7 points, and lines that end just below, at, just past
+    # and two past one block
+    block = polar.POWER_SUM_BLOCK
+    shapes += [_non_unimodular_triangle(h) for h in (2, 7, block - 1, block,
+                                                     block + 1, 2 * block + 1)]
+    for P in shapes:
+        for seed in (0, 3):
+            xi = choose_polarizing_vector(P, seed=seed)
+            scale = lcm(*(e.denominator for e in xi))
+            for cone in polar_decompose(P, xi):
+                _assert_power_sums_match(cone, [int(e * scale) for e in xi])
+    # a cone whose Hermite diagonal is (2, 3, 7): six heads, lines of 7
+    gens = (vec(-2, -3, 2), vec(-2, 0, -1), vec(-2, 3, 3))
+    for flags in product((False, True), repeat=3):
+        cone = PolarizedCone(vec(F(1, 2), F(-2, 3), 5), gens, flags,
+                             (-1) ** sum(flags))
+        assert _hermite_diagonal(cone.lattice[0]) == [2, 3, 7]
+        _assert_power_sums_match(cone, [3, -1, 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n))))
+def test_power_sums_match_the_per_point_twin_on_random_cones(case):
+    gens, flags, apex, xi = case
+    assume(linalg.det(gens) != 0)
+    cone = PolarizedCone(vec(*apex), tuple(vec(*g) for g in gens),
+                         tuple(flags), (-1) ** sum(flags))
+    _assert_power_sums_match(cone, xi)
+
+
+def test_vertex_sum_memory_is_bounded_by_the_block():
+    # a line of 200,000 points held at once peaks near 8 MB
+    T = _non_unimodular_triangle(200_000)
+    xi = choose_polarizing_vector(T, seed=0)
+    box = tight_box(T)
+    tracemalloc.start()
+    try:
+        assert signed_lattice_count(T, xi, box) == 200_002
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ehrhart_polynomial_leads_with_the_localization_volume():
