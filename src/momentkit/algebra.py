@@ -406,17 +406,24 @@ def poly_to_json(f: Poly) -> dict[str, str]:
 
 
 def poly_from_json(obj, nvars: int) -> Poly:
+    """The polynomial of a map from exponent keys like "2,0" to rational
+    strings; two keys for one monomial, such as "1,0" and "01,0", are
+    refused, since either would silently overwrite the other."""
     if not isinstance(obj, dict):
-        raise ValueError(f"expected monomial/coefficient map, got {obj!r}")
+        raise ValueError(f"expected monomial/coefficient map, got {quoted(obj)}")
     out: Poly = {}
     for key, val in obj.items():
         parts = str(key).split(",")
         if len(parts) != nvars:
-            raise ValueError(f"exponent key {key!r} does not have {nvars} entries")
+            raise ValueError(
+                f"exponent key {quoted(key)} does not have {nvars} entries")
+        for part in parts:
+            check_digits(part)
         mono = tuple(int(p) for p in parts)
         if any(e < 0 for e in mono):
-            raise ValueError(f"negative exponent in key {key!r}")
-        c = parse_rat(val)
-        if c != 0:
-            out[mono] = c
-    return out
+            raise ValueError(f"negative exponent in key {quoted(key)}")
+        if mono in out:
+            raise ValueError(
+                f"exponent key {quoted(key)} repeats the monomial of an earlier key")
+        out[mono] = parse_rat(val)
+    return {mono: c for mono, c in out.items() if c}

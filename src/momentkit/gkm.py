@@ -42,7 +42,7 @@ from .algebra import (
     vec_to_json,
     vsub,
 )
-from .errors import DomainError, NotDelzantError, NotGenericError
+from .errors import DomainError, NotDelzantError, NotGenericError, quoted
 from .polytopes import Polytope, smoothness_report
 
 # A candidate equivariant class: one polynomial per graph vertex.
@@ -350,8 +350,8 @@ def gkm_class_from_json(G: MomentGraph, obj) -> GKMClass:
     got = set(obj)
     if got != expected:
         raise ValueError(
-            f"class labels {sorted(got)} do not match graph labels "
-            f"{sorted(expected)}")
+            f"class labels {quoted(sorted(got))} do not match graph labels "
+            f"{quoted(sorted(expected))}")
     cls = tuple(poly_from_json(obj[label], G.dim) for label in G.labels)
     degree = max(map(poly_degree, cls))
     if degree > MAX_CLASS_DEGREE:

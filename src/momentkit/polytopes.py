@@ -2,15 +2,15 @@
 
 A polytope is ingested exclusively in H-representation: the bounded
 intersection of half-spaces ``<normal, x> >= offset`` with inward-pointing
-normals.  Vertices come from all n-subsets of constraints, edges from shared
-active facets, both exact.  Each subset is one fraction-free integer solve
-(``linalg.solve_square``), whose Cramer form (X, D), x = X/D, keys the
-dedupe and feeds integer sign tests against one table of integer rows;
-only the vertices kept become Fraction tuples.  Boundedness is then read
-from the vertices: an unbounded pointed region has a vertex with an
-unbounded edge, so only the (n-1)-subsets of rows tight at some vertex
-are tested, and the scan over every (n-1)-subset runs only to name the
-ray of an unbounded region.  This is fast enough at the scale this package
+normals.  Vertices come exactly from all n-subsets of constraints.  Each
+subset is one fraction-free integer solve (``linalg.solve_square``), whose
+Cramer form (X, D), x = X/D, keys the dedupe and feeds integer sign tests
+against one table of integer rows; only the vertices kept become Fraction
+tuples.  Edges and boundedness then come from one kernel test per distinct
+(n-1)-subset of rows tight at some vertex: a kernel line through two
+vertices is an edge, and one through a single vertex may be an unbounded
+edge.  The scan over every (n-1)-subset runs only to name the ray of an
+unbounded region.  This is fast enough at the scale this package
 targets (dimension <= 4, a few dozen half-spaces).  MAX_DIMENSION and
 MAX_CONSTRAINT_SUBSETS bound the loop.  A pivoting walk would replace it
 once the benchmark's probes stop counting its solves (C(2n, n) on cube:n).
@@ -152,15 +152,9 @@ class Polytope:
         return all(dot(h.normal, x) >= h.offset for h in self.halfspaces)
 
 
-def _ray(dim: int, normals: list[tuple[int, ...]], rows) -> list[int] | None:
-    """The recession ray spanned by the kernel of ``rows``, dim-1 integer
-    normals, if that kernel is a line and d or -d lies in the cone
-    {d : <n_i, d> >= 0 for all i}; else None.
-
-    The kernel is scaled to a primitive integer vector d, and the integer
-    signs of <n_i, d> say whether d or -d lies in the cone.
-    """
-    kernel = linalg.nullspace(rows, ncols=dim)
+def _ray(normals: list[tuple[int, ...]], kernel) -> list[int] | None:
+    """d or -d, d the primitive integer vector of a one-vector ``kernel``,
+    whichever lies in the cone {d : <n_i, d> >= 0 for all i}; else None."""
     if len(kernel) != 1:
         return None
     d = [int(c) for c in primitive(kernel[0])]
@@ -171,23 +165,35 @@ def _ray(dim: int, normals: list[tuple[int, ...]], rows) -> list[int] | None:
     return None
 
 
-def _check_bounded(dim: int, normals: list[tuple[int, ...]],
-                   vertex_facets) -> None:
-    """Raise unless the recession cone {d : <n_i, d> >= 0 for all i} is {0}.
+def _edges(dim: int, normals: list[tuple[int, ...]],
+           vertex_facets) -> tuple[tuple[int, int], ...]:
+    """The sorted edges (i, j), i < j; raise unless the recession cone
+    {d : <n_i, d> >= 0 for all i} is {0}.
 
-    Called once the vertices are known, so the cone is pointed.  A pointed
-    polyhedron that is unbounded has a vertex with an unbounded edge, whose
-    direction spans the kernel of dim-1 independent rows tight there, so
-    only the distinct (dim-1)-subsets of each vertex's tight rows are
-    scanned.  When one of them gives a ray, the scan over every
-    (dim-1)-subset of the normals, in order, names the first ray.
+    Vertices are grouped by the (dim-1)-subsets of their tight rows, one
+    kernel per distinct subset.  A kernel line L meets P in a face of
+    dimension <= 1, so L holds one or two vertices: two are an edge, kept
+    once however many subsets name it.  An unbounded pointed polyhedron has
+    a vertex with an unbounded edge, so only a line through one vertex can
+    be a ray; then the scan over every (dim-1)-subset names the first ray.
     """
-    tight = sorted({s for facets in vertex_facets
-                    for s in combinations(sorted(facets), dim - 1)})
-    if any(_ray(dim, normals, [normals[k] for k in s]) for s in tight):
-        ray = next(filter(None, (_ray(dim, normals, rows)
-                                 for rows in combinations(normals, dim - 1))))
-        raise UnboundedRegionError(f"unbounded along direction {vec_to_json(ray)}")
+    on_line: dict[tuple[int, ...], list[int]] = {}
+    for i, facets in enumerate(vertex_facets):
+        for s in combinations(sorted(facets), dim - 1):
+            on_line.setdefault(s, []).append(i)
+    edges = set()
+    for s, ends in sorted(on_line.items()):
+        kernel = linalg.nullspace([normals[k] for k in s], ncols=dim)
+        if len(kernel) != 1:
+            continue
+        if len(ends) == 2:
+            edges.add(tuple(ends))
+        elif _ray(normals, kernel):
+            ray = next(filter(None, (
+                _ray(normals, linalg.nullspace(rows, ncols=dim))
+                for rows in combinations(normals, dim - 1))))
+            raise UnboundedRegionError(f"unbounded along direction {vec_to_json(ray)}")
+    return tuple(sorted(edges))
 
 
 # from_halfspaces, simplex and cube refuse a larger ambient dimension before
@@ -202,11 +208,11 @@ def _check_dimension(dim: int) -> None:
 
 
 # from_halfspaces refuses, before any solve, m distinct half-spaces in
-# dimension n when C(m, n) vertex solves plus C(m, n-1) boundedness kernel
-# tests exceed this; cube:8 counts 24,310, a 40-half-space 3-D polytope
-# 10,660.  The sum is an upper bound: bounded input tests only the
-# (n-1)-subsets tight at a vertex, and the full C(m, n-1) scan runs only on
-# unbounded input, to name its ray
+# dimension n when C(m, n) vertex solves plus C(m, n-1) kernel tests for
+# edges and boundedness exceed this; cube:8 counts 24,310, a 40-half-space
+# 3-D polytope 10,660.  The sum is an upper bound: bounded input tests only
+# the (n-1)-subsets tight at a vertex, and the full C(m, n-1) scan runs
+# only on unbounded input, to name its ray
 MAX_CONSTRAINT_SUBSETS = 50_000
 
 
@@ -242,7 +248,6 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
 
     rows = [(tuple(int(c) * h.offset.denominator for c in h.normal),
              h.offset.numerator) for h in canon]
-    normals = [a for a, _ in rows]
     any_invertible = False
     # (X, D) of the solution X/D -> tight row indices, None when it
     # violates some row
@@ -278,16 +283,8 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
 
     verts = tuple(sorted(found))
     vertex_facets = tuple(found[v] for v in verts)
-    _check_bounded(dim, normals, vertex_facets)
-
-    edges = []
-    for i, j in combinations(range(len(verts)), 2):
-        shared = vertex_facets[i] & vertex_facets[j]
-        if len(shared) < dim - 1:
-            continue
-        if linalg.rank([normals[k] for k in shared]) == dim - 1:
-            edges.append((i, j))
-    return Polytope(dim, tuple(canon), verts, vertex_facets, tuple(edges), rows)
+    return Polytope(dim, tuple(canon), verts, vertex_facets,
+                    _edges(dim, [a for a, _ in rows], vertex_facets), rows)
 
 
 # ---------------------------------------------------------------------------

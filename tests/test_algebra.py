@@ -230,6 +230,17 @@ def test_poly_from_json_validates_shape():
         poly_from_json({"-1,0": "2"}, 2)
     with pytest.raises(ValueError):
         poly_from_json(["nope"], 2)
+    # each of these keys names x^1 y^0 again; the later one overwrote the
+    # earlier term, so {"1,0": "1", "01,0": "2"} read as 2x
+    for key in ("01,0", " 1, 0", "1,00", "+1,-0"):
+        with pytest.raises(ValueError) as got:
+            poly_from_json({"1,0": "1", key: "2"}, 2)
+        assert str(got.value) == (
+            f"exponent key {key!r} repeats the monomial of an earlier key")
+    # a zero coefficient still claims its monomial, and is then dropped
+    with pytest.raises(ValueError, match="repeats the monomial"):
+        poly_from_json({"0,1": "0", "0,01": "3"}, 2)
+    assert poly_from_json({"1,0": "1", "0,1": "0", "2,0": "0"}, 2) == {(1, 0): 1}
 
 
 def test_generic_vector_deterministic_and_generic():

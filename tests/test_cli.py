@@ -365,8 +365,12 @@ def test_input_over_the_digit_limit_exits_3(tmp_path, capsys):
     # would name set_int_max_str_digits, and the spec error would echo them
     path = tmp_path / "long.json"
     path.write_text(json.dumps({"v0": {"0": "1" + "0" * 4400}, "v1": {}}))
+    key = tmp_path / "key.json"
+    key.write_text(json.dumps({"v0": {"1" + "0" * 4400: "1"}, "v1": {}}))
     for argv, digits in (
             (["gkm-check", "cube:1:1", "--class", str(path)], 4401),
+            # an exponent key, which poly_from_json reads with int()
+            (["gkm-check", "cube:1:1", "--class", str(key)], 4401),
             (["validate", "cube:2:1" + "0" * 4400], 4401),
             # the dimension of a spec, which from_spec reads with int()
             (["validate", "cube:1" + "0" * 4400 + ":1"], 4401),
@@ -457,6 +461,38 @@ def test_malformed_polytope_files_are_not_echoed(tmp_path, monkeypatch,
         assert cli.main(["validate", "bad.json"]) == 2
         assert capsys.readouterr().err == (
             f"error: bad polytope file 'bad.json': {message}\n")
+
+
+def test_malformed_class_files_are_not_echoed(tmp_path, monkeypatch, capsys):
+    # each value was quoted in full: 4,063 to 100,101 bytes on stderr
+    monkeypatch.chdir(tmp_path)
+    long = "x" * 100_000
+    empty = {f"v{i}": {} for i in range(4)}
+    for obj in ({long: {}},
+                {**empty, "v0": {long: "1"}},
+                {**empty, "v0": long},
+                {**empty, "v0": {"-" + "1" * 3999 + ",0": "1"}}):
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        assert cli.main(["gkm-check", "cube:2:1", "--class", "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 400
+        assert " characters)" in err
+    # short values keep their messages byte for byte
+    for obj, message in (
+            ({"v0": {}}, "class labels ['v0'] do not match graph labels "
+                         "['v0', 'v1', 'v2', 'v3']"),
+            ({**empty, "v0": {"1": "1"}},
+             "exponent key '1' does not have 2 entries"),
+            ({**empty, "v0": "x"}, "expected monomial/coefficient map, got 'x'"),
+            ({**empty, "v0": {"-1,0": "1"}}, "negative exponent in key '-1,0'"),
+            # "01,0" names the monomial of "1,0"; the later key silently
+            # replaced its term, and integrate pushed forward another class
+            ({**empty, "v0": {"1,0": "1", "01,0": "2"}},
+             "exponent key '01,0' repeats the monomial of an earlier key")):
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        assert cli.main(["gkm-check", "cube:2:1", "--class", "bad.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad class file 'bad.json': {message}\n")
 
 
 def test_long_int_options_are_not_echoed(capsys):

@@ -665,6 +665,19 @@ TWIN_CASES = {
         ((1, 1, 0), F(1, 2))]),
     "all_singular": (DegenerateInputError, 3, [
         ((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0)]),
+    # a unit square in the plane z = 0: z >= 0 and -z >= 0 with one side
+    # each cut out the same line, so two tight subsets name each edge
+    "flat_square": (None, 3, [
+        ((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 0, 0), 0), ((-1, 0, 0), -1),
+        ((0, 1, 0), 0), ((0, -1, 0), -1)]),
+    # the unit cube and the redundant plane x + y >= 0 through its edge
+    # x = y = 0, which the tight pairs of x, y and x + y each name
+    "cube_redundant_edge_plane": (None, 3, [
+        ((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1),
+        ((0, 0, 1), 0), ((0, 0, -1), -1), ((1, 1, 0), 0)]),
+    # in dimension 1 the one tight 0-subset is empty, its kernel the line
+    "segment_1d": (None, 1, [((1,), F(-1, 2)), ((-2,), -3)]),
+    "ray_1d": (UnboundedRegionError, 1, [((1,), 0)]),
 }
 
 
@@ -701,19 +714,22 @@ def test_unbounded_message_names_the_first_ray_of_the_full_scan(dim, hs, ray):
 
 
 def test_boundedness_scans_the_tight_subsets_once(monkeypatch):
-    # one test and one nullspace per edge of cube:n: its n * 2^(n-1)
-    # distinct tight (n-1)-subsets, against C(2n, n-1) in the full scan
-    tested, kernels = [], []
-    ray, nullspace = polytopes._ray, linalg.nullspace
+    # one nullspace per edge of cube:n, its n * 2^(n-1) distinct tight
+    # (n-1)-subsets (against C(2n, n-1) in the full scan); each kernel line
+    # holds two vertices, so no ray test runs, and no rank test either
+    tested, kernels, ranks = [], [], []
+    ray, nullspace, rank = polytopes._ray, linalg.nullspace, linalg.rank
     monkeypatch.setattr(polytopes, "_ray",
                         lambda *a: tested.append(1) or ray(*a))
     monkeypatch.setattr(linalg, "nullspace",
                         lambda *a, **k: kernels.append(1) or nullspace(*a, **k))
+    monkeypatch.setattr(linalg, "rank",
+                        lambda *a, **k: ranks.append(1) or rank(*a, **k))
     for n in range(2, 6):
-        tested.clear()
         kernels.clear()
-        cube(n, 1)
-        assert len(tested) == len(kernels) == n * 2 ** (n - 1)
+        P = cube(n, 1)
+        assert len(kernels) == len(P.edges) == n * 2 ** (n - 1)
+        assert tested == ranks == []
 
 
 @st.composite
