@@ -203,7 +203,7 @@ def _cmd_count(P, args):
     # the oracle's box is checked before either enumeration starts
     polytopes.check_box_size(polytopes.integer_box(P))
     signed = polar.signed_lattice_count(P, xi, box)
-    expected = len(polytopes.lattice_points_oracle(P))
+    expected = polytopes.lattice_points_oracle(P)
     result = {
         "count": signed,
         "xi": vec_to_json(xi),

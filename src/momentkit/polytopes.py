@@ -17,9 +17,9 @@ once the benchmark's probes stop counting its solves (C(2n, n) on cube:n).
 
 Besides the representation itself this module carries the two brute-force
 oracles that the rest of the package is validated against: exact Euclidean
-volume by recursive cones over facets, and lattice-point enumeration over
-the integer bounding box, which reads the run of lattice points on each
-line along the last coordinate from the integer rows.  The volume
+volume by recursive cones over facets, and a lattice-point count over the
+integer bounding box, which sums the runs of lattice points along the last
+coordinate, read from the integer rows with no point held.  The volume
 recursion reads each face as a vertex set from the vertex-facet incidence,
 restricts no rows, and computes each face once, in a memo local to one
 call.
@@ -477,9 +477,8 @@ def tight_box(P: Polytope) -> list[tuple[int, int]]:
 
 
 # lattice_points_oracle refuses an integer box with more points than this;
-# its work is one pass over the rows per prefix of the first n-1
-# coordinates plus one tuple per lattice point, and the largest benchmark
-# count job has a box of 120,801 points
+# it makes one pass over the rows per prefix and holds one residual per row;
+# the largest benchmark count job has a box of 120,801 points
 MAX_BOX_POINTS = 1_000_000
 
 
@@ -492,34 +491,45 @@ def check_box_size(box) -> None:
                           f"limit of {MAX_BOX_POINTS}")
 
 
-def lattice_points_oracle(P: Polytope) -> list[tuple[int, ...]]:
-    """All integer points of P in lexicographic order; refused, before any
-    scan, when the integer bounding box holds over MAX_BOX_POINTS points.
+def _lattice_runs(P: Polytope, box):
+    """Yield (prefix, low, high) for each nonempty run low <= t <= high of
+    lattice points of P in ``box``, t the last coordinate, in lexicographic
+    order.  A row (a, p) says c*t >= r, c = a[-1], r = p - <a[:-1], prefix>:
+    c > 0 raises low to ceil(r/c), c < 0 lowers high to floor(r/c), and
+    c = 0 < r empties the run.  r is computed once per line of the innermost
+    prefix coordinate u (in dimension 1, one step with coefficient 0), then
+    stepped by -a[-2] as u grows."""
+    *head, (lo, hi) = box
+    *outer, (u0, u1) = head or [(0, 0)]
+    m = len(outer)
+    rows = [(a[:m], a[m] if head else 0, a[-1], p) for a, p in P.int_rows]
+    for start in product(*(range(a, b + 1) for a, b in outer)):
+        line = [[p - sum(map(mul, a, start)) - b * u0, b, c]
+                for a, b, c, p in rows]
+        for u in range(u0, u1 + 1):
+            low, high = lo, hi
+            for row in line:
+                r, b, c = row
+                row[0] = r - b
+                if c > 0:
+                    if (t := -(-r // c)) > low:
+                        low = t
+                elif c < 0:
+                    if (t := r // c) < high:
+                        high = t
+                elif r > 0:
+                    low = hi + 1  # no break: every residual still steps
+            if low <= high:
+                yield (*start, u)[:len(head)], low, high
 
-    Only the first n-1 coordinates are scanned.  For each prefix, an
-    integer row (a, p) says c*t >= r of the last coordinate t, with
-    c = a[-1] and r = p - <a[:-1], prefix>: c > 0 raises the low end of
-    the run of t to ceil(r/c), c < 0 lowers its high end to floor(r/c),
-    and c = 0 < r empties it.
-    """
+
+def lattice_points_oracle(P: Polytope) -> int:
+    """The number of integer points of P, the sum of the run lengths of
+    ``_lattice_runs``; refused, before any scan, when the integer bounding
+    box holds over MAX_BOX_POINTS points.  No point is held."""
     box = integer_box(P)
     check_box_size(box)
-    *head, (lo, hi) = box
-    points = []
-    for prefix in product(*(range(a, b + 1) for a, b in head)):
-        low, high = lo, hi
-        for a, p in P.int_rows:
-            c = a[-1]
-            r = p - sum(map(mul, a, prefix))
-            if c > 0:
-                low = max(low, -(-r // c))
-            elif c < 0:
-                high = min(high, r // c)
-            elif r > 0:
-                break
-        else:
-            points += [(*prefix, t) for t in range(low, high + 1)]
-    return points
+    return sum(high - low + 1 for _, low, high in _lattice_runs(P, box))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -252,6 +253,20 @@ def test_count_over_the_work_limit_exits_3(capsys):
     assert cli.main(["count", "cube:3:1000"]) == 3
     assert time.process_time() - start < 1.0
     assert "over the limit" in capsys.readouterr().err
+
+
+def test_count_at_the_box_limit_holds_no_points(capsys):
+    # 1,000,000 box points, all inside: one tuple per point takes about 88 MB
+    tracemalloc.start()
+    try:
+        assert cli.main(["count", "cube:2:999", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["oracle"]["count"] == polytopes.MAX_BOX_POINTS
+    assert peak < 2_000_000
 
 
 def test_constraint_subsets_over_the_limit_exit_3(tmp_path, monkeypatch, capsys):

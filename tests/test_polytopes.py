@@ -1,6 +1,7 @@
 """Half-space ingestion, builders, Delzant checks, and the two oracles."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -38,6 +39,7 @@ from momentkit.algebra import (
 from momentkit.polytopes import (
     HalfSpace,
     _canonical_halfspace,
+    _lattice_runs,
     catalog_specs,
     integer_box,
     polytope_from_json,
@@ -433,17 +435,31 @@ def test_volume_oracle_builds_no_facet_and_computes_each_face_once(monkeypatch):
 
 
 def test_lattice_examples():
-    assert len(lattice_points_oracle(simplex(2, 1))) == 3
-    assert len(lattice_points_oracle(cube(2, 2))) == 9
-    assert len(lattice_points_oracle(dilate(simplex(2, 1), 5))) == 21
+    assert lattice_points_oracle(simplex(2, 1)) == 3
+    assert lattice_points_oracle(cube(2, 2)) == 9
+    assert lattice_points_oracle(dilate(simplex(2, 1), 5)) == 21
+
+
+def _run_points(P):
+    """The points of the oracle's runs, expanded in the order they come."""
+    runs = _lattice_runs(P, integer_box(P))
+    return [(*prefix, t) for prefix, low, high in runs
+            for t in range(low, high + 1)]
+
+
+def _assert_oracle_matches_the_twin(P):
+    expect = _box_filter_points(P)
+    assert _run_points(P) == expect, P
+    assert lattice_points_oracle(P) == len(expect), P
 
 
 def test_lattice_points_are_inside():
     P = hirzebruch(2)
-    pts = lattice_points_oracle(P)
-    assert len(pts) == len(set(pts))
+    pts = _run_points(P)
+    assert len(pts) == len(set(pts)) == lattice_points_oracle(P)
     for x in pts:
         assert P.contains(x)
+    _assert_oracle_matches_the_twin(P)
 
 
 def _box_filter_points(P):
@@ -479,17 +495,36 @@ def test_lattice_oracle_matches_the_box_filter_twin():
                                    (3, F(7, 3), (-6, -50)), (1, 4, (0, -9))]]
     shapes += random_cut_boxes(2, 30)
     shapes.append(thin_triangle())
+    # 4-D: the residual stepping runs inside two outer prefix coordinates
+    shapes += [cube(4, F(5, 2)), simplex(4, F(7, 2)), from_halfspaces(4, [
+        (tuple(s * int(j == i) for j in range(4)), s * end)
+        for i, ends in enumerate([(F(-9, 2), F(-4, 3)), (F(-7, 3), F(1, 2)),
+                                  (F(-13, 4), F(-1, 3)), (F(-5, 2), F(3, 2))])
+        for s, end in zip((1, -1), ends)])]
+    assert integer_box(shapes[-1]) == [(-4, -2), (-2, 0), (-3, -1), (-2, 1)]
     for P in shapes:
-        assert lattice_points_oracle(P) == _box_filter_points(P), P
+        _assert_oracle_matches_the_twin(P)
     head = integer_box(thin_triangle())[0]
-    columns = {x for x, _ in lattice_points_oracle(thin_triangle())}
+    columns = {x for x, _ in _run_points(thin_triangle())}
     assert len(columns) < (head[1] - head[0] + 1) / 2
 
 
 @settings(max_examples=40, deadline=None)
 @given(rational_simple_polytopes())
 def test_lattice_oracle_matches_the_box_filter_twin_on_random_input(P):
-    assert lattice_points_oracle(P) == _box_filter_points(P)
+    _assert_oracle_matches_the_twin(P)
+
+
+def test_lattice_oracle_memory_is_bounded_by_the_rows():
+    # 1,000,000 points each: one tuple per point takes 73-88 MB
+    for P in (cube(2, 999), cube(3, 99)):
+        tracemalloc.start()
+        try:
+            assert lattice_points_oracle(P) == polytopes.MAX_BOX_POINTS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_boxes():
@@ -830,5 +865,5 @@ def test_integer_rows_are_the_table_the_build_made(monkeypatch):
         assert P.int_rows is rows
         assert rows == [(tuple(int(c) * h.offset.denominator for c in h.normal),
                          h.offset.numerator) for h in P.halfspaces]
-        assert lattice_points_oracle(P) == _box_filter_points(P)
+        _assert_oracle_matches_the_twin(P)
         assert P.int_rows is rows
