@@ -245,12 +245,7 @@ def _cmd_gkm_check(P, args):
     G = gkm.moment_graph(P)
     cls = _load_class(args.class_file, G)
     report = gkm.gkm_check(G, cls)
-    failing = set(report.failures)
-    failures = [
-        [G.labels[i], G.labels[j]]
-        for k, (i, j) in enumerate(G.edges)
-        if k in failing
-    ]
+    failures = [[G.labels[i] for i in G.edges[k]] for k in report.failures]
     result = {"ok": report.ok, "failures": failures}
     return result, None, "ok"
 

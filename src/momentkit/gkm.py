@@ -17,6 +17,7 @@ serialization deterministic.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -53,7 +54,8 @@ GKMClass = tuple[Poly, ...]
 class MomentGraph:
     """Vertices with positions, edges, and primitive weight labels.
 
-    ``weights[k]`` labels ``edges[k] = (i, j)`` (i < j) and is stored as
+    ``weights[k]`` labels ``edges[k] = (i, j)`` (i < j), whose endpoint
+    positions must differ by a nonzero multiple of it; it is stored as
     the primitive direction from vertex i, though nothing downstream may
     depend on that sign choice.  At every vertex the incident labels must
     be pairwise linearly independent.  ``incidence[v]`` lists the indices
@@ -90,6 +92,13 @@ class MomentGraph:
                                   f"{len(w)}, expected {dim}")
             if is_zero_vec(w):
                 raise DomainError(f"zero weight on edge ({i}, {j})")
+            u, v = self.positions[i], self.positions[j]
+            p = next(t for t, c in enumerate(w) if c)
+            dp = v[p] - u[p]  # v - u must be (dp / w[p]) w with dp != 0
+            if not dp or any(x != y if not c else t != p and (y - x) * w[p] != c * dp
+                             for t, (x, y, c) in enumerate(zip(u, v, w))):
+                raise DomainError(f"endpoints of edge ({i}, {j}) do not differ "
+                                  f"by a nonzero multiple of its weight")
             incidence[i].append(k)
             incidence[j].append(k)
         object.__setattr__(self, "incidence",
@@ -159,6 +168,10 @@ def gkm_check(G: MomentGraph, cls: GKMClass) -> GKMCheckReport:
         raise DomainError(
             f"class has {len(cls)} components, graph has {len(G.positions)} "
             f"vertices")
+    bad = next((m for f in cls for m in f if len(m) != G.dim), None)
+    if bad is not None:
+        raise DomainError(f"class monomial {quoted(bad)} has {len(bad)} "
+                          f"exponents, expected {G.dim}")
     failures = []
     for k, ((i, j), w) in enumerate(zip(G.edges, G.weights)):
         if not divides_linear(w, poly_sub(cls[i], cls[j])):
@@ -179,11 +192,13 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
     """Linear constraints on monomial coefficients of a degree-k class.
 
     Unknowns are ordered (vertex, monomial) with monomials in descending
-    graded lex order; rows are ordered (edge, residual monomial).  For an
-    edge with label w, the difference of endpoint components must vanish
-    after eliminating w's pivot variable, which is one row per monomial of
-    degree k in the remaining variables.
+    graded lex order.  Edge (i, j) with label w needs the difference of its
+    endpoint components to vanish on w = 0: restricting each monomial m
+    there adds its terms, at column (i, m) and negated at (j, m), to one
+    dense row per returned monomial; rows are ordered by edge, then monomial.
     """
+    if k < 0:
+        raise DomainError("degree must be non-negative")
     n = G.dim
     unknowns = len(G.positions) * comb(k + n - 1, n - 1)
     if unknowns > MAX_DEGREE_UNKNOWNS:
@@ -192,40 +207,26 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
             f"{MAX_DEGREE_UNKNOWNS}")
     monos = monomials(n, k)
     nmono = len(monos)
-    ncols = len(G.positions) * nmono
-    col = {(v, m): v * nmono + idx
-           for v in range(len(G.positions))
-           for idx, m in enumerate(monos)}
     rows: list[list] = []
     for (i, j), w in zip(G.edges, G.weights):
         piv = pivot_index(w)
-        residual = [m for m in monos if m[piv] == 0]
-        if not residual:
-            continue
-        res_idx = {m: r for r, m in enumerate(residual)}
-        block = [[0] * ncols for _ in residual]
-        for m in monos:
-            restricted = restrict_to_hyperplane(w, {m: 1}, piv=piv)
-            for mono, coeff in restricted.items():
-                r = res_idx[mono]
-                block[r][col[(i, m)]] += coeff
-                block[r][col[(j, m)]] -= coeff
-        rows.extend(block)
-    return rows, ncols
+        block: dict[tuple, list] = defaultdict(lambda: [0] * unknowns)
+        for idx, m in enumerate(monos):
+            for mono, coeff in restrict_to_hyperplane(w, {m: 1}, piv=piv).items():
+                block[mono][i * nmono + idx] += coeff
+                block[mono][j * nmono + idx] -= coeff
+        rows.extend(block[m] for m in monos if m in block)
+    return rows, unknowns
 
 
 def gkm_dimension(G: MomentGraph, k: int) -> int:
     """Dimension over Q of the degree-k admissible classes."""
-    if k < 0:
-        raise DomainError("degree must be non-negative")
     rows, ncols = _degree_system(G, k)
     return ncols - linalg.rank(rows)
 
 
 def gkm_degree_basis(G: MomentGraph, k: int) -> list[GKMClass]:
     """Basis of the degree-k admissible classes from the exact nullspace."""
-    if k < 0:
-        raise DomainError("degree must be non-negative")
     rows, ncols = _degree_system(G, k)
     monos = monomials(G.dim, k)
     nmono = len(monos)

@@ -4,7 +4,10 @@ A class admissible on the moment graph integrates to the sum over vertices
 of its local value divided by the product of the weights there.  Rational
 function arithmetic is sidestepped by evaluating at a generic rational
 point; sampling several such points certifies the identities exactly at
-this scale, since the underlying sum is a constant rational function.
+this scale for a class of degree at most n = dim, whose sum is a constant
+rational function.  A part of degree d > n pushes forward to a polynomial of
+degree d - n in the evaluation point, so the CLI's ``integrate`` reports
+``oracle-mismatch`` (exit 4) for <v, X>^3 on ``cube:2:1``, for example.
 
 One sum, ``_fixed_point_sum``, evaluates value_v / prod_w <w, xi> over the
 vertices.  ``pushforward`` takes the moment graph and feeds it a class's

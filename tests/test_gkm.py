@@ -1,10 +1,13 @@
 """Moment graphs, divisibility checks, degree dimensions, Morse counts."""
 
 import random
+import re
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+from momentkit import gkm, linalg
 from momentkit import (
     DomainError,
     MomentGraph,
@@ -27,19 +30,24 @@ from momentkit import (
 )
 from momentkit.algebra import (
     linear_poly,
+    monomials,
+    pivot_index,
     poly_const,
     poly_mul,
     primitive,
+    restrict_to_hyperplane,
     vec,
     vsub,
 )
 from momentkit.gkm import (
     MAX_CLASS_DEGREE,
     MAX_DEGREE_UNKNOWNS,
+    _degree_system,
     choose_generic_direction,
     gkm_class_from_json,
     gkm_class_to_json,
 )
+from momentkit.localization import pushforward
 from momentkit.polytopes import from_spec, catalog_specs
 
 INTERVAL = moment_graph(simplex(1, 1))
@@ -95,6 +103,46 @@ def test_moment_graph_validation():
     message = r"weight on edge \(0, 1\) has dimension 3, expected 2$"
     with pytest.raises(DomainError, match=message):
         MomentGraph(((0, 0), (1, 0)), ((0, 1),), ((0, 0, 1),))
+    # the endpoint positions must differ by a nonzero multiple of the label:
+    # this triangle's labels and positions disagree on edge (1, 2), so the
+    # labels (read by gkm_check) and the positions (read by isotropy) would
+    # give classes whose push-forward depends on the direction
+    message = r"endpoints of edge \({}, {}\) do not differ by a nonzero multiple of its weight$"
+    with pytest.raises(DomainError, match=message.format(1, 2)):
+        MomentGraph((vec(0, 0), vec(1, 0), vec(0, 1)), ((0, 1), (0, 2), (1, 2)),
+                    (vec(1, 0), vec(0, 1), vec(1, 1)))
+    for positions in ((vec(1, 2), vec(1, 2)), (vec(1, 2), vec(1, 3)),
+                      (vec(0, 0), vec(1, 1))):
+        with pytest.raises(DomainError, match=message.format(0, 1)):
+            MomentGraph(positions, ((0, 1),), (vec(1, 0),))
+    # the label's length and sign are free
+    G = MomentGraph((vec(0, 0), vec(2, 0)), ((0, 1),), (vec(-3, 0),))
+    assert G.isotropy == ((vec(1, 0),), (vec(-1, 0),))
+
+
+def test_label_check_matches_a_rank_twin():
+    # an edge is accepted exactly when its endpoints differ by a nonzero
+    # vector of rank 1 together with the label
+    rng = random.Random(3)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        u = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
+        w = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+        if rng.random() < 0.5:
+            v = tuple(a + F(rng.randint(-3, 3), rng.randint(1, 3)) * c
+                      for a, c in zip(u, w))
+        else:
+            v = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
+        if not any(w):
+            continue
+        d = vsub(v, u)
+        expect = any(d) and linalg.rank([list(d), list(w)]) == 1
+        try:
+            MomentGraph((u, v), ((0, 1),), (w,))
+        except DomainError:
+            assert not expect
+        else:
+            assert expect
 
 
 def _random_simple_polytope(rng):
@@ -151,6 +199,18 @@ def test_gkm_check_constant_tuples_pass():
 def test_gkm_check_wrong_component_count():
     with pytest.raises(DomainError):
         gkm_check(INTERVAL, ({},))
+
+
+def test_gkm_check_refuses_monomials_of_the_wrong_length():
+    G = moment_graph(cube(2, 1))
+    for mono in ((1, 0, 5), (1,)):
+        cls = ({mono: F(1)},) + ({},) * 3
+        message = re.escape(f"class monomial {mono!r} has {len(mono)} "
+                            "exponents, expected 2")
+        with pytest.raises(DomainError, match=message):
+            gkm_check(G, cls)
+        with pytest.raises(DomainError, match=message):
+            pushforward(cls, G, vec(1, 2))
 
 
 def test_gkm_dimension_interval():
@@ -236,6 +296,65 @@ def test_degree_system_size_limit():
         gkm_dimension(TRIANGLE, k_max + 1)
     with pytest.raises(DomainError):
         gkm_degree_basis(TRIANGLE, 100000)
+
+
+def _degree_system_by_index(G, k):
+    """The index-table builder that ``_degree_system`` replaced, kept as its
+    twin: a residual list and index per edge, and a column table."""
+    n = G.dim
+    monos = monomials(n, k)
+    nmono = len(monos)
+    ncols = len(G.positions) * nmono
+    col = {(v, m): v * nmono + idx
+           for v in range(len(G.positions))
+           for idx, m in enumerate(monos)}
+    rows = []
+    for (i, j), w in zip(G.edges, G.weights):
+        piv = pivot_index(w)
+        residual = [m for m in monos if m[piv] == 0]
+        if not residual:
+            continue
+        res_idx = {m: r for r, m in enumerate(residual)}
+        block = [[0] * ncols for _ in residual]
+        for m in monos:
+            restricted = restrict_to_hyperplane(w, {m: 1}, piv=piv)
+            for mono, coeff in restricted.items():
+                r = res_idx[mono]
+                block[r][col[(i, m)]] += coeff
+                block[r][col[(j, m)]] -= coeff
+        rows.extend(block)
+    return rows, ncols
+
+
+def _sheared(P):
+    """The image of P under x -> [[1,0,0],[1,1,0],[1,0,1]] x: the normal a
+    of <a, x> >= b becomes (a0 - a1 - a2, a1, a2)."""
+    return from_halfspaces(3, [((a - b - c, b, c), h.offset)
+                               for h in P.halfspaces for a, b, c in [h.normal]])
+
+
+def test_degree_system_matches_the_index_table_twin(monkeypatch):
+    cases = [(from_spec(spec), 3) for spec in catalog_specs()]
+    cases += [(from_spec(spec), 4) for spec in ("cube:4:1", "simplex:4:1")]
+    images = [_sheared(from_spec(spec)) for spec in ("cube:3:1", "simplex:3:2")]
+    cases += [(P, 4) for P in images]
+    for P, k_max in cases:
+        G = moment_graph(P)
+        for k in range(k_max + 1):
+            assert _degree_system(G, k) == _degree_system_by_index(G, k)
+            basis = gkm_degree_basis(G, k)
+            with monkeypatch.context() as m:
+                m.setattr(gkm, "_degree_system", _degree_system_by_index)
+                assert gkm_degree_basis(G, k) == basis
+    # the images have weights with three nonzero entries, on which a
+    # monomial restricts to more than one, and are free like the catalog
+    for P in images:
+        G = moment_graph(P)
+        assert any(all(w) for w in G.weights)
+        b = betti_numbers(G, choose_generic_direction(G))
+        for k in range(5):
+            assert gkm_dimension(G, k) == sum(
+                b[j] * comb(k - j + 2, 2) for j in range(min(k, 3) + 1))
 
 
 def test_ordinary_betti():
