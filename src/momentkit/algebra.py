@@ -1,11 +1,11 @@
 """Exact scalars, vectors, and sparse multivariate polynomials.
 
 Every quantity in this package is an exact rational: scalars are
-``fractions.Fraction``, vectors are plain tuples of Fractions, and
-polynomials are sparse dicts mapping exponent tuples to nonzero Fraction
-coefficients (the zero polynomial is the empty dict).  A vector doubles as
-a linear form through the standard pairing ``dot``, so no separate linear
-form type is needed.
+``fractions.Fraction``, vectors are plain tuples of Fractions (a primitive
+direction is a tuple of ints), and polynomials are sparse dicts mapping
+exponent tuples to nonzero Fraction coefficients (the zero polynomial is
+the empty dict).  A vector doubles as a linear form through the standard
+pairing ``dot``, so no separate linear form type is needed.
 
 Nothing here ever touches floating point; polynomial identity is exact
 dictionary equality.
@@ -60,18 +60,18 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
-def primitive(v) -> Vec:
-    """Unique positive scalar multiple of v with coprime integer entries.
+def primitive(v) -> tuple[int, ...]:
+    """Unique positive scalar multiple of the int or Fraction vector v with
+    coprime integer entries, as a tuple of ints.
 
     The direction of v is preserved: primitive((-3, 0, 6)) == (-1, 0, 2).
     """
-    v = as_vec(v)
-    if is_zero_vec(v):
-        raise DomainError("primitive vector of the zero vector is undefined")
     denom = lcm(*(e.denominator for e in v))
-    ints = [int(e * denom) for e in v]
+    ints = [e.numerator * (denom // e.denominator) for e in v]
     g = gcd(*ints)
-    return tuple(Fraction(i // g) for i in ints)
+    if not g:
+        raise DomainError("primitive vector of the zero vector is undefined")
+    return tuple(i // g for i in ints)
 
 
 def generic_vector(dim: int, vectors, seed=0) -> Vec:
@@ -80,14 +80,14 @@ def generic_vector(dim: int, vectors, seed=0) -> Vec:
     At most 1000 candidates are drawn, with entries in [-999, 999]; a generic
     draw succeeds essentially immediately, so running out signals a bug.
     """
-    vectors = [as_vec(v) for v in vectors]
+    vectors = list(vectors)
     rng = random.Random(seed)
     for _ in range(1000):
-        cand = tuple(Fraction(rng.randint(-999, 999)) for _ in range(dim))
+        cand = tuple(rng.randint(-999, 999) for _ in range(dim))
         if is_zero_vec(cand):
             continue
         if all(dot(cand, v) != 0 for v in vectors):
-            return cand
+            return as_vec(cand)
     raise RuntimeError("internal error: no generic vector found in 1000 attempts")
 
 

@@ -287,10 +287,8 @@ def _text_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, str)):
         return str(value)
-    if isinstance(value, list):
-        if all(isinstance(x, str) for x in value):
-            return ",".join(value)
-        return json.dumps(value)
+    if isinstance(value, list) and all(isinstance(x, str) for x in value):
+        return ",".join(value)
     return json.dumps(value)
 
 

@@ -8,15 +8,14 @@ classes in each degree come from exact rational rank computations, Betti
 numbers from counting downward edges against a generic direction, and the
 two are tied together by a free-module (Hilbert series) identity.
 
-Edge labels are only meaningful up to sign; every predicate here is
-invariant under flipping any subset of labels, and the stored convention
-(primitive direction from the lower-indexed vertex) exists purely to make
-serialization deterministic.
+Edge labels matter only up to a nonzero factor, sign included; every
+predicate here is invariant under rescaling them.  The isotropy weights are
+the labels' primitives, oriented by the endpoint positions; ``moment_graph``
+stores each label as ``Polytope.weights`` holds it at the lower endpoint.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -41,7 +40,7 @@ from .algebra import (
     primitive,
     restrict_to_hyperplane,
     vec_to_json,
-    vsub,
+    vneg,
 )
 from .errors import DomainError, NotDelzantError, NotGenericError, quoted
 from .polytopes import Polytope, smoothness_report
@@ -55,18 +54,20 @@ class MomentGraph:
     """Vertices with positions, edges, and primitive weight labels.
 
     ``weights[k]`` labels ``edges[k] = (i, j)`` (i < j), whose endpoint
-    positions must differ by a nonzero multiple of it; it is stored as
-    the primitive direction from vertex i, though nothing downstream may
-    depend on that sign choice.  At every vertex the incident labels must
-    be pairwise linearly independent.  ``incidence[v]`` lists the indices
-    of the edges at vertex v in increasing order, built once on
-    construction; ``isotropy[v]`` holds their weights as seen from v.
+    positions must differ by a nonzero multiple of it, of any length and
+    sign.  At every vertex the incident labels must be pairwise linearly
+    independent.  Construction checks both and builds ``incidence[v]``,
+    the indices of the edges at v in increasing order, and ``isotropy[v]``,
+    their primitive weights pointing away from v as int tuples, oriented by
+    positions so that flipping labels never changes them.
     """
 
     positions: tuple[Vec, ...]
     edges: tuple[tuple[int, int], ...]
     weights: tuple[Vec, ...]
     incidence: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
+    isotropy: tuple[tuple[tuple[int, ...], ...], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,11 +77,15 @@ class MomentGraph:
         dims = {len(p) for p in self.positions}
         if len(dims) != 1:
             raise DomainError("vertex positions have mixed dimensions")
+        dim = dims.pop()
+        if dim < 1:
+            raise DomainError("moment graph needs dimension at least 1")
         if len(self.weights) != len(self.edges):
             raise DomainError("one weight per edge required")
-        dim = dims.pop()
         seen = set()
         incidence: list[list[int]] = [[] for _ in range(nverts)]
+        isotropy: list[list[tuple[int, ...]]] = [[] for _ in range(nverts)]
+        lines = []  # per edge, its label's primitive with positive pivot entry
         for k, ((i, j), w) in enumerate(zip(self.edges, self.weights)):
             if not (0 <= i < j < nverts):
                 raise DomainError(f"bad edge ({i}, {j})")
@@ -99,16 +104,21 @@ class MomentGraph:
                              for t, (x, y, c) in enumerate(zip(u, v, w))):
                 raise DomainError(f"endpoints of edge ({i}, {j}) do not differ "
                                   f"by a nonzero multiple of its weight")
+            line = primitive(w if w[p] > 0 else vneg(w))
+            lines.append(line)
+            out = line if dp > 0 else vneg(line)  # from u towards v
             incidence[i].append(k)
             incidence[j].append(k)
-        object.__setattr__(self, "incidence",
-                           tuple(tuple(ks) for ks in incidence))
-        for v, ks in enumerate(self.incidence):
-            for a, b in combinations([self.weights[k] for k in ks], 2):
-                if linalg.rank([list(a), list(b)]) < 2:
-                    raise DomainError(
-                        f"parallel weights at vertex {v}: {vec_to_json(a)} and "
-                        f"{vec_to_json(b)}")
+            isotropy[i].append(out)
+            isotropy[j].append(vneg(out))
+        for v, ks in enumerate(incidence):
+            for a, b in combinations(ks, 2):
+                if lines[a] == lines[b]:
+                    raise DomainError(f"parallel weights at vertex {v}: "
+                                      f"{vec_to_json(self.weights[a])} and "
+                                      f"{vec_to_json(self.weights[b])}")
+        object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
+        object.__setattr__(self, "isotropy", tuple(map(tuple, isotropy)))
 
     @property
     def dim(self) -> int:
@@ -117,17 +127,6 @@ class MomentGraph:
     @property
     def labels(self) -> list[str]:
         return [f"v{i}" for i in range(len(self.positions))]
-
-    @functools.cached_property
-    def isotropy(self) -> tuple[tuple[Vec, ...], ...]:
-        """Per vertex, the primitive weights pointing away from it, in
-        ``incidence`` order.  Oriented by positions, so flipping edge labels
-        never changes them; built on first read."""
-        return tuple(
-            tuple(primitive(vsub(self.positions[j if i == v else i],
-                                 self.positions[v]))
-                  for i, j in (self.edges[k] for k in ks))
-            for v, ks in enumerate(self.incidence))
 
 
 def moment_graph(P: Polytope) -> MomentGraph:
@@ -250,7 +249,7 @@ def gkm_degree_basis(G: MomentGraph, k: int) -> list[GKMClass]:
 
 def choose_generic_direction(G: MomentGraph, seed=0) -> Vec:
     """Direction pairing nonzero with every isotropy weight."""
-    return generic_vector(G.dim, [w for ws in G.isotropy for w in ws], seed=seed)
+    return generic_vector(G.dim, G.weights, seed=seed)
 
 
 def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
@@ -260,16 +259,16 @@ def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
     other endpoint pairs lower against xi.
     """
     xi = as_vec(xi)
-    pairings = [[dot(w, xi) for w in ws] for ws in G.isotropy]
-    for ks, at_v in zip(G.incidence, pairings):
-        for k, pairing in zip(ks, at_v):
-            if pairing == 0:
-                i, j = G.edges[k]
+    heights = [dot(p, xi) for p in G.positions]
+    profile = [0] * (max(map(len, G.incidence)) + 1)
+    for v, ks in enumerate(G.incidence):
+        down = 0
+        for i, j in (G.edges[k] for k in ks):
+            if heights[i] == heights[j]:
                 raise NotGenericError(
                     f"direction is not generic: edge ({i}, {j}) pairs to zero")
-    profile = [0] * (max(map(len, pairings)) + 1)
-    for at_v in pairings:
-        profile[sum(p < 0 for p in at_v)] += 1
+            down += heights[j if i == v else i] < heights[v]
+        profile[down] += 1
     return tuple(profile)
 
 

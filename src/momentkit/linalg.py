@@ -205,7 +205,5 @@ def affine_rank(points) -> int:
     pts = [as_vec(p) for p in points]
     if not pts:
         return -1
-    if len(pts) == 1:
-        return 0
     base = pts[0]
     return rank([list(vsub(p, base)) for p in pts[1:]])

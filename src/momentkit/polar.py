@@ -65,7 +65,7 @@ class PolarizedCone:
     sign: int
 
     @functools.cached_property
-    def lattice(self) -> tuple[list[list[int]], list[list[int]], int]:
+    def lattice(self) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
         """(cols, adj, det) of the integer matrix A whose columns are the
         primitive generators (rescaling one never changes the cone): one
         elimination per cone, on first read."""
@@ -80,7 +80,7 @@ class PolarizedCone:
         if len(self.open_flags) != n:
             raise DomainError(
                 f"cone has {len(self.open_flags)} open flags, expected {n}")
-        cols = [[int(e) for e in primitive(g)] for g in self.generators]
+        cols = [primitive(g) for g in self.generators]
         found = linalg.adjugate_int([[c[i] for c in cols] for i in range(n)])
         if found is None:
             raise NonSimpleVertexError(

@@ -78,8 +78,7 @@ def _canonical_halfspace(hs: HalfSpace) -> HalfSpace:
     """
     p = primitive(hs.normal)
     i = next(j for j, c in enumerate(hs.normal) if c != 0)
-    s = p[i] / hs.normal[i]
-    return HalfSpace(p, hs.offset * s)
+    return HalfSpace(as_vec(p), hs.offset * Fraction(p[i], hs.normal[i]))
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,9 @@ class Polytope:
     ``int_rows`` is the table of integer rows (q*a, p) of q*<a, x> >= p, in
     ``halfspaces`` order, that ``from_halfspaces`` built.  ``weights[i]``
     holds the primitive directions of the edges leaving vertex i in
-    ``neighbors[i]`` order (its isotropy weights), the one place a polytope
-    derives edge directions.  ``weights`` and ``facets`` are built on first
-    read, then kept (``functools.cached_property``).
+    ``neighbors[i]`` order (its isotropy weights) as int tuples, the one
+    place a polytope derives edge directions.  ``weights`` and ``facets``
+    are built on first read, then kept (``functools.cached_property``).
     """
 
     def __init__(self, dim, halfspaces, vertices, vertex_facets, edges, int_rows):
@@ -132,7 +131,7 @@ class Polytope:
                 f"edges={len(self.edges)}, halfspaces={len(self.halfspaces)})")
 
     @functools.cached_property
-    def weights(self) -> tuple[tuple[Vec, ...], ...]:
+    def weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return tuple(
             tuple(primitive(vsub(self.vertices[j], v)) for j in adjacent)
             for v, adjacent in zip(self.vertices, self.neighbors))
@@ -157,7 +156,7 @@ def _ray(normals: list[tuple[int, ...]], kernel) -> list[int] | None:
     whichever lies in the cone {d : <n_i, d> >= 0 for all i}; else None."""
     if len(kernel) != 1:
         return None
-    d = [int(c) for c in primitive(kernel[0])]
+    d = primitive(kernel[0])
     signs = [sum(map(mul, n, d)) for n in normals]
     for sign in (1, -1):
         if all(sign * s >= 0 for s in signs):
@@ -392,7 +391,7 @@ def smoothness_report(P: Polytope) -> SmoothnessReport:
             return SmoothnessReport(simple=False, smooth=False,
                                     failing_vertex=i, failing_det=None)
     for i, at_v in enumerate(P.weights):
-        d = abs(linalg.det([list(w) for w in at_v]))
+        d = abs(linalg.det(at_v))
         if d != 1:
             return SmoothnessReport(simple=True, smooth=False,
                                     failing_vertex=i, failing_det=d)

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
-from momentkit import algebra
+from momentkit import algebra, catalog_specs, from_spec
 from momentkit.algebra import (
     as_vec,
     divides_linear,
     dot,
     generic_vector,
+    is_zero_vec,
     linear_poly,
     monomials,
     parse_rat,
@@ -69,6 +71,63 @@ def test_primitive_idempotent_and_scale_invariant():
         assert all(e.denominator == 1 for e in p)
         c = F(rng.randint(1, 9), rng.randint(1, 9))
         assert primitive(tuple(c * e for e in v)) == p
+
+
+def _fraction_primitive(v):
+    """primitive as it was before it returned ints: Fractions in and out."""
+    v = as_vec(v)
+    if is_zero_vec(v):
+        raise DomainError("primitive vector of the zero vector is undefined")
+    denom = lcm(*(e.denominator for e in v))
+    ints = [int(e * denom) for e in v]
+    g = gcd(*ints)
+    return tuple(F(i // g) for i in ints)
+
+
+def test_primitive_matches_the_fraction_twin():
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        v = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        if rng.random() < 0.3:
+            v = tuple(int(e * 6) for e in v)  # plain ints are read too
+        if not any(v):
+            continue
+        p = primitive(v)
+        assert p == _fraction_primitive(v)
+        assert all(type(e) is int for e in p)
+        checked += 1
+    assert checked > 1800
+    for zero in ((0, 0), (F(0),), ()):
+        with pytest.raises(DomainError, match="^primitive vector of the zero "
+                           "vector is undefined$"):
+            primitive(zero)
+
+
+def _fraction_generic_vector(dim, vectors, seed=0):
+    """generic_vector as it was before it tested integer candidates."""
+    vectors = [as_vec(v) for v in vectors]
+    rng = random.Random(seed)
+    for _ in range(1000):
+        cand = tuple(F(rng.randint(-999, 999)) for _ in range(dim))
+        if is_zero_vec(cand):
+            continue
+        if all(dot(cand, v) != 0 for v in vectors):
+            return cand
+    raise RuntimeError("internal error: no generic vector found in 1000 attempts")
+
+
+def test_generic_vector_matches_the_fraction_twin():
+    for spec in catalog_specs():
+        P = from_spec(spec)
+        weights = [w for at_v in P.weights for w in at_v]
+        for seed in range(51):
+            got = generic_vector(P.dim, weights, seed=seed)
+            assert got == _fraction_generic_vector(P.dim, weights, seed=seed)
+            assert all(type(e) is F for e in got)
+    with pytest.raises(ValueError, match="vector length mismatch: 2 vs 3"):
+        generic_vector(2, [(1, 2, 3)])
 
 
 def test_dot_symmetric_bilinear():

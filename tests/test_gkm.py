@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -29,6 +30,8 @@ from momentkit import (
     simplex,
 )
 from momentkit.algebra import (
+    dot,
+    generic_vector,
     linear_poly,
     monomials,
     pivot_index,
@@ -37,6 +40,7 @@ from momentkit.algebra import (
     primitive,
     restrict_to_hyperplane,
     vec,
+    vec_to_json,
     vsub,
 )
 from momentkit.gkm import (
@@ -143,6 +147,139 @@ def test_label_check_matches_a_rank_twin():
             assert not expect
         else:
             assert expect
+
+
+def test_zero_dimensional_graph_is_refused():
+    # gkm_dimension(G, 0) on such a graph raised a bare ValueError from
+    # math.comb, and choose_generic_direction drew 1000 zero vectors
+    for positions in (((),), ((), ())):
+        with pytest.raises(DomainError,
+                           match=r"^moment graph needs dimension at least 1$"):
+            MomentGraph(positions, (), ())
+
+
+def _isotropy_from_positions(G):
+    """The isotropy the graph derived from positions, edge by edge, before
+    it read it off the labels: kept as the oracle."""
+    return tuple(
+        tuple(primitive(vsub(G.positions[j if i == v else i], G.positions[v]))
+              for i, j in (G.edges[k] for k in ks))
+        for v, ks in enumerate(G.incidence))
+
+
+def test_isotropy_matches_the_positions_twin():
+    rng = random.Random(7)
+    graphs = [moment_graph(from_spec(spec)) for spec in catalog_specs()]
+    for P in (_random_simple_polytope(rng) for _ in range(4)):
+        graphs.append(MomentGraph(P.vertices, P.edges, tuple(
+            P.weights[i][P.neighbors[i].index(j)] for i, j in P.edges)))
+    square = moment_graph(cube(2, 1))
+    flipped = [flip_weights(square, flips) for r in range(5)
+               for flips in combinations(range(4), r)]
+    assert len(flipped) == 16
+    assert all(H.isotropy == square.isotropy for H in flipped)
+    graphs += flipped
+    # vertices in reverse order: every edge (i, j) now runs from the
+    # lexicographically larger position to the smaller
+    last = [len(G.positions) - 1 for G in graphs]
+    graphs += [MomentGraph(G.positions[::-1], tuple(
+        (n - j, n - i) for i, j in G.edges), G.weights)
+        for G, n in zip(graphs, last)]
+    for G in list(graphs):
+        for factor in (-3, F(5, 2)):
+            graphs.append(MomentGraph(G.positions, G.edges, tuple(
+                tuple(factor * c for c in w) for w in G.weights)))
+    assert len(graphs) == 3 * 2 * (21 + 4 + 16)
+    for G in graphs:
+        assert G.isotropy == _isotropy_from_positions(G)
+
+
+def _rank_pair_check(positions, edges, weights):
+    """The independence check the graph made with one rank per pair of
+    labels at a vertex: the message of the first parallel pair, or None."""
+    for v in range(len(positions)):
+        at_v = [w for w, e in zip(weights, edges) if v in e]
+        for a, b in combinations(at_v, 2):
+            if linalg.rank([list(a), list(b)]) < 2:
+                return (f"parallel weights at vertex {v}: {vec_to_json(a)} and "
+                        f"{vec_to_json(b)}")
+    return None
+
+
+def test_parallel_check_matches_the_rank_twin():
+    # stars: vertex 0 joined to 2-4 leaves along their labels, some labels
+    # forced to be multiples of an earlier one
+    rng = random.Random(13)
+    refused = 0
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        m = rng.randint(2, 4)
+        centre = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+        labels = []
+        while len(labels) < m:
+            if labels and rng.random() < 0.3:
+                c = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                labels.append(tuple(c * e for e in rng.choice(labels)))
+            else:
+                w = tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n))
+                if any(w):
+                    labels.append(w)
+        scales = [F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)) for _ in labels]
+        leaves = [tuple(x + t * c for x, c in zip(centre, w))
+                  for t, w in zip(scales, labels)]
+        positions = (centre, *leaves)
+        edges = tuple((0, k) for k in range(1, m + 1))
+        labels = tuple(labels)
+        expect = _rank_pair_check(positions, edges, labels)
+        try:
+            MomentGraph(positions, edges, labels)
+        except DomainError as exc:
+            assert str(exc) == expect
+            refused += 1
+        else:
+            assert expect is None
+    assert 200 < refused < 1800
+
+
+def _betti_from_isotropy(G, xi):
+    """The downward-edge count the graph made from isotropy pairings."""
+    pairings = [[dot(w, xi) for w in ws] for ws in G.isotropy]
+    for ks, at_v in zip(G.incidence, pairings):
+        for k, pairing in zip(ks, at_v):
+            if pairing == 0:
+                i, j = G.edges[k]
+                raise NotGenericError(
+                    f"direction is not generic: edge ({i}, {j}) pairs to zero")
+    profile = [0] * (max(map(len, pairings)) + 1)
+    for at_v in pairings:
+        profile[sum(p < 0 for p in at_v)] += 1
+    return tuple(profile)
+
+
+def test_betti_numbers_match_the_isotropy_pairing_twin():
+    for spec in catalog_specs():
+        G = moment_graph(from_spec(spec))
+        for seed in range(5):
+            xi = choose_generic_direction(G, seed=seed)
+            assert xi == generic_vector(
+                G.dim, [w for ws in G.isotropy for w in ws], seed=seed)
+            assert betti_numbers(G, xi) == _betti_from_isotropy(G, xi)
+    G = moment_graph(cube(2, 1))
+    messages = []
+    for count in (betti_numbers, _betti_from_isotropy):
+        with pytest.raises(NotGenericError) as got:
+            count(G, vec(0, 1))
+        messages.append(str(got.value))
+    assert messages[0] == messages[1]
+
+
+def test_moment_graph_makes_no_rank_call(monkeypatch):
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
+    G = moment_graph(cube(4, 1))
+    assert calls == []
+    assert len(G.edges) == 32
 
 
 def _random_simple_polytope(rng):

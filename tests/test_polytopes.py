@@ -22,6 +22,8 @@ from momentkit import (
     is_simple,
     is_smooth,
     lattice_points_oracle,
+    moment_graph,
+    polarize,
     simplex,
     smoothness_report,
     volume_oracle,
@@ -214,6 +216,34 @@ def test_edge_dirs_match_across_endpoints():
             d = primitive(vsub(P.vertices[j], P.vertices[i]))
             assert d in P.weights[i]
             assert tuple(-c for c in d) in P.weights[j]
+
+
+def test_directions_are_ints_and_normals_fractions():
+    for spec in catalog_specs():
+        P = from_spec(spec)
+        G = moment_graph(P)
+        cone = polarize(P, 0, vec(*range(1, P.dim + 1)))
+        ints = [c for at_v in P.weights for w in at_v for c in w]
+        ints += [c for at_v in G.isotropy for w in at_v for c in w]
+        ints += [c for col in cone.lattice[0] for c in col]
+        assert ints and all(type(c) is int for c in ints)
+        assert all(type(c) is F for h in P.halfspaces for c in h.normal)
+
+
+def test_int_normals_keep_exact_offsets():
+    # q * <a, x> >= p with int normals: the canonical scale is a Fraction,
+    # never int / int, and so are the offsets after a rational dilation
+    hs = [HalfSpace((2, 0), 0), HalfSpace((0, 3), F(-3, 2)),
+          HalfSpace((-1, -1), -2), HalfSpace((-4, 0), -6)]
+    P = from_halfspaces(2, hs)
+    Q = dilate(P, F(5, 2))
+    for R in (P, Q):
+        assert all(type(h.offset) is F for h in R.halfspaces)
+        assert all(type(c) is F for h in R.halfspaces for c in h.normal)
+        assert all(type(c) is F for v in R.vertices for c in v)
+    assert [h.offset for h in P.halfspaces] == [0, F(-1, 2), -2, F(-3, 2)]
+    assert [h.offset for h in Q.halfspaces] == [0, F(-5, 4), -5, F(-15, 4)]
+    assert Q.vertices == tuple(tuple(F(5, 2) * c for c in v) for v in P.vertices)
 
 
 # ---------------------------------------------------------------------------
