@@ -1,11 +1,11 @@
 """Exact scalars, vectors, and sparse multivariate polynomials.
 
 Every quantity in this package is an exact rational: scalars are
-``fractions.Fraction``, vectors are plain tuples of Fractions (a primitive
-direction is a tuple of ints), and polynomials are sparse dicts mapping
-exponent tuples to nonzero Fraction coefficients (the zero polynomial is
-the empty dict).  A vector doubles as a linear form through the standard
-pairing ``dot``, so no separate linear form type is needed.
+``fractions.Fraction``, vectors are plain tuples of Fractions (primitive
+directions and canonical normals are int tuples), polynomials are sparse
+dicts from exponent tuples to nonzero Fraction coefficients (the zero
+polynomial is the empty dict).  A vector doubles as a linear form through
+the standard pairing ``dot``, so no separate linear form type is needed.
 
 Nothing here ever touches floating point; polynomial identity is exact
 dictionary equality.

@@ -12,18 +12,17 @@ order of elimination.
 Square systems (``solve_square``, ``det``, ``adjugate_int``) share one
 fraction-free Bareiss elimination on integer rows (Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968): every intermediate entry is a minor of the input, so no
-Fraction and no gcd is made inside the loop.  It is one list comprehension
-per row update and plain loops elsewhere, since ``from_halfspaces`` calls
-``solve_square`` once per constraint subset: tens of thousands of small
-solves in one build.
+Comp. 1968): every entry met is a minor of the input, so no Fraction and
+no gcd is made inside the loop.  Callers clear denominators where the rows
+are made; on Fraction rows the loop's ``//`` would floor silently.  It is
+one list comprehension per row update and plain loops elsewhere, since
+``from_halfspaces`` calls ``solve_square`` once per constraint subset.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .algebra import ONE, ZERO, Vec, as_vec, vsub
 
@@ -99,20 +98,6 @@ def nullspace(rows, ncols: int | None = None) -> list[Vec]:
     return basis
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, as ints, in a new list,
-    and the product of those multipliers."""
-    # the subset loop of from_halfspaces passes ints: skip the scaling
-    if {int}.issuperset(map(type, chain.from_iterable(rows))):
-        return list(rows), 1
-    out, scale = [], 1
-    for row in rows:
-        s = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
-    return out, scale
-
-
 def _bareiss(m: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
     """adj(A) @ B and det(A) for the n integer rows [A | B] in the list
     ``m``, which it reorders and refills without writing into any row; None
@@ -163,41 +148,34 @@ def _bareiss(m: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
 def solve_square(a_rows, b) -> tuple[tuple[int, ...], int] | None:
     """Solve the square system a x = b exactly; None when a is singular.
 
-    Returns the integer Cramer form (X, D): x = X / D with D > 0 and
-    gcd(X, D) = 1, so equal solutions give equal pairs.  A row holding
-    fractions is first scaled to integers by the lcm of its denominators.
+    a and b hold ints.  Returns the integer Cramer form (X, D): x = X / D
+    with D > 0 and gcd(X, D) = 1, so equal solutions give equal pairs.
     """
-    m, _ = _integer_rows([[*row, bi] for row, bi in zip(a_rows, b)])
-    found = _bareiss(m, len(m))
+    found = _bareiss([[*row, bi] for row, bi in zip(a_rows, b)], len(a_rows))
     if found is None:
         return None
     X, D = [row[0] for row in found[0]], found[1]
-    g = gcd(*X, D)
-    if D < 0:
-        g = -g
+    g = gcd(*X, D) if D > 0 else -gcd(*X, D)
     return tuple(x // g for x in X), D // g
 
 
-def det(a_rows) -> Fraction:
-    m, scale = _integer_rows(a_rows)
-    found = _bareiss(m, len(m))
-    return ZERO if found is None else Fraction(found[1], scale)
+def det(a_rows) -> int:
+    """Determinant of a square matrix of integer rows; 0 when singular."""
+    found = _bareiss(list(a_rows), len(a_rows))
+    return 0 if found is None else found[1]
 
 
 def adjugate_int(a_rows) -> tuple[list[list[int]], int] | None:
-    """Adjugate and determinant of an integer matrix, both exact integers;
-    None when the matrix is singular.
+    """Adjugate and determinant of a square matrix of integer rows, both
+    exact integers; None when the matrix is singular.
 
     adj(A) @ A == det(A) * I, so signs of A^-1 y can be read off integer
     products adj(A) @ y against the sign of det(A).  Both come from one
     fraction-free solve against the identity.
     """
-    m, scale = _integer_rows(a_rows)
-    if scale != 1:
-        raise ValueError("adjugate_int needs an integer matrix")
-    n = len(m)
+    n = len(a_rows)
     return _bareiss([[*row, *(int(i == j) for j in range(n))]
-                     for i, row in enumerate(m)], n)
+                     for i, row in enumerate(a_rows)], n)
 
 
 def affine_rank(points) -> int:

@@ -105,8 +105,9 @@ def pushforward_degree_vanishing(G: MomentGraph, k: int, xi_samples) -> bool:
     points = [as_vec(xi) for xi in xi_samples]
     if not points:
         raise DomainError("at least one evaluation point is required")
-    for cls in gkm_degree_basis(G, k):
-        weights = _isotropy(G)
+    basis = gkm_degree_basis(G, k)
+    weights = _isotropy(G)
+    for cls in basis:
         _check_admissible(cls, G)
         for xi in points:
             values = (poly_eval(f, xi) for f in cls)

@@ -60,9 +60,10 @@ from .errors import (
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The constraint <normal, x> >= offset with inward-pointing normal."""
+    """The constraint <normal, x> >= offset with inward-pointing normal;
+    the canonical half-spaces of a ``Polytope`` hold primitive int normals."""
 
-    normal: Vec
+    normal: Vec | tuple[int, ...]
     offset: Fraction
 
     @staticmethod
@@ -71,14 +72,15 @@ class HalfSpace:
 
 
 def _canonical_halfspace(hs: HalfSpace) -> HalfSpace:
-    """Scale so the normal is a primitive integer vector.
+    """Scale so the normal is a primitive integer vector, an int tuple.
 
     Positive rescalings describe the same half-space; the canonical form
-    makes duplicates literal duplicates.
+    makes duplicates literal duplicates.  The offset scale is a Fraction,
+    as ``/`` on two ints would be float division.
     """
     p = primitive(hs.normal)
     i = next(j for j, c in enumerate(hs.normal) if c != 0)
-    return HalfSpace(as_vec(p), hs.offset * Fraction(p[i], hs.normal[i]))
+    return HalfSpace(p, hs.offset * Fraction(p[i], hs.normal[i]))
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class SmoothnessReport:
     simple: bool
     smooth: bool
     failing_vertex: int | None
-    failing_det: Fraction | None
+    failing_det: int | None
 
     @property
     def reason(self) -> str | None:
@@ -102,7 +104,8 @@ class Polytope:
     frozenset of half-space indices active (tight) at vertex i; ``edges``
     are index pairs (i, j) with i < j; ``neighbors[i]`` is the sorted tuple
     of vertices joined to vertex i by an edge, built once from ``edges``.
-    ``int_rows`` is the table of integer rows (q*a, p) of q*<a, x> >= p, in
+    ``int_rows`` is the table of integer rows (q*a, p) of q*<a, x> >= p, a
+    the primitive int tuple normal of each canonical half-space, in
     ``halfspaces`` order, that ``from_halfspaces`` built.  ``weights[i]``
     holds the primitive directions of the edges leaving vertex i in
     ``neighbors[i]`` order (its isotropy weights) as int tuples, the one
@@ -245,7 +248,7 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
             f"{len(canon)} half-spaces in dimension {dim} need {subsets} "
             f"constraint subsets, over the limit of {MAX_CONSTRAINT_SUBSETS}")
 
-    rows = [(tuple(int(c) * h.offset.denominator for c in h.normal),
+    rows = [(tuple(c * h.offset.denominator for c in h.normal),
              h.offset.numerator) for h in canon]
     any_invertible = False
     # (X, D) of the solution X/D -> tight row indices, None when it

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from momentkit import cli, gkm, localization, polar, polytopes
+from momentkit.errors import quoted
 from momentkit.gkm import facet_class, gkm_class_to_json, moment_graph
 from momentkit.polytopes import (
     catalog_specs,
@@ -178,7 +179,7 @@ def test_text_output_has_status_line(capsys):
     assert "polytope: dim=2 vertices=4 edges=4 facets=4" in out
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main(["validate", "octahedron:3"]) == 2
     assert cli.main(["volume", "simplex:2:1", "--xi", "1"]) == 2
     assert cli.main(["volume", "simplex:2:1", "--xi", "a,b"]) == 2
@@ -186,6 +187,20 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["validate", "no_such_file.json"]) == 2
     assert cli.main(["gkm-dim", "simplex:2:1", "--k", "-1"]) == 2
     capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads("{")
+    seed = "--seed must fit in an unsigned 64-bit integer"
+    for argv, message in [
+            (["count", "cube:2:1", "--box", "0..1"],
+             "--box has 1 ranges, polytope has dimension 2"),
+            (["validate", "cube:2:1", "--seed", str(2**64)], seed),
+            (["validate", "cube:2:1", "--seed", "-1"], seed),
+            (["validate", str(bad)], f"polytope file {quoted(str(bad))} "
+                                     f"is not valid JSON: {decode.value}")]:
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_domain_errors_exit_3(tmp_path, capsys):

@@ -119,6 +119,16 @@ def test_moment_graph_validation():
                       (vec(0, 0), vec(1, 1))):
         with pytest.raises(DomainError, match=message.format(0, 1)):
             MomentGraph(positions, ((0, 1),), (vec(1, 0),))
+    for positions, edges, weights, message in [
+            ((), (), (), "moment graph needs at least one vertex"),
+            ((vec(0, 0), vec(1, 0, 0)), (), (),
+             "vertex positions have mixed dimensions"),
+            ((vec(0, 0), vec(1, 0)), ((0, 1), (0, 1)), (vec(1, 0), vec(1, 0)),
+             r"duplicate edge \(0, 1\)"),
+            ((vec(0, 0), vec(1, 0)), ((0, 1),), (vec(0, 0),),
+             r"zero weight on edge \(0, 1\)")]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            MomentGraph(positions, edges, weights)
     # the label's length and sign are free
     G = MomentGraph((vec(0, 0), vec(2, 0)), ((0, 1),), (vec(-3, 0),))
     assert G.isotropy == ((vec(1, 0),), (vec(-1, 0),))

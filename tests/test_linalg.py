@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentkit import gkm, linalg, polytopes
+from momentkit import cli, gkm, linalg, polytopes
+from test_polytopes import TWIN_CASES, random_cut_boxes
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +105,12 @@ entries = st.one_of(
     st.just(F(0)),
     st.fractions(min_value=-6, max_value=6, max_denominator=5),
 )
+# the square kernels take integer rows only
+int_entries = st.one_of(st.just(0), st.integers(-6, 6))
 
 
 @st.composite
-def matrices(draw, square=False, max_size=6):
+def matrices(draw, square=False, max_size=6, entries=entries):
     nrows = draw(st.integers(0, max_size))
     ncols = nrows if square else draw(st.integers(0, max_size))
     if draw(st.booleans()):
@@ -117,14 +120,14 @@ def matrices(draw, square=False, max_size=6):
                              min_size=nrows, max_size=nrows))
         right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                               min_size=k, max_size=k))
-        rows = [[sum((l[t] * right[t][j] for t in range(k)), F(0))
+        rows = [[sum((l[t] * right[t][j] for t in range(k)), 0)
                  for j in range(ncols)] for l in left]
     else:
         rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                              min_size=nrows, max_size=nrows))
     for i in draw(st.lists(st.integers(0, max(nrows - 1, 0)), max_size=2)):
         if i < nrows:
-            rows[i] = [F(0)] * ncols
+            rows[i] = [0] * ncols
     return rows, ncols
 
 
@@ -148,7 +151,8 @@ def _solution(found):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices(square=True, max_size=5), st.lists(entries, min_size=5, max_size=5))
+@given(matrices(square=True, max_size=5, entries=int_entries),
+       st.lists(int_entries, min_size=5, max_size=5))
 def test_square_kernels_match_dense_oracle(case, b):
     a, n = case
     b = b[:n]
@@ -195,7 +199,7 @@ def _leading_rank(a, k):
 def _check_square_kernels(a, d, rng):
     """solve_square, det and adjugate_int on a, whose determinant is d,
     against the dense oracle."""
-    b = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in a]
+    b = [rng.randint(-9, 9) for _ in a]
     assert _solution(linalg.solve_square(a, b)) == oracle_solve(a, b)
     assert linalg.det(a) == d
     if len(a) <= 5:
@@ -253,12 +257,9 @@ def test_degree_systems_of_the_catalog_match_dense_oracle():
 
 
 def test_solve_square():
-    x = linalg.solve_square([[2, 1], [1, -1]], [F(3), F(0)])
+    x = linalg.solve_square([[2, 1], [1, -1]], [3, 0])
     assert x == ((1, 1), 1)
     assert _solution(x) == (F(1), F(1))
-    # rows with fractions are scaled to integers: x = (1/7, 4/7)
-    x = linalg.solve_square([[F(1, 2), 1], [-2, F(3, 4)]], [F(9, 14), F(1, 7)])
-    assert x == ((1, 4), 7)
     assert linalg.solve_square([[0, 3], [-6, 0]], [2, 4]) == ((-2, 2), 3)
     assert linalg.solve_square([[1, 2], [2, 4]], [1, 2]) is None
     assert linalg.solve_square([], []) == ((), 1)
@@ -273,17 +274,41 @@ def test_rank_and_nullspace():
     for row in rows:
         assert sum(F(a) * b for a, b in zip(row, v)) == 0
     assert len(linalg.nullspace([], ncols=3)) == 3
+    with pytest.raises(ValueError, match="^ncols required for an empty system$"):
+        linalg.nullspace([])
 
 
 def test_det_and_inverse():
     a = [[1, 2], [3, 4]]
     assert linalg.det(a) == -2
+    assert type(linalg.det(a)) is int
+    assert type(linalg.det([[1, 2], [2, 4]])) is int
 
 
-def test_adjugate_int_refuses_fractions():
-    with pytest.raises(ValueError, match="integer matrix"):
-        linalg.adjugate_int([[F(1, 2), 0], [0, 1]])
-    assert linalg.adjugate_int([[F(2), 0], [0, 1]]) == ([[1, 0], [0, 2]], 2)
+def test_square_kernels_get_ints_from_every_caller(monkeypatch):
+    # on Fraction rows Bareiss's // floors silently, so the kernels trust
+    # their callers: every entry that reaches them from src/ is an int
+    seen = {name: [] for name in ("solve_square", "det", "adjugate_int")}
+    for name, types in seen.items():
+        def record(*args, kernel=getattr(linalg, name), types=types):
+            for arg in args:
+                for x in arg:
+                    types.extend(map(type, x) if isinstance(x, (list, tuple))
+                                 else [type(x)])
+            return kernel(*args)
+        monkeypatch.setattr(linalg, name, record)
+    for spec in polytopes.catalog_specs():
+        for cmd in ("validate", "decompose", "count", "volume"):
+            assert cli.run([cmd, spec])[1] == 0, (cmd, spec)
+    for error, dim, hs in TWIN_CASES.values():
+        if error is None:
+            polytopes.from_halfspaces(dim, hs)
+        else:
+            with pytest.raises(error):
+                polytopes.from_halfspaces(dim, hs)
+    assert len(list(random_cut_boxes(4, 30))) == 30
+    for name, types in seen.items():
+        assert types and set(types) == {int}, name
 
 
 def test_adjugate_int_identity():

@@ -26,6 +26,7 @@ from momentkit import (
     polarize,
     simplex,
     smoothness_report,
+    volume_localization,
     volume_oracle,
 )
 from momentkit import linalg, polytopes
@@ -218,7 +219,7 @@ def test_edge_dirs_match_across_endpoints():
             assert tuple(-c for c in d) in P.weights[j]
 
 
-def test_directions_are_ints_and_normals_fractions():
+def test_directions_and_normals_are_ints():
     for spec in catalog_specs():
         P = from_spec(spec)
         G = moment_graph(P)
@@ -226,20 +227,21 @@ def test_directions_are_ints_and_normals_fractions():
         ints = [c for at_v in P.weights for w in at_v for c in w]
         ints += [c for at_v in G.isotropy for w in at_v for c in w]
         ints += [c for col in cone.lattice[0] for c in col]
+        ints += [c for h in P.halfspaces for c in h.normal]
         assert ints and all(type(c) is int for c in ints)
-        assert all(type(c) is F for h in P.halfspaces for c in h.normal)
 
 
 def test_int_normals_keep_exact_offsets():
     # q * <a, x> >= p with int normals: the canonical scale is a Fraction,
-    # never int / int, and so are the offsets after a rational dilation
+    # never int / int, and so are the offsets after a rational dilation;
+    # the canonical normals stay ints
     hs = [HalfSpace((2, 0), 0), HalfSpace((0, 3), F(-3, 2)),
           HalfSpace((-1, -1), -2), HalfSpace((-4, 0), -6)]
     P = from_halfspaces(2, hs)
     Q = dilate(P, F(5, 2))
     for R in (P, Q):
         assert all(type(h.offset) is F for h in R.halfspaces)
-        assert all(type(c) is F for h in R.halfspaces for c in h.normal)
+        assert all(type(c) is int for h in R.halfspaces for c in h.normal)
         assert all(type(c) is F for v in R.vertices for c in v)
     assert [h.offset for h in P.halfspaces] == [0, F(-1, 2), -2, F(-3, 2)]
     assert [h.offset for h in Q.halfspaces] == [0, F(-5, 4), -5, F(-15, 4)]
@@ -384,7 +386,7 @@ def _rebuild_facet(P, k, piv):
     for j, h in enumerate(P.halfspaces):
         if j == k:
             continue
-        factor = h.normal[piv] / a[piv]
+        factor = F(h.normal[piv], a[piv])
         normal = tuple(c - factor * ac
                        for i, (c, ac) in enumerate(zip(h.normal, a)) if i != piv)
         offset = h.offset - factor * b
@@ -422,6 +424,11 @@ def test_volume_oracle_matches_the_rebuild_twin():
     shapes += [cube(n, 1) for n in range(2, 6)]
     shapes += [simplex(n, 1) for n in range(2, 6)]
     shapes += [square_pyramid(), ridge_tight_cube()]
+    # x1 + x2 >= 0 on cube:4 is tight on the 2-face x1 = x2 = 0 alone: its
+    # four vertices leave a 2-dimensional kernel, a face that is no facet
+    hs = [(h.normal, h.offset) for h in cube(4, 1).halfspaces]
+    redundant = from_halfspaces(4, hs + [((1, 1, 0, 0), 0)])
+    shapes.append(redundant)
     # seed 4 draws six polytopes on which a memo keyed by vertex set alone,
     # without the kept coordinates, gives a wrong volume
     shapes += random_cut_boxes(4, 30)
@@ -432,6 +439,8 @@ def test_volume_oracle_matches_the_rebuild_twin():
     for P in shapes:
         assert volume_oracle(P) == _rebuild_volume(P), P
     assert volume_oracle(ridge_tight_cube()) == 1
+    assert volume_oracle(redundant) == 1
+    assert volume_localization(redundant, vec(1, 2, 3, 4)) == 1
 
 
 def test_volume_oracle_builds_no_facet_and_computes_each_face_once(monkeypatch):
@@ -893,7 +902,7 @@ def test_integer_rows_are_the_table_the_build_made(monkeypatch):
     assert len(built) == len(shapes)
     for P, rows in zip(shapes, built):
         assert P.int_rows is rows
-        assert rows == [(tuple(int(c) * h.offset.denominator for c in h.normal),
+        assert rows == [(tuple(c * h.offset.denominator for c in h.normal),
                          h.offset.numerator) for h in P.halfspaces]
         _assert_oracle_matches_the_twin(P)
         assert P.int_rows is rows
