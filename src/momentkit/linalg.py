@@ -17,6 +17,13 @@ no gcd is made inside the loop.  Callers clear denominators where the rows
 are made; on Fraction rows the loop's ``//`` would floor silently.  It is
 one list comprehension per row update and plain loops elsewhere, since
 ``from_halfspaces`` calls ``solve_square`` once per constraint subset.
+On 3x3 systems alone ``solve_square`` skips the loop for the closed-form
+Cramer rule, a cofactor expansion along the first row.  A 3-D build makes
+one solve per row triple, 9,880 for 40 half-spaces, and there the closed
+form takes about an eighth of the loop's time.  A 2-D build makes a few
+dozen solves and a cube:6 build 924, too few to pay for another formula,
+so every other size, and ``det`` and ``adjugate_int`` at every size, stay
+on Bareiss.
 """
 
 from __future__ import annotations
@@ -150,7 +157,30 @@ def solve_square(a_rows, b) -> tuple[tuple[int, ...], int] | None:
 
     a and b hold ints.  Returns the integer Cramer form (X, D): x = X / D
     with D > 0 and gcd(X, D) = 1, so equal solutions give equal pairs.
+    A 3x3 system takes the closed form X = adj(a) b, D = det(a), with the
+    same pair as ``_bareiss``, its twin; every other size goes through
+    ``_bareiss`` (see the module docstring for why only n = 3 forks).
     """
+    if len(a_rows) == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a_rows
+        r0, r1, r2 = b
+        # the 2x2 minors of rows 2 and 3, m = (b x c), expand D along row 1;
+        # adj(a) b = r0 (b x c) + r1 (c x a) + r2 (a x b) = r0 m + a x w
+        # with w = r2 b - r1 c
+        m0 = b1 * c2 - b2 * c1
+        m1 = b2 * c0 - b0 * c2
+        m2 = b0 * c1 - b1 * c0
+        D = a0 * m0 + a1 * m1 + a2 * m2
+        if not D:
+            return None
+        w0 = r2 * b0 - r1 * c0
+        w1 = r2 * b1 - r1 * c1
+        w2 = r2 * b2 - r1 * c2
+        X0 = r0 * m0 + a1 * w2 - a2 * w1
+        X1 = r0 * m1 + a2 * w0 - a0 * w2
+        X2 = r0 * m2 + a0 * w1 - a1 * w0
+        g = gcd(X0, X1, X2, D) if D > 0 else -gcd(X0, X1, X2, D)
+        return (X0 // g, X1 // g, X2 // g), D // g
     found = _bareiss([[*row, bi] for row, bi in zip(a_rows, b)], len(a_rows))
     if found is None:
         return None

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from math import comb, factorial, lcm, prod
 from operator import mul, neg
 
@@ -162,7 +162,8 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
     coordinate t runs along a line, taken POWER_SUM_BLOCK values at a
     time: m_j is affine in t under one floor, so a block's <p, xi> values
     are one list comprehension per generator, and the block adds its
-    k-th powers to S_k.
+    k-th powers to S_k, each list of powers the previous one times the
+    block.
     """
     n = len(xi)
     cols, adj, det = cone.lattice
@@ -191,8 +192,12 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
             for w, b, s in zip(ws, nums, step):
                 block = [q - w * ((b + s * t) // den)
                          for q, t in zip(block, ts)]
-            for k in range(n + 1):
-                sums[k] += sum(map(pow, block, repeat(k)))
+            sums[0] += len(block)
+            power = block
+            for k in range(1, n + 1):
+                sums[k] += sum(power)
+                if k < n:
+                    power = list(map(mul, power, block))
     return sums
 
 

@@ -5,8 +5,9 @@ intersection of half-spaces ``<normal, x> >= offset`` with inward-pointing
 normals.  Vertices come exactly from all n-subsets of constraints.  Each
 subset is one fraction-free integer solve (``linalg.solve_square``), whose
 Cramer form (X, D), x = X/D, keys the dedupe and feeds integer sign tests
-against one table of integer rows; only the vertices kept become Fraction
-tuples.  Edges and boundedness then come from one kernel test per distinct
+against one table of integer rows, in move-to-front order: a few rows
+reject most candidates.  Only the vertices kept become Fraction tuples.
+Edges and boundedness then come from one kernel test per distinct
 (n-1)-subset of rows tight at some vertex: a kernel line through two
 vertices is an edge, and one through a single vertex may be an unbounded
 edge.  The scan over every (n-1)-subset runs only to name the ray of an
@@ -227,7 +228,10 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     and DomainError over MAX_DIMENSION or MAX_CONSTRAINT_SUBSETS.  Each
     half-space <a, x> >= p/q, a primitive, becomes the integer row (q*a, p).
     For the solution x = X/D of an n-subset, the sign of q*<a, X> - p*D
-    rejects x or marks the row tight in ``vertex_facets``.
+    rejects x or marks the row tight in ``vertex_facets``.  Rows are tested
+    in move-to-front order, the last row to reject a candidate first: the
+    order decides how soon a candidate is rejected, not whether, and a kept
+    candidate meets every row.
     """
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
@@ -254,6 +258,8 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     # (X, D) of the solution X/D -> tight row indices, None when it
     # violates some row
     tight_at: dict[tuple[tuple[int, ...], int], frozenset[int] | None] = {}
+    # (k, a, p) in test order, the last row to reject a candidate first
+    order = [(k, a, p) for k, (a, p) in enumerate(rows)]
     for subset in combinations(rows, dim):
         solution = linalg.solve_square([a for a, _ in subset],
                                        [p for _, p in subset])
@@ -264,10 +270,11 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
             continue
         X, D = solution
         tight = []
-        for k, (a, p) in enumerate(rows):
+        for i, (k, a, p) in enumerate(order):
             s = sum(map(mul, a, X)) - p * D
             if s < 0:
                 tight_at[solution] = None
+                order.insert(0, order.pop(i))
                 break
             if not s:
                 tight.append(k)

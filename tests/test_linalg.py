@@ -252,6 +252,88 @@ def test_degree_systems_of_the_catalog_match_dense_oracle():
                     == oracle_nullspace(rows, ncols)), (spec, k)
 
 
+def _bareiss_solution(a, b):
+    """The reduced Cramer form of a x = b read from ``_bareiss`` itself."""
+    found = linalg._bareiss([[*row, bi] for row, bi in zip(a, b)], len(a))
+    if found is None:
+        return None
+    X, D = [row[0] for row in found[0]], found[1]
+    g = gcd(*X, D) if D > 0 else -gcd(*X, D)
+    return tuple(x // g for x in X), D // g
+
+
+def _check_closed_form(a, b):
+    """solve_square on the 3x3 system a x = b against ``_bareiss`` and the
+    dense oracle; returns det(a) by the Leibniz oracle."""
+    found = linalg.solve_square(a, b)
+    assert found == _bareiss_solution(a, b)
+    assert _solution(found) == oracle_solve(a, b)
+    d = oracle_det(a)
+    assert (found is None) == (d == 0)
+    return d
+
+
+def test_closed_form_3x3_matches_bareiss_and_dense_oracle():
+    rng = random.Random(21)
+    signs = set()
+    for bound, count in ((3, 3000), (10 ** 20, 400)):
+        for _ in range(count):
+            a = [[rng.randint(-bound, bound) for _ in range(3)]
+                 for _ in range(3)]
+            b = [rng.randint(-bound, bound) for _ in range(3)]
+            d = _check_closed_form(a, b)
+            signs.add((bound, (d > 0) - (d < 0)))
+    assert signs == {(3, 1), (3, 0), (3, -1), (10 ** 20, 1), (10 ** 20, -1)}
+
+
+def test_closed_form_3x3_on_singular_systems():
+    rng = random.Random(22)
+    for bound in (3, 10 ** 20):
+        def draw():
+            return [rng.randint(-bound, bound) for _ in range(3)]
+
+        for _ in range(60):
+            u, v, b = draw(), draw(), draw()
+            s, t, k = (rng.randint(-3, 3) for _ in range(3))
+            w = [s * x + t * y for x, y in zip(u, v)]
+            rank2 = [u, v, w]
+            rank1 = [u, [k * x for x in u], [s * x for x in u]]
+            for a in (rank2, rank1, [[0] * 3] * 3):
+                for rows in permutations(a):
+                    assert _check_closed_form(list(rows), b) == 0
+            # a zero row and two equal rows, at every position
+            for i, j in permutations(range(3), 2):
+                zero = [draw() for _ in range(3)]
+                zero[i] = [0, 0, 0]
+                equal = [draw() for _ in range(3)]
+                equal[j] = list(equal[i])
+                assert _check_closed_form(zero, b) == 0
+                assert _check_closed_form(equal, b) == 0
+    assert linalg.solve_square([[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+                               [1, 2, 3]) is None
+
+
+def test_closed_form_3x3_with_negative_determinant():
+    rng = random.Random(23)
+    # a row swap and -I: det -1, so the sign moves into X
+    assert linalg.solve_square([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                               [4, 6, -9]) == ((6, 4, -9), 1)
+    assert linalg.solve_square([[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                               [2, 0, -4]) == ((-2, 0, 4), 1)
+    assert linalg.solve_square([[0, 0, 3], [0, 2, 0], [1, 0, 0]],
+                               [1, 1, -1]) == ((-6, 3, 2), 6)
+    for bound in (3, 10 ** 20):
+        seen = 0
+        while seen < 200:
+            a = [[rng.randint(-bound, bound) for _ in range(3)]
+                 for _ in range(3)]
+            if oracle_det(a) > 0:
+                a[0], a[2] = a[2], a[0]
+            b = [rng.randint(-bound, bound) for _ in range(3)]
+            if _check_closed_form(a, b) < 0:
+                seen += 1
+
+
 # ---------------------------------------------------------------------------
 # examples
 

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -841,6 +842,30 @@ def test_integer_build_matches_fraction_twin_on_catalog():
         for Q in (P, dilate(P, F(5, 3))):
             hs = [(h.normal, h.offset) for h in Q.halfspaces]
             assert _assert_matches_twin(Q.dim, hs) is None
+    # 20 to 34 cuts of a box: most rows are tight at no vertex and some
+    # vertices lie on more than three planes, so the feasibility scan moves
+    # rows to its front often
+    for Q in random_cut_boxes(1, 5, sizes=(20, 34)):
+        hs = [(h.normal, h.offset) for h in Q.halfspaces]
+        assert _assert_matches_twin(3, hs) is None
+
+
+def test_3d_build_solves_each_row_triple_once(monkeypatch):
+    # the closed-form 3x3 solve replaces no call: one per 3-subset of the
+    # distinct rows, whatever order the feasibility scan tests rows in
+    P = next(random_cut_boxes(1, 1, sizes=(20, 34)))
+    hs = [(h.normal, h.offset) for h in P.halfspaces]
+    hs += [(tuple(2 * c for c in n), 2 * b) for n, b in hs[:4]]
+    calls = []
+    solve = linalg.solve_square
+    monkeypatch.setattr(linalg, "solve_square",
+                        lambda a, b: calls.append(len(a)) or solve(a, b))
+    Q = from_halfspaces(3, hs)
+    m = len(P.halfspaces)
+    assert m >= 26 and len(Q.halfspaces) == m
+    assert calls == [3] * comb(m, 3)
+    assert (Q.vertices, Q.vertex_facets, Q.edges) == (
+        P.vertices, P.vertex_facets, P.edges)
 
 
 # ---------------------------------------------------------------------------
