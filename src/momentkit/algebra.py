@@ -17,6 +17,7 @@ import random
 import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import DomainError, quoted
 
@@ -60,14 +61,20 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def clear_denominators(v) -> tuple[list[int], int]:
+    """(X, d) with v == X / d: d > 0 the least common denominator of the
+    int or Fraction vector v, X the list of ints d * v."""
+    d = lcm(*(e.denominator for e in v))
+    return [e.numerator * (d // e.denominator) for e in v], d
+
+
 def primitive(v) -> tuple[int, ...]:
     """Unique positive scalar multiple of the int or Fraction vector v with
     coprime integer entries, as a tuple of ints.
 
     The direction of v is preserved: primitive((-3, 0, 6)) == (-1, 0, 2).
     """
-    denom = lcm(*(e.denominator for e in v))
-    ints = [e.numerator * (denom // e.denominator) for e in v]
+    ints, _ = clear_denominators(v)
     g = gcd(*ints)
     if not g:
         raise DomainError("primitive vector of the zero vector is undefined")
@@ -79,14 +86,18 @@ def generic_vector(dim: int, vectors, seed=0) -> Vec:
 
     At most 1000 candidates are drawn, with entries in [-999, 999]; a generic
     draw succeeds essentially immediately, so running out signals a bug.
+    Each candidate is tested on plain int sums of products (exact on int and
+    Fraction inputs alike) and returned as a Fraction vector.  Every input
+    must have ``dim`` entries, checked before the first draw.
     """
     vectors = list(vectors)
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError(f"vector length mismatch: {dim} vs {len(v)}")
     rng = random.Random(seed)
     for _ in range(1000):
         cand = tuple(rng.randint(-999, 999) for _ in range(dim))
-        if is_zero_vec(cand):
-            continue
-        if all(dot(cand, v) != 0 for v in vectors):
+        if any(cand) and all(sum(map(mul, cand, v)) for v in vectors):
             return as_vec(cand)
     raise RuntimeError("internal error: no generic vector found in 1000 attempts")
 
@@ -320,20 +331,21 @@ def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
             sol[tuple(e)] = -c / a
     s = len(sol)
     if s > 1:
-        name = ",".join(vec_to_json(ell))
         counts = [(comb(mono[piv] + s - 1, s - 1), mono[piv]) for mono in f]
         terms = sum(c for c, _ in counts)
         if terms > MAX_RESTRICTION_TERMS:
             raise DomainError(
-                f"restricting to the hyperplane of {name} expands to {terms} "
-                f"terms, over the limit of {MAX_RESTRICTION_TERMS}")
+                f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
+                f"expands to {terms} terms, over the limit of "
+                f"{MAX_RESTRICTION_TERMS}")
         bits = max(c.numerator.bit_length() + c.denominator.bit_length()
                    for c in sol.values())
         size = bits * sum(c * t for c, t in counts)
         if size > MAX_RESTRICTION_BITS:
             raise DomainError(
-                f"restricting to the hyperplane of {name} expands to about "
-                f"{size} bits, over the limit of {MAX_RESTRICTION_BITS}")
+                f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
+                f"expands to about {size} bits, over the limit of "
+                f"{MAX_RESTRICTION_BITS}")
 
     powers: dict[int, Poly] = {}  # t -> sol**t
     out: Poly = {}

@@ -2,12 +2,13 @@
 
 Fix a direction xi that pairs nonzero with every edge vector.  The cone
 at vertex i is spanned by its primitive edge directions ``P.weights[i]``,
-read straight off the polytope.  Generators pairing positively with xi
-are flipped so all of them point against xi; flipped generators get
-strict (open) coefficients and the cone enters with sign
-(-1)^(number flipped).  The signed sum of cone indicators then
-reproduces the polytope indicator at every point of R^n, boundary
-included, with no tolerance anywhere.
+read straight off the polytope as int tuples.  Each is paired with xi
+over a common denominator, an int sum: a positive scale keeps every
+sign.  Generators pairing positively with xi are flipped so all of
+them point against xi; flipped generators get strict (open) coefficients
+and the cone enters with sign (-1)^(number flipped).  The signed sum
+of cone indicators then reproduces the polytope indicator at every point
+of R^n, boundary included, with no tolerance anywhere.
 
 The same signs turn the cones' lattice-point generating functions into
 the lattice count of the polytope (Brion; Lawrence-Varchenko).  Each cone
@@ -32,12 +33,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import mul, neg
 
 from . import linalg
 from .algebra import (
-    Vec, as_vec, dot, generic_vector, primitive, vec_to_json, vneg, vsub)
+    Vec, as_vec, clear_denominators, dot, generic_vector, primitive,
+    vec_to_json, vneg, vsub)
 from .errors import DomainError, NonSimpleVertexError, NotPolarizingError
 from .polytopes import Polytope
 
@@ -106,20 +108,28 @@ def is_polarizing(P: Polytope, xi) -> bool:
 
 
 def choose_polarizing_vector(P: Polytope, seed=0) -> Vec:
-    """Deterministic-from-seed direction pairing nonzero with every edge."""
+    """Deterministic-from-seed direction pairing nonzero with every edge,
+    each edge tested once, by its direction from the lower vertex."""
     if not P.vertices:
         raise DomainError("polytope has no vertices")
-    return generic_vector(P.dim, [w for at_v in P.weights for w in at_v],
-                          seed=seed)
+    return generic_vector(P.dim, [
+        w for i, (at_v, adjacent) in enumerate(zip(P.weights, P.neighbors))
+        for w, j in zip(at_v, adjacent) if i < j], seed=seed)
 
 
 def polarize(P: Polytope, i: int, xi) -> PolarizedCone:
-    """Polarized tangent cone at vertex i for the direction xi."""
+    """Polarized tangent cone at vertex i for the direction xi.
+
+    xi's denominators are cleared once: a positive scale keeps the sign of
+    each pairing, so every weight pairs with one integer vector."""
     xi = as_vec(xi)
+    if len(xi) != P.dim:
+        raise ValueError(f"vector length mismatch: {P.dim} vs {len(xi)}")
+    xi_int, _ = clear_denominators(xi)
     generators: list[Vec] = []
     flags: list[bool] = []
     for alpha in P.weights[i]:
-        pairing = dot(alpha, xi)
+        pairing = sum(map(mul, alpha, xi_int))
         if pairing == 0:
             raise NotPolarizingError(
                 f"direction pairs to zero with edge vector {vec_to_json(alpha)}")
@@ -137,9 +147,7 @@ def _contains(cone: PolarizedCone, x: Vec) -> bool:
     """x in the cone iff its coefficients A^-1 (x - apex) obey the flags,
     each sign read from an integer product with adj(A)."""
     _, adj, det = cone.lattice
-    diff = vsub(x, cone.apex)
-    denom = lcm(*(e.denominator for e in diff))
-    y = [int(e * denom) for e in diff]
+    y, _ = clear_denominators(vsub(x, cone.apex))
     for row, is_open in zip(adj, cone.open_flags):
         # det * (adj row . y) has the sign of the coefficient
         t = sum(a * b for a, b in zip(row, y)) * det
@@ -171,8 +179,7 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
     # A^-1 (r - apex) = adj (scale r - shift) / (scale det), scale making
     # the apex integral; signs flipped so the denominator is positive, and
     # an open generator's ceil(c) - 1 read as floor((num - 1) / den)
-    scale = lcm(*[e.denominator for e in cone.apex])
-    shift = [e.numerator * (scale // e.denominator) for e in cone.apex]
+    shift, scale = clear_denominators(cone.apex)
     if det < 0:
         adj = [list(map(neg, row)) for row in adj]
     base = [-sum(map(mul, row, shift)) - is_open
@@ -226,8 +233,8 @@ def _bernoulli(n: int) -> tuple[int, tuple[int, ...]]:
     for m in range(1, n + 1):
         bern.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bern))
                     / (m + 1))
-    d = lcm(*(b.denominator for b in bern))
-    return d, tuple(int(b * d) for b in bern)
+    scaled, d = clear_denominators(bern)
+    return d, tuple(scaled)
 
 
 def _constant_term(sums: list[int], ws: list[int]) -> Fraction:
@@ -313,8 +320,7 @@ def signed_lattice_count(P: Polytope, xi, box) -> int:
             f"vertex cones hold {points} parallelepiped points, over the "
             f"limit of {MAX_PARALLELEPIPED_POINTS}")
     # the constant term is unchanged by t -> ct, so xi may be made integral
-    scale = lcm(*(e.denominator for e in xi))
-    xi_int = [int(e * scale) for e in xi]
+    xi_int, _ = clear_denominators(xi)
     total = Fraction(0)
     for cone in cones:
         ws = [sum(map(mul, col, xi_int)) for col in cone.lattice[0]]

@@ -7,6 +7,9 @@ subset is one fraction-free integer solve (``linalg.solve_square``), whose
 Cramer form (X, D), x = X/D, keys the dedupe and feeds integer sign tests
 against one table of integer rows, in move-to-front order: a few rows
 reject most candidates.  Only the vertices kept become Fraction tuples.
+What is derived from them later stays in ints: facets are the maximal
+tight vertex sets, and edge directions are differences of the vertices
+over a common denominator.
 Edges and boundedness then come from one kernel test per distinct
 (n-1)-subset of rows tight at some vertex: a kernel line through two
 vertices is an edge, and one through a single vertex may be an unbounded
@@ -40,6 +43,7 @@ from .algebra import (
     Vec,
     as_vec,
     check_digits,
+    clear_denominators,
     dot,
     is_zero_vec,
     parse_rat,
@@ -110,8 +114,11 @@ class Polytope:
     ``halfspaces`` order, that ``from_halfspaces`` built.  ``weights[i]``
     holds the primitive directions of the edges leaving vertex i in
     ``neighbors[i]`` order (its isotropy weights) as int tuples, the one
-    place a polytope derives edge directions.  ``weights`` and ``facets``
-    are built on first read, then kept (``functools.cached_property``).
+    place a polytope derives edge directions: with each vertex written
+    once as X/d, X integral and d > 0, the edge (i, j) points along
+    X_j*d_i - X_i*d_j.  ``facets`` are read from the tight vertex sets
+    alone (see its docstring).  ``weights`` and ``facets`` are built on
+    first read, then kept (``functools.cached_property``), both in ints.
     """
 
     def __init__(self, dim, halfspaces, vertices, vertex_facets, edges, int_rows):
@@ -136,16 +143,35 @@ class Polytope:
 
     @functools.cached_property
     def weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        cleared = [clear_denominators(v) for v in self.vertices]
         return tuple(
-            tuple(primitive(vsub(self.vertices[j], v)) for j in adjacent)
-            for v, adjacent in zip(self.vertices, self.neighbors))
+            tuple(primitive([y * d - x * e for x, y in zip(X, Y)])
+                  for Y, e in map(cleared.__getitem__, adjacent))
+            for (X, d), adjacent in zip(cleared, self.neighbors))
 
     @functools.cached_property
     def facets(self) -> tuple[int, ...]:
-        """Half-space indices whose active vertex set is (dim-1)-dimensional."""
-        return tuple(k for k in range(len(self.halfspaces)) if linalg.affine_rank(
-            [v for v, t in zip(self.vertices, self.vertex_facets) if k in t])
-            == self.dim - 1)
+        """Half-space indices whose tight vertex set is (dim-1)-dimensional.
+
+        With V_k the vertices tight on row k: when no row is tight at every
+        vertex, P is full-dimensional, and its facets are its maximal proper
+        faces (Ziegler, "Lectures on Polytopes", section 2): k is a facet
+        when no V_j strictly contains V_k (every V_j contains an empty V_k
+        strictly), and no rank is taken.  Otherwise P is flat: the rows
+        tight everywhere are its facets if one ``affine_rank`` of its
+        vertices is dim-1, and it has none if that rank is lower.
+        """
+        on_row: list[set[int]] = [set() for _ in self.halfspaces]
+        for i, tight in enumerate(self.vertex_facets):
+            for k in tight:
+                on_row[k].add(i)
+        everywhere = tuple(k for k, V in enumerate(on_row)
+                           if len(V) == len(self.vertices))
+        if everywhere:
+            flat = linalg.affine_rank(self.vertices) == self.dim - 1
+            return everywhere if flat else ()
+        return tuple(k for k, V in enumerate(on_row)
+                     if not any(V < W for W in on_row))
 
     def contains(self, x) -> bool:
         """Boundary-inclusive membership test."""
@@ -261,8 +287,7 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     # (k, a, p) in test order, the last row to reject a candidate first
     order = [(k, a, p) for k, (a, p) in enumerate(rows)]
     for subset in combinations(rows, dim):
-        solution = linalg.solve_square([a for a, _ in subset],
-                                       [p for _, p in subset])
+        solution = linalg.solve_square(*zip(*subset))
         if solution is None:
             continue
         any_invertible = True

@@ -9,6 +9,7 @@ import pytest
 from momentkit import algebra, catalog_specs, from_spec
 from momentkit.algebra import (
     as_vec,
+    clear_denominators,
     divides_linear,
     dot,
     generic_vector,
@@ -105,6 +106,20 @@ def test_primitive_matches_the_fraction_twin():
             primitive(zero)
 
 
+def test_clear_denominators():
+    assert clear_denominators(vec("1/2", "-1/3", 2)) == ([3, -2, 12], 6)
+    assert clear_denominators((4, -6)) == ([4, -6], 1)
+    assert clear_denominators(()) == ([], 1)
+    rng = random.Random(22)
+    for _ in range(500):
+        v = tuple(F(rng.randint(-9, 9), rng.randint(1, 12))
+                  for _ in range(rng.randint(1, 5)))
+        X, d = clear_denominators(v)
+        assert d == lcm(*(e.denominator for e in v)) and d > 0
+        assert all(type(x) is int for x in X)
+        assert tuple(F(x, d) for x in X) == v
+
+
 def _fraction_generic_vector(dim, vectors, seed=0):
     """generic_vector as it was before it tested integer candidates."""
     vectors = [as_vec(v) for v in vectors]
@@ -128,6 +143,10 @@ def test_generic_vector_matches_the_fraction_twin():
             assert all(type(e) is F for e in got)
     with pytest.raises(ValueError, match="vector length mismatch: 2 vs 3"):
         generic_vector(2, [(1, 2, 3)])
+    # lengths are checked before the first draw, so a zero vector ahead of
+    # the long one (the twin's RuntimeError) does not hide it
+    with pytest.raises(ValueError, match="vector length mismatch: 2 vs 3"):
+        generic_vector(2, [(0, 0), (1, 2, 3)])
 
 
 def test_dot_symmetric_bilinear():
@@ -249,6 +268,28 @@ def test_restriction_work_limit(monkeypatch):
             restrict_to_hyperplane(ell, f)
     f = {(t, 0, 0): F(1) for t in range(100)}
     assert len(restrict_to_hyperplane(vec(1, 1, 0), f)) == 100
+
+
+def test_restriction_refusals_name_the_form(monkeypatch):
+    # the name of the form is built on refusal only; both messages are
+    # pinned byte for byte.  On 3x - y/2 + 2z = 0, x^5 expands to 6 terms
+    # of about 4 * 6 * 5 = 120 bits
+    ell, f = vec(3, F(-1, 2), 2), {(5, 0, 0): F(1)}
+    assert len(restrict_to_hyperplane(ell, f)) == 6
+    monkeypatch.setattr(algebra, "MAX_RESTRICTION_TERMS", 5)
+    with pytest.raises(DomainError) as got:
+        restrict_to_hyperplane(ell, f)
+    assert str(got.value) == ("restricting to the hyperplane of 3,-1/2,2 "
+                              "expands to 6 terms, over the limit of 5")
+    monkeypatch.setattr(algebra, "MAX_RESTRICTION_TERMS", 6)
+    monkeypatch.setattr(algebra, "MAX_RESTRICTION_BITS", 119)
+    with pytest.raises(DomainError) as got:
+        restrict_to_hyperplane(ell, f)
+    assert str(got.value) == ("restricting to the hyperplane of 3,-1/2,2 "
+                              "expands to about 120 bits, over the limit of "
+                              "119")
+    monkeypatch.setattr(algebra, "MAX_RESTRICTION_BITS", 120)
+    assert len(restrict_to_hyperplane(ell, f)) == 6
 
 
 def test_poly_pow_matches_repeated_products():

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from momentkit import cli, gkm, localization, polar, polytopes
+from momentkit import cli, gkm, linalg, localization, polar, polytopes
 from momentkit.errors import quoted
 from momentkit.gkm import facet_class, gkm_class_to_json, moment_graph
 from momentkit.polytopes import (
@@ -630,3 +630,23 @@ def test_oracle_mismatch_exits_4(monkeypatch, capsys):
     assert report["status"] == "oracle-mismatch"
     assert report["result"]["volume"] == "99"
     assert report["oracle"]["volume"] == "1/2"
+
+
+def test_catalog_commands_take_no_rank(monkeypatch):
+    # facets come from the tight vertex sets, edge directions and pairings
+    # from ints: on full-dimensional input these commands reach no rank
+    ranks = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank",
+                        lambda *a, **k: ranks.append(1) or rank(*a, **k))
+    for spec in catalog_specs():
+        for command in ("validate", "count", "decompose"):
+            report, code = run_json([command, spec])
+            assert code == 0, (command, spec)
+            assert report["polytope"]["facets"] == len(from_spec(spec).halfspaces)
+    assert ranks == []
+    # the patch is live: a flat square's facets take one affine rank
+    flat = from_halfspaces(3, [((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 0, 0), 0),
+                               ((-1, 0, 0), -1), ((0, 1, 0), 0),
+                               ((0, -1, 0), -1)])
+    assert flat.facets == (0, 1) and ranks == [1]

@@ -118,3 +118,29 @@ def test_every_public_function_has_a_caller():
                 if name.rsplit(".", 1)[1] not in used
                 and name not in CALLED_BY_TESTS_ONLY]
     assert not uncalled, f"no caller in src/ or bench/: {', '.join(uncalled)}"
+
+
+
+def _clears_denominators(node: ast.AST) -> bool:
+    """True for a call ``lcm(*(... .denominator ...))``."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm"
+            and any(isinstance(arg, ast.Starred)
+                    and any(isinstance(n, ast.Attribute) and n.attr == "denominator"
+                            for n in ast.walk(arg))
+                    for arg in node.args))
+
+
+def test_denominators_are_cleared_in_one_place():
+    """The lcm of a vector's denominators is taken by
+    ``algebra.clear_denominators`` alone; every other caller uses it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in filter(_clears_denominators, ast.walk(tree)):
+            owner = max((d for d in defs
+                         if d.lineno <= node.lineno <= d.end_lineno),
+                        key=lambda d: d.lineno, default=None)
+            found.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert found == ["algebra.clear_denominators"]

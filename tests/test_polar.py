@@ -72,6 +72,71 @@ def test_choose_polarizing_vector_deterministic():
                for i, j in P.edges)
 
 
+def test_choose_polarizing_vector_tests_each_edge_once(monkeypatch):
+    # one direction per edge, from its lower vertex; a reversed direction
+    # pairs to zero exactly when the direction does, so the draws and the
+    # returned xi are those of the former list of both endpoints' weights
+    shapes = [from_spec(s) for s in catalog_specs()] + [cube(4, 1)]
+    shapes += [dilate(P, F(5, 3)) for P in shapes[::4]]
+    for P in shapes:
+        for seed in range(8):
+            both = polar.generic_vector(
+                P.dim, [w for at_v in P.weights for w in at_v], seed=seed)
+            assert choose_polarizing_vector(P, seed=seed) == both
+    seen = []
+    generic = polar.generic_vector
+    monkeypatch.setattr(polar, "generic_vector",
+                        lambda dim, vs, seed: seen.append(vs) or
+                        generic(dim, vs, seed=seed))
+    for P in shapes:
+        seen.clear()
+        choose_polarizing_vector(P, seed=3)
+        assert seen == [[primitive(vsub(P.vertices[j], P.vertices[i]))
+                         for i, j in P.edges]]
+
+
+def _fraction_polarize(P, i, xi):
+    """polarize as it was before it cleared xi's denominators: one Fraction
+    dot per weight."""
+    generators, flags = [], []
+    for alpha in P.weights[i]:
+        pairing = dot(alpha, xi)
+        if pairing == 0:
+            raise NotPolarizingError(
+                f"direction pairs to zero with edge vector "
+                f"{[str(c) for c in alpha]}")
+        generators.append(tuple(-c for c in alpha) if pairing > 0 else alpha)
+        flags.append(pairing > 0)
+    sign = -1 if sum(flags) % 2 else 1
+    return PolarizedCone(P.vertices[i], tuple(generators), tuple(flags), sign)
+
+
+def test_polarize_matches_the_fraction_twin():
+    rng = random.Random(22)
+    shapes = [from_spec(s) for s in catalog_specs()] + [cube(4, 1)]
+    shapes += [dilate(P, F(7, 2)) for P in shapes[::3]]
+    refused = 0
+    for P in shapes:
+        for _ in range(12):
+            xi = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                       for _ in range(P.dim))
+            for i in range(len(P.vertices)):
+                try:
+                    expect = _fraction_polarize(P, i, xi)
+                except NotPolarizingError as exc:
+                    with pytest.raises(NotPolarizingError) as got:
+                        polarize(P, i, xi)
+                    assert str(got.value) == str(exc)
+                    refused += 1
+                    continue
+                cone = polarize(P, i, xi)
+                assert cone == expect
+                assert all(type(c) is int for g in cone.generators for c in g)
+    assert refused > 20
+    with pytest.raises(ValueError, match="^vector length mismatch: 2 vs 3$"):
+        polarize(cube(2, 1), 0, (1, 2, 3))
+
+
 def test_polarize_square_origin_nothing_flips():
     sq = cube(2, 1)
     cone = _polarize_at(sq, vec(0, 0), vec(-1, -1))

@@ -702,6 +702,27 @@ def _fraction_build(dim, halfspaces):
     return tuple(verts), vertex_facets, tuple(edges)
 
 
+def _rank_facets(P):
+    """Polytope.facets as it was before it read the tight vertex sets: one
+    Fraction affine rank per row."""
+    return tuple(k for k in range(len(P.halfspaces)) if linalg.affine_rank(
+        [v for v, t in zip(P.vertices, P.vertex_facets) if k in t])
+        == P.dim - 1)
+
+
+def _vsub_weights(P):
+    """Polytope.weights as it was before it cleared denominators: the
+    primitive of each Fraction difference of endpoints."""
+    return tuple(
+        tuple(primitive(vsub(P.vertices[j], v)) for j in adjacent)
+        for v, adjacent in zip(P.vertices, P.neighbors))
+
+
+def _assert_vertex_data_matches_twins(P):
+    assert P.facets == _rank_facets(P)
+    assert P.weights == _vsub_weights(P)
+
+
 def _assert_matches_twin(dim, halfspaces):
     try:
         expect = _fraction_build(dim, halfspaces)
@@ -713,6 +734,7 @@ def _assert_matches_twin(dim, halfspaces):
         return type(exc)
     P = from_halfspaces(dim, halfspaces)
     assert (P.vertices, P.vertex_facets, P.edges) == expect
+    _assert_vertex_data_matches_twins(P)
     return None
 
 
@@ -752,6 +774,16 @@ TWIN_CASES = {
         ((0, 0, 1), 0), ((0, 0, -1), -1), ((1, 1, 0), 0)]),
     # in dimension 1 the one tight 0-subset is empty, its kernel the line
     "segment_1d": (None, 1, [((1,), F(-1, 2)), ((-2,), -3)]),
+    # flat polytopes: the rows tight at every vertex are the facets when
+    # the polytope spans dim - 1 dimensions, and there are none below
+    "segment_2d": (None, 2, [((0, 1), 0), ((0, -1), 0), ((1, 0), 0),
+                             ((-1, 0), -1), ((1, 1), -5)]),
+    "segment_3d": (None, 3, [((0, 1, 0), 0), ((0, -1, 0), 0), ((0, 0, 1), 0),
+                             ((0, 0, -1), 0), ((1, 0, 0), 0), ((-1, 0, 0), -1)]),
+    # x >= 0 is tight at no vertex
+    "point_1d": (None, 1, [((1,), F(1, 2)), ((-2,), -1), ((1,), 0)]),
+    "point_2d": (None, 2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0),
+                           ((0, -1), 0), ((1, 1), -1)]),
     "ray_1d": (UnboundedRegionError, 1, [((1,), 0)]),
 }
 
@@ -848,6 +880,13 @@ def test_integer_build_matches_fraction_twin_on_catalog():
     for Q in random_cut_boxes(1, 5, sizes=(20, 34)):
         hs = [(h.normal, h.offset) for h in Q.halfspaces]
         assert _assert_matches_twin(3, hs) is None
+
+
+def test_vertex_data_matches_the_twins_on_cubes():
+    for n in range(2, 8):
+        for P in (cube(n, 1), cube(n, F(5, 3))):
+            _assert_vertex_data_matches_twins(P)
+            assert len(P.facets) == 2 * n
 
 
 def test_3d_build_solves_each_row_triple_once(monkeypatch):
