@@ -37,8 +37,6 @@ from .polytopes import (
     from_halfspaces,
     from_spec,
     hirzebruch,
-    is_simple,
-    is_smooth,
     lattice_points_oracle,
     simplex,
     smoothness_report,
@@ -54,7 +52,6 @@ from .polar import (
     polarize,
     signed_indicator_sum,
     signed_lattice_count,
-    tangent_cone,
 )
 from .gkm import (
     GKMCheckReport,
@@ -67,12 +64,10 @@ from .gkm import (
     gkm_degree_basis,
     gkm_dimension,
     moment_graph,
-    ordinary_betti,
 )
 from .localization import (
     euler_class_at,
     pushforward,
-    pushforward_degree_vanishing,
     volume_localization,
 )
 

@@ -288,18 +288,6 @@ def free_module_check(G: MomentGraph, k_max: int) -> bool:
     return True
 
 
-def ordinary_betti(G: MomentGraph, k: int) -> int:
-    """Degree-k dimension after collapsing the polynomial coefficients.
-
-    Valid once the free-module identity holds through degree k; the answer
-    is then the k-th entry of the downward-edge profile.
-    """
-    if not free_module_check(G, k):
-        raise DomainError("free module check failed through the requested degree")
-    b = betti_numbers(G, choose_generic_direction(G))
-    return b[k] if k < len(b) else 0
-
-
 # ---------------------------------------------------------------------------
 # facet generators
 

@@ -34,7 +34,7 @@ from .algebra import (
     vec_to_json,
 )
 from .errors import DomainError, NotDelzantError, NotGenericError
-from .gkm import GKMClass, MomentGraph, gkm_check, gkm_degree_basis
+from .gkm import GKMClass, MomentGraph, gkm_check
 from .polytopes import Polytope, smoothness_report
 
 
@@ -71,15 +71,6 @@ def _fixed_point_sum(values, weights, xi: Vec) -> Fraction:
     return total
 
 
-def _check_admissible(cls: GKMClass, G: MomentGraph) -> None:
-    """Raise DomainError unless ``cls`` passes the divisibility conditions."""
-    report = gkm_check(G, cls)
-    if not report.ok:
-        raise DomainError(
-            f"class fails the divisibility conditions on edges "
-            f"{list(report.failures)}; its push-forward is undefined")
-
-
 def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """Sum over vertices of component value over Euler class value at xi.
 
@@ -88,32 +79,12 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """
     xi = as_vec(xi)
     weights = _isotropy(G)
-    _check_admissible(cls, G)
+    report = gkm_check(G, cls)
+    if not report.ok:
+        raise DomainError(
+            f"class fails the divisibility conditions on edges "
+            f"{list(report.failures)}; its push-forward is undefined")
     return _fixed_point_sum((poly_eval(f, xi) for f in cls), weights, xi)
-
-
-def pushforward_degree_vanishing(G: MomentGraph, k: int, xi_samples) -> bool:
-    """Do all degree-k admissible classes push forward to zero?
-
-    Meaningful for k below the graph dimension, where vanishing is forced
-    by degree counting; checked on a spanning set of degree-k classes at
-    each supplied evaluation point, admissibility once per class.
-    """
-    n = G.dim
-    if k >= n:
-        raise DomainError(f"degree {k} is not below the dimension {n}")
-    points = [as_vec(xi) for xi in xi_samples]
-    if not points:
-        raise DomainError("at least one evaluation point is required")
-    basis = gkm_degree_basis(G, k)
-    weights = _isotropy(G)
-    for cls in basis:
-        _check_admissible(cls, G)
-        for xi in points:
-            values = (poly_eval(f, xi) for f in cls)
-            if _fixed_point_sum(values, weights, xi) != 0:
-                return False
-    return True
 
 
 def volume_localization(P: Polytope, xi) -> Fraction:

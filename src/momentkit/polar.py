@@ -91,16 +91,6 @@ class PolarizedCone:
         return cols, *found
 
 
-def tangent_cone(P: Polytope, i: int) -> PolarizedCone:
-    """Unpolarized tangent cone at vertex i: every generator closed, sign +1.
-
-    This is the plain positive span of the edge vectors; polarization
-    rewrites it relative to a direction.
-    """
-    gens = P.weights[i]
-    return PolarizedCone(P.vertices[i], gens, (False,) * len(gens), 1)
-
-
 def is_polarizing(P: Polytope, xi) -> bool:
     """True iff xi pairs nonzero with every edge direction of P."""
     xi = as_vec(xi)

@@ -211,7 +211,7 @@ def _edges(dim: int, normals: list[tuple[int, ...]],
         for s in combinations(sorted(facets), dim - 1):
             on_line.setdefault(s, []).append(i)
     edges = set()
-    for s, ends in sorted(on_line.items()):
+    for s, ends in on_line.items():
         kernel = linalg.nullspace([normals[k] for k in s], ncols=dim)
         if len(kernel) != 1:
             continue
@@ -414,11 +414,6 @@ def catalog_specs() -> list[str]:
 # Delzant conditions
 
 
-def is_simple(P: Polytope) -> bool:
-    """True iff every vertex has exactly dim incident edges."""
-    return all(len(n) == P.dim for n in P.neighbors)
-
-
 def smoothness_report(P: Polytope) -> SmoothnessReport:
     """The Delzant test; stops at the first vertex that fails it."""
     for i, n in enumerate(P.neighbors):
@@ -432,11 +427,6 @@ def smoothness_report(P: Polytope) -> SmoothnessReport:
                                     failing_vertex=i, failing_det=d)
     return SmoothnessReport(simple=True, smooth=True,
                             failing_vertex=None, failing_det=None)
-
-
-def is_smooth(P: Polytope) -> bool:
-    """True iff simple and every vertex cone is unimodular (Delzant)."""
-    return smoothness_report(P).smooth
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ from momentkit import (
     flip_weights,
     from_halfspaces,
     hirzebruch,
-    is_smooth,
     moment_graph,
     pushforward,
-    pushforward_degree_vanishing,
     simplex,
+    smoothness_report,
     volume_localization,
     volume_oracle,
 )
@@ -147,39 +146,31 @@ def test_pushforward_value_independent_of_point():
 
 
 def test_degree_vanishing():
-    samples = [choose_generic_direction(TRIANGLE, seed=s) for s in range(3)]
-    assert pushforward_degree_vanishing(TRIANGLE, 0, samples)
-    assert pushforward_degree_vanishing(TRIANGLE, 1, samples)
+    # a degree-k basis pushes forward to 0 at every generic point for k < n
     H = moment_graph(hirzebruch(1))
-    hs = [choose_generic_direction(H, seed=s) for s in range(3)]
+    C = moment_graph(cube(3, 1))
     assert len(gkm_degree_basis(H, 1)) == 4
-    assert pushforward_degree_vanishing(H, 1, hs)
-    with pytest.raises(DomainError):
-        pushforward_degree_vanishing(TRIANGLE, 2, samples)
+    assert len(gkm_degree_basis(C, 2)) == 18
+    for G in (TRIANGLE, H, C):
+        points = [choose_generic_direction(G, seed=s) for s in range(3)]
+        for k in range(G.dim):
+            for cls in gkm_degree_basis(G, k):
+                assert all(pushforward(cls, G, xi) == 0 for xi in points)
 
 
-def test_degree_vanishing_checks_each_class_once(monkeypatch):
+def test_pushforward_checks_its_class_on_every_call(monkeypatch):
     from momentkit import localization
 
     G = moment_graph(cube(3, 1))
     points = [choose_generic_direction(G, seed=s) for s in range(3)]
-    basis = gkm_degree_basis(G, 2)
-    assert len(basis) == 18
-    # the same answers as one checked push-forward per class and point
-    assert all(pushforward(cls, G, xi) == 0 for cls in basis for xi in points)
+    cls = gkm_degree_basis(G, 2)[0]
     checked = []
     check = localization.gkm_check
     monkeypatch.setattr(localization, "gkm_check",
                         lambda G, cls: checked.append(cls) or check(G, cls))
-    for k in (0, 1, 2):
-        assert pushforward_degree_vanishing(G, k, points)
-    assert checked[-18:] == basis
-    assert len(checked) == sum(len(gkm_degree_basis(G, k)) for k in (0, 1, 2))
-    # pushforward itself still checks its class at every call
-    checked.clear()
     for xi in points:
-        pushforward(basis[0], G, xi)
-    assert len(checked) == 3
+        pushforward(cls, G, xi)
+    assert checked == [cls] * 3
 
 
 def test_delta_classes_integrate_to_one():
@@ -266,7 +257,7 @@ def test_volume_is_invariant_under_lattice_maps():
     for spec in catalog_specs():
         P = from_spec(spec)
         n = P.dim
-        assert is_smooth(P)
+        assert smoothness_report(P).smooth
         volume = volume_oracle(P)
         for _ in range(3):
             U, t = _lattice_map(rng, n)

@@ -26,20 +26,18 @@ from momentkit import (
     from_spec,
     hirzebruch,
     is_polarizing,
-    is_simple,
-    is_smooth,
     lattice_points_oracle,
     polar_decompose,
     polarize,
     signed_indicator_sum,
     signed_lattice_count,
     simplex,
+    smoothness_report,
     tight_box,
     volume_localization,
 )
 from momentkit import linalg, polar, polytopes
-from momentkit.polar import (
-    _contains, _hermite_diagonal, _power_sums, tangent_cone)
+from momentkit.polar import _contains, _hermite_diagonal, _power_sums
 from momentkit.algebra import dot, primitive, vec, vsub
 from momentkit.polytopes import catalog_specs
 
@@ -181,9 +179,8 @@ def test_signed_indicator_sum_rejects_wrong_dimension():
 def test_tangent_cone_contains_the_polytope():
     P = hirzebruch(1)
     probes = list(P.vertices) + [(F(1, 2), F(1, 2)), (F(3, 2), F(1, 4))]
-    for i in range(len(P.vertices)):
-        cone = tangent_cone(P, i)
-        assert cone.sign == 1 and not any(cone.open_flags)
+    for v, at_v in zip(P.vertices, P.weights):
+        cone = PolarizedCone(v, at_v, (False,) * P.dim, 1)
         for x in probes:
             if P.contains(x):
                 assert cone_contains(cone, x)
@@ -535,7 +532,7 @@ def test_vertex_sum_memory_is_bounded_by_the_block():
 def test_ehrhart_polynomial_leads_with_the_localization_volume():
     for spec in catalog_specs():
         P = from_spec(spec)
-        assert is_smooth(P)
+        assert smoothness_report(P).smooth
         n = P.dim
         counts = {}
         for k in list(range(1, n + 2)) + [1000]:
@@ -591,7 +588,8 @@ def rational_simple_polytopes(draw):
                                    max_denominator=3))
         hs.append(HalfSpace.make(normal, -offset))
     P = from_halfspaces(3, hs)
-    assume(is_simple(P) and not is_smooth(P))
+    report = smoothness_report(P)
+    assume(report.simple and not report.smooth)
     assume(any(e.denominator > 1 for v in P.vertices for e in v))
     return P
 

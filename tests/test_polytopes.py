@@ -20,8 +20,6 @@ from momentkit import (
     from_halfspaces,
     from_spec,
     hirzebruch,
-    is_simple,
-    is_smooth,
     lattice_points_oracle,
     moment_graph,
     polarize,
@@ -159,7 +157,7 @@ def test_hirzebruch_builder_is_smooth():
     for a in (1, 2, 3):
         P = hirzebruch(a)
         assert len(P.vertices) == 4
-        assert is_smooth(P)
+        assert smoothness_report(P).smooth
     assert set(hirzebruch(1).vertices) == {
         vec(0, 0), vec(2, 0), vec(0, 1), vec(1, 1)}
 
@@ -254,16 +252,16 @@ def test_int_normals_keep_exact_offsets():
 
 
 def test_is_simple():
-    assert is_simple(cube(3, 1))
-    assert not is_simple(square_pyramid())
+    assert smoothness_report(cube(3, 1)).simple
+    assert not smoothness_report(square_pyramid()).simple
     for n in (1, 2, 3, 4):
-        assert is_simple(simplex(n, 1))
+        assert smoothness_report(simplex(n, 1)).simple
 
 
 def test_is_smooth_examples():
-    assert is_smooth(cube(2, 1))
-    assert not is_smooth(skew_triangle())
-    assert is_smooth(hirzebruch(2))
+    assert smoothness_report(cube(2, 1)).smooth
+    assert not smoothness_report(skew_triangle()).smooth
+    assert smoothness_report(hirzebruch(2)).smooth
 
 
 def test_smoothness_report_pinpoints_bad_vertex():
