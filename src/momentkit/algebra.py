@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -262,22 +263,13 @@ def poly_degree(f: Poly) -> int:
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, descending lex order."""
+    """All exponent tuples of the given total degree, descending lex order,
+    which is lex order on sorted index tuples: where two first differ, the
+    earlier holds the smaller index i, so more x_i and equal x_j for j < i."""
     if degree < 0:
         return []
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    return out
+    return [tuple(map(c.count, range(nvars)))
+            for c in combinations_with_replacement(range(nvars), degree)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .algebra import ONE, ZERO, Vec, as_vec, vsub
+from .algebra import ONE, ZERO, Vec
 
 # column -> nonzero entry, the leading 1 of a pivot row left implicit
 Row = dict[int, Fraction]
@@ -207,11 +207,3 @@ def adjugate_int(a_rows) -> tuple[list[list[int]], int] | None:
     return _bareiss([[*row, *(int(i == j) for j in range(n))]
                      for i, row in enumerate(a_rows)], n)
 
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull; -1 for no points, 0 for a single point."""
-    pts = [as_vec(p) for p in points]
-    if not pts:
-        return -1
-    base = pts[0]
-    return rank([list(vsub(p, base)) for p in pts[1:]])

@@ -34,7 +34,7 @@ from .algebra import (
     vec_to_json,
 )
 from .errors import DomainError, NotDelzantError, NotGenericError
-from .gkm import GKMClass, MomentGraph, gkm_check
+from .gkm import MAX_CLASS_DEGREE, GKMClass, MomentGraph, gkm_check
 from .polytopes import Polytope, smoothness_report
 
 
@@ -75,9 +75,19 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """Sum over vertices of component value over Euler class value at xi.
 
     Only classes passing the divisibility conditions have a well-defined
-    push-forward, so admissibility is enforced up front.
+    push-forward, so admissibility is enforced up front.  Before that, a
+    value whose monomials' squared degrees sum to more than
+    ``MAX_CLASS_DEGREE ** 2`` is refused: evaluating a monomial of degree d
+    costs about d^2, and one monomial at the degree limit stays allowed.
     """
     xi = as_vec(xi)
+    limit = MAX_CLASS_DEGREE ** 2
+    for label, f in zip(G.labels, cls):
+        work = sum(sum(mono) ** 2 for mono in f)
+        if work > limit:
+            raise DomainError(
+                f"class value at {label} needs evaluation work {work} (its "
+                f"squared monomial degrees summed), over the limit of {limit}")
     weights = _isotropy(G)
     report = gkm_check(G, cls)
     if not report.ok:

@@ -158,18 +158,18 @@ class Polytope:
         faces (Ziegler, "Lectures on Polytopes", section 2): k is a facet
         when no V_j strictly contains V_k (every V_j contains an empty V_k
         strictly), and no rank is taken.  Otherwise P is flat: the rows
-        tight everywhere are its facets if one ``affine_rank`` of its
-        vertices is dim-1, and it has none if that rank is lower.
+        tight everywhere, its implicit equalities, cut out its affine hull
+        (Schrijver, "Theory of Linear and Integer Programming", 8.2) and
+        are its facets if their normals have rank 1; it has none otherwise.
         """
+        everywhere = frozenset.intersection(*self.vertex_facets)
+        if everywhere:
+            r = linalg.rank([self.int_rows[k][0] for k in everywhere])
+            return tuple(sorted(everywhere)) if r == 1 else ()
         on_row: list[set[int]] = [set() for _ in self.halfspaces]
         for i, tight in enumerate(self.vertex_facets):
             for k in tight:
                 on_row[k].add(i)
-        everywhere = tuple(k for k, V in enumerate(on_row)
-                           if len(V) == len(self.vertices))
-        if everywhere:
-            flat = linalg.affine_rank(self.vertices) == self.dim - 1
-            return everywhere if flat else ()
         return tuple(k for k, V in enumerate(on_row)
                      if not any(V < W for W in on_row))
 
@@ -443,9 +443,10 @@ def volume_oracle(P: Polytope) -> Fraction:
     its vertex set, read from ``P.vertex_facets``; no row is restricted.  Its
     projected volume depends only on that set and the coordinates it keeps,
     so a memo local to the call computes each face once, however many facet
-    orderings reach it.
+    orderings reach it.  P is flat, without volume, exactly when a row is
+    tight at every vertex (an implicit equality), and then it is refused.
     """
-    if linalg.affine_rank(P.vertices) < P.dim:
+    if frozenset.intersection(*P.vertex_facets):
         raise DegenerateInputError("polytope is not full-dimensional")
     on_row = {frozenset(i for i, t in enumerate(P.vertex_facets) if k in t)
               for k in frozenset().union(*P.vertex_facets)}

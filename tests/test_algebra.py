@@ -158,6 +158,8 @@ def test_dot_symmetric_bilinear():
         assert dot(u, v) == dot(v, u)
         lhs = dot(u, tuple(c * a + b for a, b in zip(v, w)))
         assert lhs == c * dot(u, v) + dot(u, w)
+    with pytest.raises(ValueError, match="^vector length mismatch: 2 vs 3$"):
+        dot((1, 2), (1, 2, 3))
 
 
 def test_poly_degree_conventions():
@@ -203,6 +205,9 @@ def test_quotient_examples():
 def test_quotient_requires_divisibility():
     with pytest.raises(DomainError):
         poly_quotient_by_linear(vec(1, 0), {(0, 1): F(1)})
+    with pytest.raises(DomainError, match="^division by the zero linear "
+                       "form is undefined$"):
+        poly_quotient_by_linear(vec(0, 0), {(1, 0): F(1)})
 
 
 def test_division_round_trip():
@@ -298,11 +303,15 @@ def test_poly_pow_matches_repeated_products():
     for k in range(8):
         assert poly_pow(f, k) == expected
         expected = poly_mul(expected, f)
+    with pytest.raises(ValueError, match="^negative polynomial power$"):
+        poly_pow(f, -1)
 
 
 def test_pivot_index_prefers_largest_then_lowest():
     assert pivot_index(vec(1, -3, 3)) == 1
     assert pivot_index(vec(2, 2)) == 0
+    with pytest.raises(DomainError, match="^zero linear form$"):
+        pivot_index(vec(0, 0))
 
 
 def test_monomials_order_and_count():
@@ -312,6 +321,33 @@ def test_monomials_order_and_count():
     assert len(monomials(3, 4)) == 15  # C(4+2, 2)
     assert monomials(0, 0) == [()]
     assert monomials(0, 2) == []
+
+
+def _recursive_monomials(nvars, degree):
+    """monomials as it was before it read combinations_with_replacement:
+    each exponent from the largest down, then the rest recursively."""
+    if degree < 0:
+        return []
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), degree, nvars)
+    return out
+
+
+def test_monomials_match_the_recursive_twin():
+    for nvars in range(6):
+        for degree in range(-1, 10):
+            assert monomials(nvars, degree) == \
+                _recursive_monomials(nvars, degree), (nvars, degree)
 
 
 def test_rational_and_vector_json_round_trip():

@@ -16,6 +16,7 @@ from momentkit.polytopes import (
     polytope_to_json,
     simplex,
 )
+from test_cli_golden import COMMANDS, _write_classes
 
 
 def run_json(argv):
@@ -332,6 +333,23 @@ def test_class_degree_over_the_limit_exits_3(command, tmp_path, monkeypatch, cap
         capsys.readouterr().err
 
 
+def test_class_evaluation_work_over_the_limit_exits_3(tmp_path, capsys):
+    # x^i y^(4999-i), i < 5000, at every vertex of hirzebruch:2: each term
+    # is far under the degree limit, and evaluating the class took 28 s
+    path = tmp_path / "wide.json"
+    wide = {f"{i},{4999 - i}": "1" for i in range(5000)}
+    path.write_text(json.dumps({f"v{i}": wide for i in range(4)}))
+    start = time.process_time()
+    assert cli.main(["integrate", "hirzebruch:2", "--class", str(path)]) == 3
+    assert time.process_time() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: class value at v0 needs evaluation work 124950005000 (its "
+        "squared monomial degrees summed), over the limit of 2500000000\n")
+    # gkm-check evaluates nothing, and its verdict stands
+    assert cli.main(["gkm-check", "hirzebruch:2", "--class", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_restriction_over_the_limit_exits_3(tmp_path, capsys):
     # the image of cube:3:1 under x -> [[1,0,0],[1,1,0],[1,0,1]] x has the
     # edge weight (1,1,1) at v0 = 0, on which x^3200 restricts to 3201 terms
@@ -515,6 +533,8 @@ def test_malformed_class_files_are_not_echoed(tmp_path, monkeypatch, capsys):
              "exponent key '1' does not have 2 entries"),
             ({**empty, "v0": "x"}, "expected monomial/coefficient map, got 'x'"),
             ({**empty, "v0": {"-1,0": "1"}}, "negative exponent in key '-1,0'"),
+            (["v0", "v1", "v2", "v3"],
+             "class JSON must map vertex labels to polynomials"),
             # "01,0" names the monomial of "1,0"; the later key silently
             # replaced its term, and integrate pushed forward another class
             ({**empty, "v0": {"1,0": "1", "01,0": "2"}},
@@ -632,20 +652,28 @@ def test_oracle_mismatch_exits_4(monkeypatch, capsys):
     assert report["oracle"]["volume"] == "1/2"
 
 
-def test_catalog_commands_take_no_rank(monkeypatch):
+def test_catalog_commands_take_no_rank(tmp_path, monkeypatch):
     # facets come from the tight vertex sets, edge directions and pairings
-    # from ints: on full-dimensional input these commands reach no rank
+    # from ints, and volume_oracle's full-dimension verdict from the rows
+    # tight at every vertex: on full-dimensional input every command but
+    # gkm-dim, whose answer is the rank of its degree system, reaches no
+    # rank; writing the class files of the golden digests reaches none
+    monkeypatch.chdir(tmp_path)
     ranks = []
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank",
                         lambda *a, **k: ranks.append(1) or rank(*a, **k))
     for spec in catalog_specs():
-        for command in ("validate", "count", "decompose"):
-            report, code = run_json([command, spec])
+        _write_classes(spec)
+        for command, *options in COMMANDS:
+            if command == "gkm-dim":
+                continue
+            report, code = run_json([command, spec, *options])
             assert code == 0, (command, spec)
             assert report["polytope"]["facets"] == len(from_spec(spec).halfspaces)
     assert ranks == []
-    # the patch is live: a flat square's facets take one affine rank
+    # the patch is live: a flat square's facets take one rank, that of the
+    # normals of its two rows tight at every vertex
     flat = from_halfspaces(3, [((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 0, 0), 0),
                                ((-1, 0, 0), -1), ((0, 1, 0), 0),
                                ((0, -1, 0), -1)])

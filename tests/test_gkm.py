@@ -370,6 +370,8 @@ def test_gkm_dimension_interval():
 def test_gkm_dimension_triangle():
     assert gkm_dimension(TRIANGLE, 0) == 1
     assert gkm_dimension(TRIANGLE, 1) == 3  # equals the facet count
+    with pytest.raises(DomainError, match="^degree must be non-negative$"):
+        gkm_dimension(TRIANGLE, -1)
 
 
 def test_gkm_dimension_degree_zero_counts_components():
@@ -427,6 +429,8 @@ def test_free_module_check():
     assert free_module_check(INTERVAL, 4)
     assert free_module_check(TRIANGLE, 3)
     assert free_module_check(moment_graph(cube(2, 1)), 3)
+    with pytest.raises(DomainError, match="^k_max must be non-negative$"):
+        free_module_check(TRIANGLE, -1)
 
 
 def test_free_module_check_on_larger_degree_systems():
@@ -550,6 +554,9 @@ def test_facet_class_rejects_non_facet():
     P = simplex(2, 1)
     with pytest.raises(DomainError):
         facet_class(P, TRIANGLE, 99)
+    # the square's four vertices against the triangle's three
+    with pytest.raises(DomainError, match="^graph does not match the polytope$"):
+        facet_class(cube(2, 1), TRIANGLE, 0)
 
 
 def test_product_and_module_closure():

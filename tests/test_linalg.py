@@ -407,10 +407,3 @@ def test_adjugate_int_identity():
         ]
         expected = [[d if i == j else 0 for j in range(n)] for i in range(n)]
         assert prod == expected
-
-
-def test_affine_rank():
-    assert linalg.affine_rank([]) == -1
-    assert linalg.affine_rank([(F(1), F(2))]) == 0
-    assert linalg.affine_rank([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))]) == 1
-    assert linalg.affine_rank([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]) == 2

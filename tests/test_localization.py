@@ -24,7 +24,7 @@ from momentkit import (
     volume_localization,
     volume_oracle,
 )
-from momentkit import linalg
+from momentkit import linalg, localization
 from momentkit.algebra import (
     dot,
     linear_poly,
@@ -35,6 +35,7 @@ from momentkit.algebra import (
     vec,
 )
 from momentkit.gkm import (
+    MAX_CLASS_DEGREE,
     MomentGraph,
     choose_generic_direction,
     facet_class,
@@ -126,6 +127,26 @@ def test_pushforward_requires_admissible_class():
     xi = choose_generic_direction(INTERVAL, seed=0)
     with pytest.raises(DomainError):
         pushforward(bad, INTERVAL, xi)
+
+
+def test_pushforward_evaluation_work_limit(monkeypatch):
+    # one monomial at the degree limit sums to the limit and is accepted;
+    # a constant class pushes forward to 0
+    assert MAX_CLASS_DEGREE ** 2 == 2_500_000_000
+    at_limit = ({(50_000,): F(1)},) * 2
+    assert pushforward(at_limit, INTERVAL, vec(F(3, 2))) == 0
+    # x^d + y^d sums 2d^2: accepted at d = 35,355, refused at 35,356 before
+    # the divisibility check
+    xi = vec(1, 2)
+    under = ({(35_355, 0): F(1), (0, 35_355): F(1)},) * 3
+    assert pushforward(under, TRIANGLE, xi) == 0
+    monkeypatch.setattr(localization, "gkm_check", None)
+    over = ({(35_356, 0): F(1), (0, 35_356): F(1)},) * 3
+    with pytest.raises(DomainError, match=(
+            r"^class value at v0 needs evaluation work 2500093472 \(its "
+            r"squared monomial degrees summed\), over the limit of "
+            r"2500000000$")):
+        pushforward(over, TRIANGLE, xi)
 
 
 def test_pushforward_rejects_vanishing_weight():

@@ -354,6 +354,8 @@ def test_volume_dilation_law():
         Q = dilate(P, k)
         assert volume_oracle(Q) == F(k) ** P.dim * base
         assert set(Q.vertices) == {tuple(F(k) * c for c in v) for v in P.vertices}
+    with pytest.raises(DomainError, match="^dilation factor must be positive$"):
+        dilate(cube(2, 1), 0)
 
 
 # the old recursion, which rebuilt every facet with from_halfspaces, kept as
@@ -434,7 +436,7 @@ def test_volume_oracle_matches_the_rebuild_twin():
     # 20 to 34 cuts: most rows are tight at no vertex; a flat draw has no
     # volume, and volume_oracle refuses it
     shapes += [P for P in random_cut_boxes(1, 10, sizes=(20, 34))
-               if linalg.affine_rank(P.vertices) == 3]
+               if _affine_rank(P.vertices) == 3]
     for P in shapes:
         assert volume_oracle(P) == _rebuild_volume(P), P
     assert volume_oracle(ridge_tight_cube()) == 1
@@ -700,10 +702,19 @@ def _fraction_build(dim, halfspaces):
     return tuple(verts), vertex_facets, tuple(edges)
 
 
+def _affine_rank(points):
+    """Dimension of the affine hull, -1 for no points: the rank of the
+    differences from the first point, as linalg.affine_rank computed it
+    before the affine hull was read from the rows tight at every vertex."""
+    if not points:
+        return -1
+    return linalg.rank([list(vsub(p, points[0])) for p in points[1:]])
+
+
 def _rank_facets(P):
     """Polytope.facets as it was before it read the tight vertex sets: one
     Fraction affine rank per row."""
-    return tuple(k for k in range(len(P.halfspaces)) if linalg.affine_rank(
+    return tuple(k for k in range(len(P.halfspaces)) if _affine_rank(
         [v for v, t in zip(P.vertices, P.vertex_facets) if k in t])
         == P.dim - 1)
 
@@ -719,6 +730,17 @@ def _vsub_weights(P):
 def _assert_vertex_data_matches_twins(P):
     assert P.facets == _rank_facets(P)
     assert P.weights == _vsub_weights(P)
+    _assert_volume_verdict_matches_twin(P)
+
+
+def _assert_volume_verdict_matches_twin(P):
+    """volume_oracle refuses P exactly when the twin finds it flat."""
+    if _affine_rank(P.vertices) < P.dim:
+        with pytest.raises(DegenerateInputError,
+                           match="^polytope is not full-dimensional$"):
+            volume_oracle(P)
+    else:
+        assert volume_oracle(P) > 0
 
 
 def _assert_matches_twin(dim, halfspaces):
@@ -790,6 +812,18 @@ TWIN_CASES = {
 def test_integer_build_matches_fraction_twin_on_edge_cases(name):
     error, dim, hs = TWIN_CASES[name]
     assert _assert_matches_twin(dim, hs) is error
+
+
+def test_volume_oracle_refuses_exactly_the_flat_polytopes():
+    # a row tight at every vertex is an implicit equality; the twin reads
+    # the affine hull from the vertex coordinates instead
+    shapes = [from_halfspaces(dim, hs) for error, dim, hs in TWIN_CASES.values()
+              if error is None]
+    shapes += random_cut_boxes(1, 10, sizes=(20, 34))
+    for P in shapes:
+        _assert_volume_verdict_matches_twin(P)
+    # flat_square, segment_2d, segment_3d, point_1d, point_2d and two draws
+    assert sum(_affine_rank(P.vertices) < P.dim for P in shapes) == 7
 
 
 # Unbounded regions whose first ray in combinations order comes from a row
