@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -263,13 +263,19 @@ def poly_degree(f: Poly) -> int:
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, descending lex order,
-    which is lex order on sorted index tuples: where two first differ, the
-    earlier holds the smaller index i, so more x_i and equal x_j for j < i."""
-    if degree < 0:
+    """All exponent tuples of the given total degree, descending lex order.
+
+    Stars and bars: the exponents are the gaps that nvars - 1 bars leave
+    among degree + nvars - 1 slots, O(nvars) each, and rise in lex order as
+    the bars do, so the list is read backwards.  itertools copies the slots,
+    no more of them than tuples once nvars >= 2."""
+    if degree < 0 or (nvars == 0 and degree > 0):
         return []
-    return [tuple(map(c.count, range(nvars)))
-            for c in combinations_with_replacement(range(nvars), degree)]
+    if nvars <= 1:
+        return [(degree,) * nvars]
+    top = degree + nvars - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (top,)))
+            for bars in reversed(list(combinations(range(top), nvars - 1)))]
 
 
 # ---------------------------------------------------------------------------

@@ -171,11 +171,9 @@ def gkm_check(G: MomentGraph, cls: GKMClass) -> GKMCheckReport:
     if bad is not None:
         raise DomainError(f"class monomial {quoted(bad)} has {len(bad)} "
                           f"exponents, expected {G.dim}")
-    failures = []
-    for k, ((i, j), w) in enumerate(zip(G.edges, G.weights)):
-        if not divides_linear(w, poly_sub(cls[i], cls[j])):
-            failures.append(k)
-    return GKMCheckReport(ok=not failures, failures=tuple(failures))
+    failures = tuple(k for k, ((i, j), w) in enumerate(zip(G.edges, G.weights))
+                     if not divides_linear(w, poly_sub(cls[i], cls[j])))
+    return GKMCheckReport(ok=not failures, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +226,10 @@ def gkm_degree_basis(G: MomentGraph, k: int) -> list[GKMClass]:
     """Basis of the degree-k admissible classes from the exact nullspace."""
     rows, ncols = _degree_system(G, k)
     monos = monomials(G.dim, k)
-    nmono = len(monos)
-    basis = []
-    for v in linalg.nullspace(rows, ncols=ncols):
-        cls = []
-        for p in range(len(G.positions)):
-            f: Poly = {}
-            for idx, m in enumerate(monos):
-                c = v[p * nmono + idx]
-                if c:
-                    f[m] = c
-            cls.append(f)
-        basis.append(tuple(cls))
-    return basis
+    n = len(monos)
+    return [tuple({m: c for m, c in zip(monos, v[p * n:p * n + n]) if c}
+                  for p in range(len(G.positions)))
+            for v in linalg.nullspace(rows, ncols=ncols)]
 
 
 # ---------------------------------------------------------------------------

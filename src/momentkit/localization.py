@@ -37,6 +37,11 @@ from .errors import DomainError, NotDelzantError, NotGenericError
 from .gkm import MAX_CLASS_DEGREE, GKMClass, MomentGraph, gkm_check
 from .polytopes import Polytope, smoothness_report
 
+# Evaluating a monomial of degree d at an integer point costs about d^2 past
+# a fixed 3-30 us of Fraction arithmetic per term (x86, one core), which is
+# what the d^2 part costs at d = 1000; the work limit charges each term so.
+TERM_DEGREE_FLOOR = 1000
+
 
 def _isotropy(G: MomentGraph) -> tuple[tuple[Vec, ...], ...]:
     """``G.isotropy``, checked to hold exactly dim weights at every vertex."""
@@ -76,18 +81,19 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
 
     Only classes passing the divisibility conditions have a well-defined
     push-forward, so admissibility is enforced up front.  Before that, a
-    value whose monomials' squared degrees sum to more than
-    ``MAX_CLASS_DEGREE ** 2`` is refused: evaluating a monomial of degree d
-    costs about d^2, and one monomial at the degree limit stays allowed.
+    value is refused when the squares of its monomials' degrees, each
+    raised to ``TERM_DEGREE_FLOOR`` first, sum to more than
+    ``MAX_CLASS_DEGREE ** 2``; one monomial at the degree limit is allowed.
     """
     xi = as_vec(xi)
     limit = MAX_CLASS_DEGREE ** 2
     for label, f in zip(G.labels, cls):
-        work = sum(sum(mono) ** 2 for mono in f)
+        work = sum(max(sum(mono), TERM_DEGREE_FLOOR) ** 2 for mono in f)
         if work > limit:
             raise DomainError(
                 f"class value at {label} needs evaluation work {work} (its "
-                f"squared monomial degrees summed), over the limit of {limit}")
+                f"squared monomial degrees, each at least "
+                f"{TERM_DEGREE_FLOOR}, summed), over the limit of {limit}")
     weights = _isotropy(G)
     report = gkm_check(G, cls)
     if not report.ok:

@@ -317,6 +317,7 @@ def test_pivot_index_prefers_largest_then_lowest():
 def test_monomials_order_and_count():
     assert monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials(1, 3) == [(3,)]
+    assert monomials(1, 10**30) == [(10**30,)]
     assert monomials(3, 0) == [(0, 0, 0)]
     assert len(monomials(3, 4)) == 15  # C(4+2, 2)
     assert monomials(0, 0) == [()]

@@ -344,7 +344,8 @@ def test_class_evaluation_work_over_the_limit_exits_3(tmp_path, capsys):
     assert time.process_time() - start < 1.0
     assert capsys.readouterr().err == (
         "error: class value at v0 needs evaluation work 124950005000 (its "
-        "squared monomial degrees summed), over the limit of 2500000000\n")
+        "squared monomial degrees, each at least 1000, summed), over the "
+        "limit of 2500000000\n")
     # gkm-check evaluates nothing, and its verdict stands
     assert cli.main(["gkm-check", "hirzebruch:2", "--class", str(path)]) == 0
     capsys.readouterr()

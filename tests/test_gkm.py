@@ -365,6 +365,9 @@ def test_gkm_dimension_interval():
     assert gkm_dimension(INTERVAL, 0) == 1
     assert gkm_dimension(INTERVAL, 1) == 2
     assert gkm_dimension(INTERVAL, 4) == 2
+    # one variable has one monomial of each degree, built without a pass
+    # over the degree
+    assert gkm_dimension(INTERVAL, 10**12) == 2
 
 
 def test_gkm_dimension_triangle():

@@ -1,6 +1,7 @@
 """Fixed-point push-forwards, vanishing, and exact volumes."""
 
 import random
+import time
 from fractions import Fraction as F
 from math import factorial
 
@@ -28,6 +29,7 @@ from momentkit import linalg, localization
 from momentkit.algebra import (
     dot,
     linear_poly,
+    monomials,
     poly_const,
     poly_mul,
     poly_pow,
@@ -140,13 +142,28 @@ def test_pushforward_evaluation_work_limit(monkeypatch):
     xi = vec(1, 2)
     under = ({(35_355, 0): F(1), (0, 35_355): F(1)},) * 3
     assert pushforward(under, TRIANGLE, xi) == 0
+    # each term is charged at least 1000^2: 2,500 terms of degree 100 to 124
+    # are accepted, and one more is refused
+    low = [m for d in range(100, 125) for m in monomials(2, d)]
+    assert localization.TERM_DEGREE_FLOOR == 1000 and len(low) > 2_500
+    assert pushforward(({m: F(1) for m in low[:2_500]},) * 3, TRIANGLE, xi) == 0
     monkeypatch.setattr(localization, "gkm_check", None)
     over = ({(35_356, 0): F(1), (0, 35_356): F(1)},) * 3
-    with pytest.raises(DomainError, match=(
-            r"^class value at v0 needs evaluation work 2500093472 \(its "
-            r"squared monomial degrees summed\), over the limit of "
-            r"2500000000$")):
-        pushforward(over, TRIANGLE, xi)
+    for cls, work in ((over, 2_500_093_472),
+                      (({m: F(1) for m in low[:2_501]},) * 3, 2_501_000_000)):
+        with pytest.raises(DomainError, match=(
+                rf"^class value at v0 needs evaluation work {work} \(its "
+                r"squared monomial degrees, each at least 1000, summed\), "
+                r"over the limit of 2500000000$")):
+            pushforward(cls, TRIANGLE, xi)
+    # 30,000 terms of degree 288 at every vertex of cube:3:3 took 30 s of
+    # CPU time to evaluate under the squared degrees alone; now refused
+    G = moment_graph(from_spec("cube:3:3"))
+    wide = dict.fromkeys(monomials(3, 288)[:30_000], F(1))
+    start = time.process_time()
+    with pytest.raises(DomainError, match="work 30000000000 "):
+        pushforward((wide,) * len(G.positions), G, vec(730, -211, 553))
+    assert time.process_time() - start < 1.0
 
 
 def test_pushforward_rejects_vanishing_weight():
