@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
-from .errors import DomainError, quoted
+from .errors import DomainError, check_limit, quoted
 
 Vec = tuple[Fraction, ...]
 
@@ -126,9 +126,9 @@ def check_digits(s: str) -> None:
     limit = sys.get_int_max_str_digits()
     if 0 < limit < len(s):
         digits = sum(map(str.isdecimal, s))
-        if digits > limit:
-            raise DomainError(f"a number written with {digits} digits is "
-                              f"over the limit of {limit} digits")
+        check_limit(digits, limit,
+                    lambda: f"a number written with {digits} digits is",
+                    " digits")
 
 
 def parse_rat(s) -> Fraction:
@@ -147,10 +147,10 @@ def parse_rat(s) -> Fraction:
             power = int(s.lower().partition("e")[2])
         except ValueError:  # no exponent, or a malformed one Fraction refuses
             power = 0
-        if 0 < limit < abs(power):
-            raise DomainError(f"a number written with an exponent over {limit} "
-                              f"in absolute value is over the limit of "
-                              f"{limit} digits")
+        if 0 < limit:
+            check_limit(abs(power), limit,
+                        lambda: f"a number written with an exponent over "
+                                f"{limit} in absolute value is", " digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -331,19 +331,15 @@ def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
     if s > 1:
         counts = [(comb(mono[piv] + s - 1, s - 1), mono[piv]) for mono in f]
         terms = sum(c for c, _ in counts)
-        if terms > MAX_RESTRICTION_TERMS:
-            raise DomainError(
-                f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
-                f"expands to {terms} terms, over the limit of "
-                f"{MAX_RESTRICTION_TERMS}")
+        check_limit(terms, MAX_RESTRICTION_TERMS, lambda: (
+            f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
+            f"expands to {terms} terms,"))
         bits = max(c.numerator.bit_length() + c.denominator.bit_length()
                    for c in sol.values())
         size = bits * sum(c * t for c, t in counts)
-        if size > MAX_RESTRICTION_BITS:
-            raise DomainError(
-                f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
-                f"expands to about {size} bits, over the limit of "
-                f"{MAX_RESTRICTION_BITS}")
+        check_limit(size, MAX_RESTRICTION_BITS, lambda: (
+            f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
+            f"expands to about {size} bits,"))
 
     powers: dict[int, Poly] = {}  # t -> sol**t
     out: Poly = {}

@@ -1,5 +1,6 @@
-"""Exception taxonomy shared across the package, and the quoting of user
-input in error messages."""
+"""Exception taxonomy shared across the package, the quoting of user
+input in error messages, and ``check_limit``, the one refusal of work over
+a limit: every work limit in the package compares its count there."""
 
 # an error message names a longer argument by a prefix and its length
 MAX_ECHO = 80
@@ -19,6 +20,14 @@ def quoted(value, exc=None) -> str:
 
 class DomainError(ValueError):
     """Input lies outside an operation's mathematical domain."""
+
+
+def check_limit(count, limit, subject, unit="") -> None:
+    """Raise DomainError "<subject()> over the limit of <limit><unit>" when
+    ``count > limit``.  ``subject`` is called on refusal only; it names the
+    count and ends in "," or " is"."""
+    if count > limit:
+        raise DomainError(f"{subject()} over the limit of {limit}{unit}")
 
 
 class EmptyRegionError(DomainError):

@@ -42,7 +42,7 @@ from .algebra import (
     vec_to_json,
     vneg,
 )
-from .errors import DomainError, NotDelzantError, NotGenericError, quoted
+from .errors import DomainError, NotDelzantError, NotGenericError, check_limit, quoted
 from .polytopes import Polytope, smoothness_report
 
 # A candidate equivariant class: one polynomial per graph vertex.
@@ -198,10 +198,8 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
         raise DomainError("degree must be non-negative")
     n = G.dim
     unknowns = len(G.positions) * comb(k + n - 1, n - 1)
-    if unknowns > MAX_DEGREE_UNKNOWNS:
-        raise DomainError(
-            f"degree {k} needs {unknowns} unknowns, over the limit of "
-            f"{MAX_DEGREE_UNKNOWNS}")
+    check_limit(unknowns, MAX_DEGREE_UNKNOWNS,
+                lambda: f"degree {k} needs {unknowns} unknowns,")
     monos = monomials(n, k)
     nmono = len(monos)
     rows: list[list] = []
@@ -331,7 +329,5 @@ def gkm_class_from_json(G: MomentGraph, obj) -> GKMClass:
             f"{quoted(sorted(expected))}")
     cls = tuple(poly_from_json(obj[label], G.dim) for label in G.labels)
     degree = max(map(poly_degree, cls))
-    if degree > MAX_CLASS_DEGREE:
-        raise DomainError(f"class has degree {degree}, over the limit of "
-                          f"{MAX_CLASS_DEGREE}")
+    check_limit(degree, MAX_CLASS_DEGREE, lambda: f"class has degree {degree},")
     return cls

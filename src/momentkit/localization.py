@@ -33,7 +33,7 @@ from .algebra import (
     poly_mul,
     vec_to_json,
 )
-from .errors import DomainError, NotDelzantError, NotGenericError
+from .errors import DomainError, NotDelzantError, NotGenericError, check_limit
 from .gkm import MAX_CLASS_DEGREE, GKMClass, MomentGraph, gkm_check
 from .polytopes import Polytope, smoothness_report
 
@@ -86,14 +86,12 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     ``MAX_CLASS_DEGREE ** 2``; one monomial at the degree limit is allowed.
     """
     xi = as_vec(xi)
-    limit = MAX_CLASS_DEGREE ** 2
     for label, f in zip(G.labels, cls):
         work = sum(max(sum(mono), TERM_DEGREE_FLOOR) ** 2 for mono in f)
-        if work > limit:
-            raise DomainError(
-                f"class value at {label} needs evaluation work {work} (its "
-                f"squared monomial degrees, each at least "
-                f"{TERM_DEGREE_FLOOR}, summed), over the limit of {limit}")
+        check_limit(work, MAX_CLASS_DEGREE ** 2, lambda: (
+            f"class value at {label} needs evaluation work {work} (its "
+            f"squared monomial degrees, each at least {TERM_DEGREE_FLOOR}, "
+            f"summed),"))
     weights = _isotropy(G)
     report = gkm_check(G, cls)
     if not report.ok:

@@ -40,7 +40,7 @@ from . import linalg
 from .algebra import (
     Vec, as_vec, clear_denominators, dot, generic_vector, primitive,
     vec_to_json, vneg, vsub)
-from .errors import DomainError, NonSimpleVertexError, NotPolarizingError
+from .errors import DomainError, NonSimpleVertexError, NotPolarizingError, check_limit
 from .polytopes import Polytope
 
 # signed_lattice_count refuses a decomposition whose parallelepipeds hold
@@ -305,10 +305,8 @@ def signed_lattice_count(P: Polytope, xi, box) -> int:
                     f"{coord} outside [{lo}, {hi}]")
     cones = polar_decompose(P, xi)
     points = sum(abs(cone.lattice[2]) for cone in cones)
-    if points > MAX_PARALLELEPIPED_POINTS:
-        raise DomainError(
-            f"vertex cones hold {points} parallelepiped points, over the "
-            f"limit of {MAX_PARALLELEPIPED_POINTS}")
+    check_limit(points, MAX_PARALLELEPIPED_POINTS,
+                lambda: f"vertex cones hold {points} parallelepiped points,")
     # the constant term is unchanged by t -> ct, so xi may be made integral
     xi_int, _ = clear_denominators(xi)
     total = Fraction(0)

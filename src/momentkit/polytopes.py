@@ -59,6 +59,7 @@ from .errors import (
     DomainError,
     EmptyRegionError,
     UnboundedRegionError,
+    check_limit,
     quoted,
 )
 
@@ -231,11 +232,6 @@ def _edges(dim: int, normals: list[tuple[int, ...]],
 MAX_DIMENSION = 16
 
 
-def _check_dimension(dim: int) -> None:
-    if dim > MAX_DIMENSION:
-        raise DomainError(f"dimension {dim} is over the limit of {MAX_DIMENSION}")
-
-
 # from_halfspaces refuses, before any solve, m distinct half-spaces in
 # dimension n when C(m, n) vertex solves plus C(m, n-1) kernel tests for
 # edges and boundedness exceed this; cube:8 counts 24,310, a 40-half-space
@@ -261,7 +257,7 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     """
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
-    _check_dimension(dim)
+    check_limit(dim, MAX_DIMENSION, lambda: f"dimension {dim} is")
     given = [h if isinstance(h, HalfSpace) else HalfSpace.make(*h) for h in halfspaces]
     if not given:
         raise DomainError("at least one half-space is required")
@@ -273,10 +269,9 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
             raise DomainError("half-space normal must be nonzero")
     canon = list(dict.fromkeys(_canonical_halfspace(h) for h in given))
     subsets = comb(len(canon), dim) + comb(len(canon), dim - 1)
-    if subsets > MAX_CONSTRAINT_SUBSETS:
-        raise DomainError(
-            f"{len(canon)} half-spaces in dimension {dim} need {subsets} "
-            f"constraint subsets, over the limit of {MAX_CONSTRAINT_SUBSETS}")
+    check_limit(subsets, MAX_CONSTRAINT_SUBSETS, lambda: (
+        f"{len(canon)} half-spaces in dimension {dim} need {subsets} "
+        f"constraint subsets,"))
 
     rows = [(tuple(c * h.offset.denominator for c in h.normal),
              h.offset.numerator) for h in canon]
@@ -330,7 +325,7 @@ def simplex(n: int, scale=1) -> Polytope:
     scale = Fraction(scale)
     if n < 1 or scale <= 0:
         raise DomainError("simplex needs n >= 1 and scale > 0")
-    _check_dimension(n)
+    check_limit(n, MAX_DIMENSION, lambda: f"dimension {n} is")
     hs = [HalfSpace.make([1 if j == i else 0 for j in range(n)], 0) for i in range(n)]
     hs.append(HalfSpace.make([-1] * n, -scale))
     return from_halfspaces(n, hs)
@@ -341,7 +336,7 @@ def cube(n: int, scale=1) -> Polytope:
     scale = Fraction(scale)
     if n < 1 or scale <= 0:
         raise DomainError("cube needs n >= 1 and scale > 0")
-    _check_dimension(n)
+    check_limit(n, MAX_DIMENSION, lambda: f"dimension {n} is")
     hs = []
     for i in range(n):
         e = [1 if j == i else 0 for j in range(n)]
@@ -511,9 +506,8 @@ def check_box_size(box) -> None:
     """Raise DomainError when the inclusive integer ``box`` holds more than
     MAX_BOX_POINTS points."""
     points = prod(max(0, hi - lo + 1) for lo, hi in box)
-    if points > MAX_BOX_POINTS:
-        raise DomainError(f"integer box holds {points} points, over the "
-                          f"limit of {MAX_BOX_POINTS}")
+    check_limit(points, MAX_BOX_POINTS,
+                lambda: f"integer box holds {points} points,")
 
 
 def _lattice_runs(P: Polytope, box):

@@ -297,6 +297,17 @@ def test_restriction_refusals_name_the_form(monkeypatch):
     assert len(restrict_to_hyperplane(ell, f)) == 6
 
 
+def test_accepted_restriction_formats_no_form_name(monkeypatch):
+    # x^2 on x + y + z = 0 passes both checks; the refusal's subject, which
+    # names the form, is never built
+    def refuse(v):
+        raise AssertionError("the form was formatted")
+
+    monkeypatch.setattr(algebra, "vec_to_json", refuse)
+    assert restrict_to_hyperplane(vec(1, 1, 1), {(2, 0, 0): F(1)}) == {
+        (0, 2, 0): F(1), (0, 1, 1): F(2), (0, 0, 2): F(1)}
+
+
 def test_poly_pow_matches_repeated_products():
     f = poly_add(linear_poly(vec(1, F(-2, 3), 5)), poly_const(3, 2))
     expected = poly_const(3, 1)

@@ -2,11 +2,17 @@
 
 import ast
 import io
+import sys
 import tokenize
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import momentkit
+from momentkit import algebra, gkm, localization, polar, polytopes
+from momentkit.algebra import format_rat, parse_rat, restrict_to_hyperplane, vec
+from momentkit.errors import DomainError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -140,6 +146,21 @@ def test_every_public_function_has_a_caller():
                        f"{', '.join(stale)}")
 
 
+def _owners(found) -> list[str]:
+    """``module.function`` of the innermost def around each node of src/
+    for which ``found`` is true, ``module.<module>`` outside any def."""
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in filter(found, ast.walk(tree)):
+            owner = max((d for d in defs
+                         if d.lineno <= node.lineno <= d.end_lineno),
+                        key=lambda d: d.lineno, default=None)
+            owners.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    return owners
+
+
 def _clears_denominators(node: ast.AST) -> bool:
     """True for a call ``lcm(*(... .denominator ...))``."""
     return (isinstance(node, ast.Call)
@@ -153,13 +174,128 @@ def _clears_denominators(node: ast.AST) -> bool:
 def test_denominators_are_cleared_in_one_place():
     """The lcm of a vector's denominators is taken by
     ``algebra.clear_denominators`` alone; every other caller uses it."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-        for node in filter(_clears_denominators, ast.walk(tree)):
-            owner = max((d for d in defs
-                         if d.lineno <= node.lineno <= d.end_lineno),
-                        key=lambda d: d.lineno, default=None)
-            found.append(f"{path.stem}.{owner.name if owner else '<module>'}")
-    assert found == ["algebra.clear_denominators"]
+    assert _owners(_clears_denominators) == ["algebra.clear_denominators"]
+
+
+def test_work_limit_refusals_are_worded_in_one_place():
+    """Every work limit is refused through ``errors.check_limit``; only
+    ``algebra.format_rat`` words Python's own refusal to print."""
+    found = _owners(lambda node: isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and "over the limit of" in node.value)
+    assert sorted(set(found)) == ["algebra.format_rat", "errors.check_limit"]
+
+
+# Each work limit through its public entry: (limit, (value, call) accepted
+# at that limit, (value, call) refused with the message).  The limit is a
+# module constant, or Python's digit limit for reading and printing.
+# _at_and_one_over keeps the call and lowers the limit by one.
+CUBE2 = polytopes.cube(2, 1)
+TRIANGLE = polytopes.simplex(2, 1)
+FORM, X5 = vec(3, Fraction(-1, 2), 2), {(5, 0, 0): Fraction(1)}  # 6 terms
+DIGITS = (sys, "int_max_str_digits")
+
+
+def _at_and_one_over(owner, name, count, call, message):
+    return (owner, name), (count, call), (count - 1, call), message
+
+
+def _pushforward(*monos):
+    return lambda: localization.pushforward(
+        (dict.fromkeys(monos, Fraction(1)),) * 3, gkm.moment_graph(TRIANGLE),
+        vec(1, 2))
+
+
+WORK_LIMITS = {
+    "dimension/cube": _at_and_one_over(
+        polytopes, "MAX_DIMENSION", 2, lambda: polytopes.cube(2, 1),
+        "dimension 2 is over the limit of 1"),
+    "dimension/simplex": _at_and_one_over(
+        polytopes, "MAX_DIMENSION", 2, lambda: polytopes.simplex(2, 1),
+        "dimension 2 is over the limit of 1"),
+    "dimension/from_halfspaces": _at_and_one_over(
+        polytopes, "MAX_DIMENSION", 2,
+        lambda: polytopes.from_halfspaces(2, TRIANGLE.halfspaces),
+        "dimension 2 is over the limit of 1"),
+    # C(6, 3) + C(6, 2) vertex solves and kernel tests
+    "constraint subsets": _at_and_one_over(
+        polytopes, "MAX_CONSTRAINT_SUBSETS", 35, lambda: polytopes.cube(3, 1),
+        "6 half-spaces in dimension 3 need 35 constraint subsets, over the "
+        "limit of 34"),
+    "box points": _at_and_one_over(
+        polytopes, "MAX_BOX_POINTS", 4,
+        lambda: polytopes.lattice_points_oracle(CUBE2),
+        "integer box holds 4 points, over the limit of 3"),
+    "parallelepiped points": _at_and_one_over(
+        polar, "MAX_PARALLELEPIPED_POINTS", 4,
+        lambda: polar.signed_lattice_count(
+            CUBE2, polar.choose_polarizing_vector(CUBE2),
+            polytopes.tight_box(CUBE2)),
+        "vertex cones hold 4 parallelepiped points, over the limit of 3"),
+    "degree unknowns": _at_and_one_over(
+        gkm, "MAX_DEGREE_UNKNOWNS", 8,
+        lambda: gkm.gkm_dimension(gkm.moment_graph(CUBE2), 1),
+        "degree 1 needs 8 unknowns, over the limit of 7"),
+    "class degree": _at_and_one_over(
+        gkm, "MAX_CLASS_DEGREE", 3,
+        lambda: gkm.gkm_class_from_json(
+            gkm.moment_graph(CUBE2),
+            {"v0": {"3,0": "1"}, "v1": {}, "v2": {}, "v3": {}}),
+        "class has degree 3, over the limit of 2"),
+    # the limit is MAX_CLASS_DEGREE ** 2 = 8119^2, and 2 * 5741^2 is one more
+    "evaluation work": (
+        (localization, "MAX_CLASS_DEGREE"), (8119, _pushforward((8119, 0))),
+        (8119, _pushforward((5741, 0), (0, 5741))),
+        "class value at v0 needs evaluation work 65918162 (its squared "
+        "monomial degrees, each at least 1000, summed), over the limit of "
+        "65918161"),
+    "restriction terms": _at_and_one_over(
+        algebra, "MAX_RESTRICTION_TERMS", 6,
+        lambda: restrict_to_hyperplane(FORM, X5),
+        "restricting to the hyperplane of 3,-1/2,2 expands to 6 terms, over "
+        "the limit of 5"),
+    # about 4 * 6 * 5 bits
+    "restriction bits": _at_and_one_over(
+        algebra, "MAX_RESTRICTION_BITS", 120,
+        lambda: restrict_to_hyperplane(FORM, X5),
+        "restricting to the hyperplane of 3,-1/2,2 expands to about 120 "
+        "bits, over the limit of 119"),
+    "digits": _at_and_one_over(
+        *DIGITS, 700, lambda: parse_rat("1" * 700),
+        "a number written with 700 digits is over the limit of 699 digits"),
+    "exponent": _at_and_one_over(
+        *DIGITS, 700, lambda: parse_rat("1e700"),
+        "a number written with an exponent over 699 in absolute value is "
+        "over the limit of 699 digits"),
+    # no count is compared: str() refuses 10^700, 701 digits
+    "printing": (DIGITS, None, (700, lambda: format_rat(10 ** 700)),
+                 "a rational of about 701 digits is over the limit of 700 "
+                 "digits for printing"),
+}
+
+
+@pytest.fixture
+def set_limit(monkeypatch):
+    """Set a module constant, or Python's digit limit, restored after."""
+    digits = sys.get_int_max_str_digits()
+
+    def set_limit(owner, name, value):
+        if owner is sys:
+            sys.set_int_max_str_digits(value)
+        else:
+            monkeypatch.setattr(owner, name, value)
+
+    yield set_limit
+    sys.set_int_max_str_digits(digits)
+
+
+@pytest.mark.parametrize("case", WORK_LIMITS)
+def test_work_limits_accept_at_and_refuse_one_over(case, set_limit):
+    limit, at, over, message = WORK_LIMITS[case]
+    if at is not None:
+        set_limit(*limit, at[0])
+        at[1]()
+    set_limit(*limit, over[0])
+    with pytest.raises(DomainError) as got:
+        over[1]()
+    assert str(got.value) == message
