@@ -49,7 +49,6 @@ from .polar import (
     cone_contains,
     is_polarizing,
     polar_decompose,
-    polarize,
     signed_indicator_sum,
     signed_lattice_count,
 )

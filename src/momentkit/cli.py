@@ -188,7 +188,7 @@ def _cmd_decompose(P, args):
     }
     pts = _sample_points(P)
     agree = all(
-        polar.signed_indicator_sum(P, xi, x) == int(P.contains(x)) for x in pts
+        polar.signed_indicator_sum(cones, x) == int(P.contains(x)) for x in pts
     )
     oracle = {"indicator_points": len(pts), "agree": agree}
     return result, oracle, "ok" if agree else "oracle-mismatch"

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from . import gkm
 from .algebra import (
     ONE,
     ZERO,
@@ -34,7 +35,7 @@ from .algebra import (
     vec_to_json,
 )
 from .errors import DomainError, NotDelzantError, NotGenericError, check_limit
-from .gkm import MAX_CLASS_DEGREE, GKMClass, MomentGraph, gkm_check
+from .gkm import GKMClass, MomentGraph, gkm_check
 from .polytopes import Polytope, smoothness_report
 
 # Evaluating a monomial of degree d at an integer point costs about d^2 past
@@ -83,12 +84,13 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     push-forward, so admissibility is enforced up front.  Before that, a
     value is refused when the squares of its monomials' degrees, each
     raised to ``TERM_DEGREE_FLOOR`` first, sum to more than
-    ``MAX_CLASS_DEGREE ** 2``; one monomial at the degree limit is allowed.
+    ``gkm.MAX_CLASS_DEGREE ** 2``, read at call time; one monomial at the
+    degree limit is allowed.
     """
     xi = as_vec(xi)
     for label, f in zip(G.labels, cls):
         work = sum(max(sum(mono), TERM_DEGREE_FLOOR) ** 2 for mono in f)
-        check_limit(work, MAX_CLASS_DEGREE ** 2, lambda: (
+        check_limit(work, gkm.MAX_CLASS_DEGREE ** 2, lambda: (
             f"class value at {label} needs evaluation work {work} (its "
             f"squared monomial degrees, each at least {TERM_DEGREE_FLOOR}, "
             f"summed),"))

@@ -24,7 +24,8 @@ inside list comprehensions and memory does not grow with |det|.
 Only simple vertices are supported, so each cone is one n-by-n integer
 matrix, eliminated once, on the first read of ``PolarizedCone.lattice``:
 its adjugate gives exact membership signs and the parallelepiped's
-lattice points.
+lattice points.  ``polar_decompose`` builds the cones per call and keeps
+none: they are held by the caller, and die with it.
 """
 
 from __future__ import annotations
@@ -107,35 +108,12 @@ def choose_polarizing_vector(P: Polytope, seed=0) -> Vec:
         for w, j in zip(at_v, adjacent) if i < j], seed=seed)
 
 
-def polarize(P: Polytope, i: int, xi) -> PolarizedCone:
-    """Polarized tangent cone at vertex i for the direction xi.
-
-    xi's denominators are cleared once: a positive scale keeps the sign of
-    each pairing, so every weight pairs with one integer vector."""
-    xi = as_vec(xi)
-    if len(xi) != P.dim:
-        raise ValueError(f"vector length mismatch: {P.dim} vs {len(xi)}")
-    xi_int, _ = clear_denominators(xi)
-    generators: list[Vec] = []
-    flags: list[bool] = []
-    for alpha in P.weights[i]:
-        pairing = sum(map(mul, alpha, xi_int))
-        if pairing == 0:
-            raise NotPolarizingError(
-                f"direction pairs to zero with edge vector {vec_to_json(alpha)}")
-        if pairing > 0:
-            generators.append(vneg(alpha))
-            flags.append(True)
-        else:
-            generators.append(alpha)
-            flags.append(False)
-    sign = -1 if sum(flags) % 2 else 1
-    return PolarizedCone(P.vertices[i], tuple(generators), tuple(flags), sign)
-
-
 def _contains(cone: PolarizedCone, x: Vec) -> bool:
     """x in the cone iff its coefficients A^-1 (x - apex) obey the flags,
     each sign read from an integer product with adj(A)."""
+    if len(x) != len(cone.apex):
+        raise DomainError(
+            f"point has dimension {len(x)}, expected {len(cone.apex)}")
     _, adj, det = cone.lattice
     y, _ = clear_denominators(vsub(x, cone.apex))
     for row, is_open in zip(adj, cone.open_flags):
@@ -247,36 +225,42 @@ def _constant_term(sums: list[int], ws: list[int]) -> Fraction:
 
 def cone_contains(cone: PolarizedCone, x) -> bool:
     """Exact membership honoring each generator's closed/open flag."""
-    x = as_vec(x)
-    if len(x) != len(cone.apex):
-        raise DomainError(
-            f"point has dimension {len(x)}, expected {len(cone.apex)}")
-    return _contains(cone, x)
+    return _contains(cone, as_vec(x))
 
 
 def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
-    """Polarized tangent cone at every vertex, in vertex order; cached on P,
-    so the cones and their eliminations die with it."""
+    """Polarized tangent cone at every vertex, in vertex order.
+
+    xi's denominators are cleared once: a positive scale keeps the sign of
+    each pairing, so every weight pairs with one integer vector.  The cones
+    are built per call and belong to the caller; P keeps none of them."""
     xi = as_vec(xi)
-    if xi not in P._polar:
-        P._polar[xi] = tuple(polarize(P, i, xi)
-                             for i in range(len(P.vertices)))
-    return P._polar[xi]
+    if len(xi) != P.dim:
+        raise ValueError(f"vector length mismatch: {P.dim} vs {len(xi)}")
+    xi_int, _ = clear_denominators(xi)
+    cones = []
+    for apex, at_v in zip(P.vertices, P.weights):
+        pairings = [sum(map(mul, alpha, xi_int)) for alpha in at_v]
+        if 0 in pairings:
+            raise NotPolarizingError(
+                f"direction pairs to zero with edge vector "
+                f"{vec_to_json(at_v[pairings.index(0)])}")
+        flags = tuple(pairing > 0 for pairing in pairings)
+        generators = tuple(vneg(a) if f else a for a, f in zip(at_v, flags))
+        cones.append(PolarizedCone(apex, generators, flags, (-1) ** sum(flags)))
+    return tuple(cones)
 
 
-def signed_indicator_sum(P: Polytope, xi, x) -> int:
-    """Sum over vertices of sign * [x in polarized cone].
+def signed_indicator_sum(cones: tuple[PolarizedCone, ...], x) -> int:
+    """Sum of sign * [x in cone] over the cones of a decomposition.
 
-    Computed independently of any membership test on P itself; equality
-    with ``P.contains(x)`` as 0/1 is the content of the decomposition
-    identity and is asserted by the test suite, never assumed here.
+    Computed from the cones alone, with no membership test on the
+    polytope; equality with ``P.contains(x)`` as 0/1 is the content of the
+    decomposition identity and is asserted by the test suite, never assumed
+    here.
     """
-    xi = as_vec(xi)
     x = as_vec(x)
-    if len(x) != P.dim:
-        raise DomainError(f"point has dimension {len(x)}, expected {P.dim}")
-    return sum(cone.sign for cone in polar_decompose(P, xi)
-               if _contains(cone, x))
+    return sum(cone.sign for cone in cones if _contains(cone, x))
 
 
 def signed_lattice_count(P: Polytope, xi, box) -> int:

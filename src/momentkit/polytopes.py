@@ -120,6 +120,8 @@ class Polytope:
     X_j*d_i - X_i*d_j.  ``facets`` are read from the tight vertex sets
     alone (see its docstring).  ``weights`` and ``facets`` are built on
     first read, then kept (``functools.cached_property``), both in ints.
+    A polytope keeps nothing per direction: ``polar.polar_decompose``
+    builds the polarized cones per call, and the caller holds them.
     """
 
     def __init__(self, dim, halfspaces, vertices, vertex_facets, edges, int_rows):
@@ -135,8 +137,6 @@ class Polytope:
             adjacent[j].append(i)
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in adjacent)
-        # polarizing direction -> its polarized vertex cones; owned by polar
-        self._polar: dict = {}
 
     def __repr__(self) -> str:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "

@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "from_spec", "generic_vector", "gkm", "gkm_check", "gkm_degree_basis",
     "gkm_dimension", "hirzebruch", "is_polarizing", "lattice_points_oracle",
     "linalg", "localization", "moment_graph", "polar", "polar_decompose",
-    "polarize", "poly_quotient_by_linear", "polytopes", "primitive",
+    "poly_quotient_by_linear", "polytopes", "primitive",
     "pushforward", "signed_indicator_sum", "signed_lattice_count", "simplex",
     "smoothness_report", "tight_box", "volume_localization", "volume_oracle",
 ]
@@ -37,6 +37,30 @@ PUBLIC_NAMES = [
 
 def test_public_names():
     assert sorted(momentkit.__all__) == PUBLIC_NAMES
+
+
+# What a Polytope holds: the fields its constructor sets and the two
+# properties it caches.  Per-direction data, such as polarized cones, stays
+# with the caller, so one polytope used for many directions holds no more.
+POLYTOPE_FIELDS = {"dim", "halfspaces", "vertices", "vertex_facets", "edges",
+                   "int_rows", "neighbors", "weights", "facets"}
+
+
+def test_polytope_carries_only_its_own_data():
+    for spec in ("hirzebruch:2", "cube:3:1"):
+        P = polytopes.from_spec(spec)
+        xi = polar.choose_polarizing_vector(P)
+        cones = polar.polar_decompose(P, xi)
+        assert (polar.signed_lattice_count(P, xi, polytopes.tight_box(P))
+                == polytopes.lattice_points_oracle(P))
+        assert all(polar.signed_indicator_sum(cones, v) == 1
+                   for v in P.vertices)
+        assert (localization.volume_localization(P, xi)
+                == polytopes.volume_oracle(P))
+        G = gkm.moment_graph(P)
+        betti = gkm.betti_numbers(G, gkm.choose_generic_direction(G))
+        assert sum(betti) == len(P.vertices)
+        assert set(vars(P)) <= POLYTOPE_FIELDS, set(vars(P)) - POLYTOPE_FIELDS
 
 
 def _quickstart() -> str:
@@ -244,7 +268,7 @@ WORK_LIMITS = {
         "class has degree 3, over the limit of 2"),
     # the limit is MAX_CLASS_DEGREE ** 2 = 8119^2, and 2 * 5741^2 is one more
     "evaluation work": (
-        (localization, "MAX_CLASS_DEGREE"), (8119, _pushforward((8119, 0))),
+        (gkm, "MAX_CLASS_DEGREE"), (8119, _pushforward((8119, 0))),
         (8119, _pushforward((5741, 0), (0, 5741))),
         "class value at v0 needs evaluation work 65918162 (its squared "
         "monomial degrees, each at least 1000, summed), over the limit of "

@@ -28,7 +28,6 @@ from momentkit import (
     is_polarizing,
     lattice_points_oracle,
     polar_decompose,
-    polarize,
     signed_indicator_sum,
     signed_lattice_count,
     simplex,
@@ -53,7 +52,7 @@ def _box_scan_count(P, xi, box):
 
 
 def _polarize_at(P, vertex, xi):
-    return polarize(P, P.vertices.index(vertex), xi)
+    return polar_decompose(P, xi)[P.vertices.index(vertex)]
 
 
 def test_polarizing_validity_on_simplex():
@@ -118,21 +117,23 @@ def test_polarize_matches_the_fraction_twin():
         for _ in range(12):
             xi = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
                        for _ in range(P.dim))
-            for i in range(len(P.vertices)):
-                try:
-                    expect = _fraction_polarize(P, i, xi)
-                except NotPolarizingError as exc:
-                    with pytest.raises(NotPolarizingError) as got:
-                        polarize(P, i, xi)
-                    assert str(got.value) == str(exc)
-                    refused += 1
-                    continue
-                cone = polarize(P, i, xi)
-                assert cone == expect
-                assert all(type(c) is int for g in cone.generators for c in g)
+            try:
+                # the twin refuses at the first vertex that pairs to zero
+                expect = tuple(_fraction_polarize(P, i, xi)
+                               for i in range(len(P.vertices)))
+            except NotPolarizingError as exc:
+                with pytest.raises(NotPolarizingError) as got:
+                    polar_decompose(P, xi)
+                assert str(got.value) == str(exc)
+                refused += 1
+                continue
+            cones = polar_decompose(P, xi)
+            assert cones == expect
+            assert all(type(c) is int
+                       for cone in cones for g in cone.generators for c in g)
     assert refused > 20
     with pytest.raises(ValueError, match="^vector length mismatch: 2 vs 3$"):
-        polarize(cube(2, 1), 0, (1, 2, 3))
+        polar_decompose(cube(2, 1), (1, 2, 3))
 
 
 def test_polarize_square_origin_nothing_flips():
@@ -167,11 +168,12 @@ def test_polarize_rejects_zero_pairing():
 
 def test_signed_indicator_sum_rejects_wrong_dimension():
     P = simplex(2, 1)
-    xi = choose_polarizing_vector(P, seed=0)
-    assert signed_indicator_sum(P, xi, (0, 0)) == 1
+    cones = polar_decompose(P, choose_polarizing_vector(P, seed=0))
+    assert signed_indicator_sum(cones, (0, 0)) == 1
     for x in ((0, 0, 5), (0,), ()):
-        with pytest.raises(DomainError, match="point has dimension"):
-            signed_indicator_sum(P, xi, x)
+        with pytest.raises(DomainError, match=rf"^point has dimension "
+                           rf"{len(x)}, expected 2$"):
+            signed_indicator_sum(cones, x)
         with pytest.raises(DomainError):
             P.contains(x)
 
@@ -255,19 +257,31 @@ def test_cone_equality_ignores_its_elimination():
     assert len({a, b}) == 1
 
 
-def test_decomposition_is_cached_as_cones():
+def test_decomposition_is_a_tuple_of_cones():
     P = simplex(2, 1)
+    cones = polar_decompose(P, choose_polarizing_vector(P, seed=0))
+    assert type(cones) is tuple
+    assert all(isinstance(c, PolarizedCone) for c in cones)
+
+
+def test_cones_die_with_their_caller():
+    # P stays alive and keeps no cone once the caller drops them
+    P = cube(3, 1)
     xi = choose_polarizing_vector(P, seed=0)
     cones = polar_decompose(P, xi)
-    assert P._polar[xi] is cones and type(cones) is tuple
-    assert all(isinstance(c, PolarizedCone) for c in cones)
+    ref = weakref.ref(cones[0])
+    assert signed_lattice_count(P, xi, tight_box(P)) == 8
+    assert signed_indicator_sum(cones, vec(0, 0, 0)) == 1
+    del cones
+    gc.collect()
+    assert ref() is None
 
 
 def test_signed_indicator_simplex_examples():
     P = simplex(2, 1)
-    xi = choose_polarizing_vector(P, seed=0)
-    assert signed_indicator_sum(P, xi, (F(1, 4), F(1, 4))) == 1
-    assert signed_indicator_sum(P, xi, (2, 2)) == 0
+    cones = polar_decompose(P, choose_polarizing_vector(P, seed=0))
+    assert signed_indicator_sum(cones, (F(1, 4), F(1, 4))) == 1
+    assert signed_indicator_sum(cones, (2, 2)) == 0
 
 
 def test_signed_indicator_at_vertex_by_hand():
@@ -282,7 +296,7 @@ def test_signed_indicator_at_vertex_by_hand():
     assert not cone_contains(cones[vec(1, 0)], origin)
     assert cone_contains(cones[vec(0, 1)], origin)
     assert cones[vec(1, 0)].sign == -1
-    assert signed_indicator_sum(P, xi, origin) == 1
+    assert signed_indicator_sum(cones.values(), origin) == 1
 
 
 def test_sign_matches_open_flag_count():
@@ -298,7 +312,7 @@ def test_indicator_identity_on_sampled_points():
     rng = random.Random(13)
     for spec in ("simplex:2:1", "cube:2:2", "hirzebruch:1", "simplex:3:1"):
         P = from_spec(spec)
-        xi = choose_polarizing_vector(P, seed=1)
+        cones = polar_decompose(P, choose_polarizing_vector(P, seed=1))
         pts = list(P.vertices)
         for i, j in P.edges:
             v, w = P.vertices[i], P.vertices[j]
@@ -308,7 +322,7 @@ def test_indicator_identity_on_sampled_points():
             pts.append(tuple(F(rng.randint(-8, 8), rng.randint(1, 3))
                              for _ in range(P.dim)))
         for x in pts:
-            assert signed_indicator_sum(P, xi, x) == int(P.contains(x))
+            assert signed_indicator_sum(cones, x) == int(P.contains(x))
 
 
 def test_indicator_independent_of_direction():
@@ -318,9 +332,9 @@ def test_indicator_independent_of_direction():
     sums_in = set()
     sums_out = set()
     for seed in range(5):
-        xi = choose_polarizing_vector(P, seed=seed)
-        sums_in.add(signed_indicator_sum(P, xi, x_in))
-        sums_out.add(signed_indicator_sum(P, xi, x_out))
+        cones = polar_decompose(P, choose_polarizing_vector(P, seed=seed))
+        sums_in.add(signed_indicator_sum(cones, x_in))
+        sums_out.add(signed_indicator_sum(cones, x_out))
     assert sums_in == {1}
     assert sums_out == {0}
 
@@ -329,12 +343,14 @@ def test_flip_involution():
     # negating xi swaps flipped and unflipped generators at every vertex
     P = cube(3, 2)
     xi = choose_polarizing_vector(P, seed=5)
-    neg = tuple(-c for c in xi)
-    for plus, minus in zip(polar_decompose(P, xi), polar_decompose(P, neg)):
+    pluses = polar_decompose(P, xi)
+    minuses = polar_decompose(P, tuple(-c for c in xi))
+    for plus, minus in zip(pluses, minuses):
         assert plus.apex == minus.apex
         assert sum(plus.open_flags) + sum(minus.open_flags) == P.dim
     for x in (vec(0, 0, 0), vec(1, 1, 1), vec(3, 0, 1)):
-        assert signed_indicator_sum(P, xi, x) == signed_indicator_sum(P, neg, x)
+        assert (signed_indicator_sum(pluses, x)
+                == signed_indicator_sum(minuses, x))
 
 
 def test_signed_lattice_count_examples():
@@ -386,12 +402,11 @@ def test_signed_lattice_count_validates_box():
         signed_lattice_count(P, xi, [(2, 0), (0, 2)])
 
 
-def test_decomposition_cache_dies_with_its_polytope():
+def test_polytope_dies_after_its_decomposition():
     P = simplex(2, 1)
     xi = choose_polarizing_vector(P, seed=0)
-    assert polar_decompose(P, xi) is polar_decompose(P, xi)
     assert signed_lattice_count(P, xi, tight_box(P)) == 3
-    assert signed_indicator_sum(P, xi, vec(0, 0)) == 1
+    assert signed_indicator_sum(polar_decompose(P, xi), vec(0, 0)) == 1
     ref = weakref.ref(P)
     del P
     gc.collect()

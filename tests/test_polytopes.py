@@ -15,6 +15,7 @@ from momentkit import (
     DomainError,
     EmptyRegionError,
     UnboundedRegionError,
+    choose_polarizing_vector,
     cube,
     dilate,
     from_halfspaces,
@@ -22,7 +23,7 @@ from momentkit import (
     hirzebruch,
     lattice_points_oracle,
     moment_graph,
-    polarize,
+    polar_decompose,
     simplex,
     smoothness_report,
     volume_localization,
@@ -222,7 +223,7 @@ def test_directions_and_normals_are_ints():
     for spec in catalog_specs():
         P = from_spec(spec)
         G = moment_graph(P)
-        cone = polarize(P, 0, vec(*range(1, P.dim + 1)))
+        cone = polar_decompose(P, choose_polarizing_vector(P))[0]
         ints = [c for at_v in P.weights for w in at_v for c in w]
         ints += [c for at_v in G.isotropy for w in at_v for c in w]
         ints += [c for col in cone.lattice[0] for c in col]
