@@ -46,21 +46,6 @@ def _parse_xi(text: str, dim: int):
     return xi
 
 
-def _parse_box(text: str, dim: int):
-    ranges = []
-    for part in text.split(","):
-        lo, sep, hi = part.partition("..")
-        if not sep:
-            raise UsageError(f"malformed --box range {quoted(part)}, expected lo..hi")
-        try:
-            ranges.append((int(lo), int(hi)))
-        except ValueError as exc:
-            raise UsageError(f"malformed --box range {quoted(part, exc)}") from exc
-    if len(ranges) != dim:
-        raise UsageError(f"--box has {len(ranges)} ranges, polytope has dimension {dim}")
-    return ranges
-
-
 def _direction(P: polytopes.Polytope, args):
     """``--xi`` when given, else the direction drawn from ``--seed``.
 
@@ -122,7 +107,7 @@ def _load_json(path: str, kind: str, parse):
 
 
 def _load_polytope(source: str) -> polytopes.Polytope:
-    if ":" in source:
+    if ":" in source and not os.path.exists(source):
         return polytopes.from_spec(source)
     return _load_json(source, "polytope", polytopes.polytope_from_json)
 
@@ -196,10 +181,7 @@ def _cmd_decompose(P, args):
 
 def _cmd_count(P, args):
     xi = _direction(P, args)
-    if args.box == "auto":
-        box = polytopes.tight_box(P)
-    else:
-        box = _parse_box(args.box, P.dim)
+    box = polytopes.tight_box(P)
     # the oracle's box is checked before either enumeration starts
     polytopes.check_box_size(polytopes.integer_box(P))
     signed = polar.signed_lattice_count(P, xi, box)
@@ -328,11 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentkit",
         description="Exact computations on rational moment polytopes.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, handler, help_text, polytope=True, xi=False, box=False,
-            k=False, class_file=False):
+    def add(name, handler, help_text, polytope=True, xi=False, k=False,
+            class_file=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         if polytope:
@@ -342,8 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if xi:
             p.add_argument("--xi", help='direction, comma-separated rationals "a,b,..."')
-        if box:
-            p.add_argument("--box", default="auto", help='auto or "lo..hi,lo..hi,..."')
         if k:
             p.add_argument("--k", type=_int_option, required=True,
                            help="polynomial degree")
@@ -359,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("decompose", _cmd_decompose,
         "polarized vertex cones for a chosen direction", xi=True)
     add("count", _cmd_count, "signed lattice count, cross-checked by enumeration",
-        xi=True, box=True)
+        xi=True)
     add("volume", _cmd_volume,
         "fixed-point volume, cross-checked by recursive volume", xi=True)
     add("betti", _cmd_betti, "downward-edge profile for a generic direction",
@@ -376,10 +357,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv):
+    """argparse's reading of ``argv``.  An error of the top-level parser
+    (an unknown command) and any argument left over are a UsageError that
+    names each argument by ``quoted``."""
+    try:
+        args, extra = _build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        message = str(exc)
+        for arg in argv:
+            message = message.replace(repr(arg), quoted(arg))
+        raise UsageError(message) from None
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(map(quoted, extra))}")
+    return args
+
+
 def run(argv, args=None) -> tuple[dict, int]:
     """Execute one command; return the report and the process exit code."""
     if args is None:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     _check_threads_env()
     _check_seed(args.seed)
 
@@ -398,8 +395,8 @@ def run(argv, args=None) -> tuple[dict, int]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse_args(argv)
         report, code = run(argv, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,21 @@ def test_validate_non_smooth_triangle(tmp_path):
     assert report["result"]["det"] == "2"
 
 
+def test_polytope_file_with_a_colon_in_its_path(tmp_path, monkeypatch):
+    # a source with ":" was always read as a builder spec
+    text = json.dumps(polytope_to_json(from_spec("hirzebruch:1")))
+    (tmp_path / "rat.json").write_text(text)
+    (tmp_path / "rat:v2.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    expected, _ = run_json(["count", "rat.json"])
+    del expected["command"]
+    for path in ("rat:v2.json", "./rat:v2.json"):
+        report, code = run_json(["count", path])
+        assert code == 0
+        assert report.pop("command") == ["count", path, "--json"]
+        assert report == expected
+
+
 def test_validate_non_simple_pyramid(tmp_path):
     pyramid = {
         "dim": 3,
@@ -68,10 +83,16 @@ def test_count_reports_oracle_agreement():
     assert report["status"] == "ok"
 
 
-def test_count_explicit_box():
-    report, code = run_json(["count", "cube:2:2", "--box=-1..3,-1..3"])
-    assert code == 0
-    assert report["result"]["count"] == 9
+def test_count_reports_the_tight_box():
+    # simplex:2:1/2 has rational vertices: its tight box 0..1 is wider
+    # than the oracle's integer box 0..0
+    for spec, box, count in (("cube:2:2", ["0..2", "0..2"], 9),
+                             ("simplex:2:1/2", ["0..1", "0..1"], 1)):
+        report, code = run_json(["count", spec])
+        assert code == 0
+        assert report["result"]["box"] == box
+        assert report["result"]["count"] == report["oracle"]["count"] == count
+    assert polytopes.integer_box(from_spec("simplex:2:1/2")) == [(0, 0), (0, 0)]
 
 
 def test_volume_with_explicit_xi():
@@ -195,7 +216,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     seed = "--seed must fit in an unsigned 64-bit integer"
     for argv, message in [
             (["count", "cube:2:1", "--box", "0..1"],
-             "--box has 1 ranges, polytope has dimension 2"),
+             "unrecognized arguments: '--box' '0..1'"),
             (["validate", "cube:2:1", "--seed", str(2**64)], seed),
             (["validate", "cube:2:1", "--seed", "-1"], seed),
             (["validate", str(bad)], f"polytope file {quoted(str(bad))} "
@@ -454,15 +475,17 @@ def test_long_arguments_are_not_echoed(capsys):
     for argv in (["validate", "p" * 100_000],
                  ["volume", "cube:2:1", "--xi", "a" * 100_000],
                  ["gkm-check", "cube:1:1", "--class", "c" * 50_000],
-                 ["count", "cube:2:1", "--box", "z" * 100_000]):
+                 ["count", "cube:2:1", "--box", "z" * 100_000],
+                 ["validate", "cube:2:1", "--bogus", "b" * 100_000],
+                 ["validate", "cube:2:1", "e" * 100_000],
+                 ["u" * 100_000, "cube:2:1"]):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert len(err) < 400
-        assert f"({len(argv[-1])} characters)" in err
-    assert cli.main(["count", "cube:2:1", "--box", "0..1,0..x"]) == 2
+        assert f"({len(max(argv, key=len))} characters)" in err
+    assert cli.main(["validate", "cube:2:1", "extra"]) == 2
     assert capsys.readouterr().err == (
-        "error: malformed --box range '0..x': invalid literal for int() "
-        "with base 10: 'x'\n")
+        "error: unrecognized arguments: 'extra'\n")
     assert cli.main(["validate", "no_such_file.json"]) == 2
     assert capsys.readouterr().err == (
         "error: cannot read polytope file 'no_such_file.json': "

@@ -1,7 +1,10 @@
-"""The package's public surface and the README's library example."""
+"""The package's public surface and the README's library and command
+examples."""
 
 import ast
 import io
+import json
+import shlex
 import sys
 import tokenize
 from fractions import Fraction
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import momentkit
-from momentkit import algebra, gkm, localization, polar, polytopes
+from momentkit import algebra, cli, gkm, localization, polar, polytopes
 from momentkit.algebra import format_rat, parse_rat, restrict_to_hyperplane, vec
 from momentkit.errors import DomainError
 
@@ -97,6 +100,22 @@ def test_readme_quickstart_values():
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     assert checked == [6, 2, 2, 4, (1, 2, 1)]
+
+
+def test_readme_command_examples_exit_0(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    P = polytopes.simplex(2, 1)
+    G = gkm.moment_graph(P)
+    cls = gkm.gkm_class_to_json(G, gkm.facet_class(P, G, P.facets[0]))
+    (tmp_path / "cls.json").write_text(json.dumps(cls))
+    monkeypatch.chdir(tmp_path)
+    lines = block.splitlines()
+    assert len(lines) == 9
+    for line in lines:
+        name, *argv = shlex.split(line, comments=True)
+        assert name == "momentkit"
+        assert cli.main(argv) == 0, line
 
 
 SRC = README.parent / "src" / "momentkit"
