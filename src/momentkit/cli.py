@@ -18,7 +18,7 @@ import sys
 
 from . import gkm, localization, polar, polytopes
 from .algebra import as_vec, format_rat, parse_rat, vec_to_json
-from .errors import DomainError, quoted
+from .errors import MAX_ECHO, DomainError, quoted
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -26,8 +26,16 @@ EXIT_DOMAIN = 3
 EXIT_MISMATCH = 4
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError instead of exiting;
+    argparse builds the subparsers with the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +64,6 @@ def _direction(P: polytopes.Polytope, args):
     if args.xi is not None:
         return _parse_xi(args.xi, P.dim)
     return polar.choose_polarizing_vector(P, seed=args.seed)
-
-
-def _int_option(text: str) -> int:
-    """argparse's int type, naming a long bad value by a prefix and length."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {quoted(text)}") from None
 
 
 def _check_seed(seed: int) -> int:
@@ -307,10 +306,9 @@ def _render_text(report: dict) -> str:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentkit",
         description="Exact computations on rational moment polytopes.",
-        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -326,12 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if xi:
             p.add_argument("--xi", help='direction, comma-separated rationals "a,b,..."')
         if k:
-            p.add_argument("--k", type=_int_option, required=True,
+            p.add_argument("--k", type=int, required=True,
                            help="polynomial degree")
         if class_file:
             p.add_argument("--class", dest="class_file", required=True,
                            help="class JSON file (vertex label -> monomial map)")
-        p.add_argument("--seed", type=_int_option, default=0,
+        p.add_argument("--seed", type=int, default=0,
                        help="seed for direction choices")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
@@ -358,18 +356,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv):
-    """argparse's reading of ``argv``.  An error of the top-level parser
-    (an unknown command) and any argument left over are a UsageError that
-    names each argument by ``quoted``."""
+    """argparse's reading of ``argv``.  Its errors, at any level, and any
+    argument left over are a UsageError that names each long argument, and
+    its value after "=", by ``quoted``."""
+    parser = _build_parser()
     try:
-        args, extra = _build_parser().parse_known_args(argv)
-    except argparse.ArgumentError as exc:
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(map(quoted, extra))}")
+    except UsageError as exc:
         message = str(exc)
         for arg in argv:
-            message = message.replace(repr(arg), quoted(arg))
+            for text in (arg, arg.partition("=")[2]):
+                if len(text) > MAX_ECHO:
+                    message = message.replace(repr(text), quoted(text))
+                    message = message.replace(text, quoted(text))
         raise UsageError(message) from None
-    if extra:
-        raise UsageError(f"unrecognized arguments: {' '.join(map(quoted, extra))}")
     return args
 
 
@@ -398,9 +400,6 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         report, code = run(argv, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

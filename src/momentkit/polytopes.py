@@ -13,11 +13,11 @@ over a common denominator.
 Edges and boundedness then come from one kernel test per distinct
 (n-1)-subset of rows tight at some vertex: a kernel line through two
 vertices is an edge, and one through a single vertex may be an unbounded
-edge.  The scan over every (n-1)-subset runs only to name the ray of an
-unbounded region.  This is fast enough at the scale this package
-targets (dimension <= 4, a few dozen half-spaces).  MAX_DIMENSION and
-MAX_CONSTRAINT_SUBSETS bound the loop.  A pivoting walk would replace it
-once the benchmark's probes stop counting its solves (C(2n, n) on cube:n).
+edge, whose ray names an unbounded region.  This is fast enough at the
+scale this package targets (dimension <= 4, a few dozen half-spaces).
+MAX_DIMENSION and MAX_CONSTRAINT_SUBSETS bound the loop.  A pivoting walk
+would replace it once the benchmark's probes stop counting its solves
+(C(2n, n) on cube:n).
 
 Besides the representation itself this module carries the two brute-force
 oracles that the rest of the package is validated against: exact Euclidean
@@ -182,12 +182,11 @@ class Polytope:
         return all(dot(h.normal, x) >= h.offset for h in self.halfspaces)
 
 
-def _ray(normals: list[tuple[int, ...]], kernel) -> list[int] | None:
-    """d or -d, d the primitive integer vector of a one-vector ``kernel``,
-    whichever lies in the cone {d : <n_i, d> >= 0 for all i}; else None."""
-    if len(kernel) != 1:
-        return None
-    d = primitive(kernel[0])
+def _ray(normals: list[tuple[int, ...]], v) -> list[int] | None:
+    """d or -d, d the primitive integer vector along the kernel vector
+    ``v``, whichever lies in the cone {d : <n_i, d> >= 0 for all i}; else
+    None."""
+    d = primitive(v)
     signs = [sum(map(mul, n, d)) for n in normals]
     for sign in (1, -1):
         if all(sign * s >= 0 for s in signs):
@@ -205,7 +204,9 @@ def _edges(dim: int, normals: list[tuple[int, ...]],
     dimension <= 1, so L holds one or two vertices: two are an edge, kept
     once however many subsets name it.  An unbounded pointed polyhedron has
     a vertex with an unbounded edge, so only a line through one vertex can
-    be a ray; then the scan over every (dim-1)-subset names the first ray.
+    be a ray, and the first such line the scan meets names it.  Subsets are
+    met vertex by vertex in sorted order, each vertex's in combinations
+    order of its sorted tight rows, so the named ray is deterministic.
     """
     on_line: dict[tuple[int, ...], list[int]] = {}
     for i, facets in enumerate(vertex_facets):
@@ -218,10 +219,7 @@ def _edges(dim: int, normals: list[tuple[int, ...]],
             continue
         if len(ends) == 2:
             edges.add(tuple(ends))
-        elif _ray(normals, kernel):
-            ray = next(filter(None, (
-                _ray(normals, linalg.nullspace(rows, ncols=dim))
-                for rows in combinations(normals, dim - 1))))
+        elif ray := _ray(normals, kernel[0]):
             raise UnboundedRegionError(f"unbounded along direction {vec_to_json(ray)}")
     return tuple(sorted(edges))
 
@@ -235,9 +233,9 @@ MAX_DIMENSION = 16
 # from_halfspaces refuses, before any solve, m distinct half-spaces in
 # dimension n when C(m, n) vertex solves plus C(m, n-1) kernel tests for
 # edges and boundedness exceed this; cube:8 counts 24,310, a 40-half-space
-# 3-D polytope 10,660.  The sum is an upper bound: bounded input tests only
-# the (n-1)-subsets tight at a vertex, and the full C(m, n-1) scan runs
-# only on unbounded input, to name its ray
+# 3-D polytope 10,660.  The sum is an upper bound: the one kernel scan
+# tests only the distinct (n-1)-subsets tight at some vertex, at most
+# C(m, n-1), and on unbounded input stops at the first ray
 MAX_CONSTRAINT_SUBSETS = 50_000
 
 

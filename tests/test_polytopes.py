@@ -624,22 +624,34 @@ def test_json_round_trip():
 # the Fraction subset loop, kept as the oracle twin of from_halfspaces
 
 
-def _fraction_check_bounded(dim, normals):
-    if linalg.rank([list(n) for n in normals]) < dim:
-        raise UnboundedRegionError(
-            "constraint normals do not span: recession cone contains a line")
-    for subset in combinations(range(len(normals)), dim - 1):
+def _fraction_check_bounded(dim, normals, vertex_facets):
+    """Raise unless the recession cone is {0}, by the verdict of the full
+    scan over every (dim-1)-subset of rows.  The ray is named by the
+    build's rule, in Fraction arithmetic: the first kernel line, over the
+    vertices in sorted order and each vertex's tight (dim-1)-subsets in
+    combinations order, along which d or -d pairs >= 0 with every normal."""
+    def ray(subset):
         rows = [list(normals[i]) for i in subset]
         if rows and linalg.rank(rows) != dim - 1:
-            continue
+            return None
         kernel = linalg.nullspace(rows, ncols=dim)
         if len(kernel) != 1:
-            continue
+            return None
         d = kernel[0]
         for cand in (d, tuple(-c for c in d)):
             if all(dot(n, cand) >= 0 for n in normals):
-                raise UnboundedRegionError(
-                    f"unbounded along direction {vec_to_json(primitive(cand))}")
+                return primitive(cand)
+        return None
+
+    if linalg.rank([list(n) for n in normals]) < dim:
+        raise UnboundedRegionError(
+            "constraint normals do not span: recession cone contains a line")
+    if not any(map(ray, combinations(range(len(normals)), dim - 1))):
+        return
+    # an unbounded pointed polyhedron has an unbounded edge at a vertex
+    named = next(filter(None, (ray(s) for facets in vertex_facets
+                               for s in combinations(sorted(facets), dim - 1))))
+    raise UnboundedRegionError(f"unbounded along direction {vec_to_json(named)}")
 
 
 def _fraction_solve(a, b):
@@ -691,11 +703,11 @@ def _fraction_build(dim, halfspaces):
                 "every constraint subset is singular: the normals do not span, "
                 "so the region is empty or contains a line")
         raise EmptyRegionError("the half-spaces have empty intersection")
-    _fraction_check_bounded(dim, normals)
     verts.sort()
     vertex_facets = tuple(
         frozenset(k for k, h in enumerate(canon) if dot(h.normal, v) == h.offset)
         for v in verts)
+    _fraction_check_bounded(dim, normals, vertex_facets)
     edges = []
     for i, j in combinations(range(len(verts)), 2):
         shared = vertex_facets[i] & vertex_facets[j]
@@ -818,24 +830,26 @@ def test_integer_build_matches_fraction_twin_on_edge_cases(name):
     assert _assert_matches_twin(dim, hs) is error
 
 
-# Unbounded regions whose first ray in combinations order comes from a row
-# tight at no vertex, so the tight rows alone would name another ray
+# Unbounded regions led by a row tight at no vertex: a scan over every
+# (n-1)-subset of rows would name another ray first, the scan over the
+# subsets tight at a vertex names the ray of the first such line
 REDUNDANT_FIRST = [
-    # the wedge between (1,0) and (1,1), led by x - y >= -5: the tight rows
-    # first give (1,0), the redundant row (1,1)
-    (2, [((1, -1), -5), ((0, 1), 0), ((1, -1), 0)], ["1", "1"]),
-    # the orthant, led by x + y >= -1: the tight rows first give e2, the
-    # full scan first gives e3 from rows 0 and 2
+    # the wedge between (1,0) and (1,1), led by x - y >= -5: the tight row
+    # y >= 0 gives (1,0), where every pair of rows would first give (1,1)
+    (2, [((1, -1), -5), ((0, 1), 0), ((1, -1), 0)], ["1", "0"]),
+    # the orthant, led by x + y >= -1: the tight rows z, x first give e2,
+    # where every pair of rows would first give e3 from rows 0 and 2
     (3, [((1, 1, 0), -1), ((0, 0, 1), 0), ((1, 0, 0), 0), ((0, 1, 0), 0)],
-     ["0", "0", "1"]),
+     ["0", "1", "0"]),
 ]
 
 
 @pytest.mark.parametrize("dim, hs, ray", REDUNDANT_FIRST)
-def test_unbounded_message_names_the_first_ray_of_the_full_scan(dim, hs, ray):
+def test_unbounded_message_names_the_first_ray_at_a_vertex(dim, hs, ray):
     with pytest.raises(UnboundedRegionError) as got:
         from_halfspaces(dim, hs)
     assert str(got.value) == f"unbounded along direction {ray}"
+    assert all(dot(n, [int(c) for c in ray]) >= 0 for n, _ in hs)
     assert _assert_matches_twin(dim, hs) is UnboundedRegionError
     # capped by sum(x) <= 100, the region keeps its vertex, the origin, and
     # the first row is tight at no vertex
@@ -844,23 +858,51 @@ def test_unbounded_message_names_the_first_ray_of_the_full_scan(dim, hs, ray):
     assert all(0 not in facets for facets in P.vertex_facets)
 
 
+# a 16-D region whose ray e16 is cut out by its last 15 rows, x_i >= 0
+# for i = 1..15: a rescan of every (n-1)-subset to name the ray would
+# make C(20, 15) = 15,504 kernels, against 16 tight subsets at the origin
+UNBOUNDED_16D = [
+    ((-1,) * 15 + (0,), -10),
+    ((-1, -2) + (-1,) * 13 + (0,), -20),
+    ((-2, -1) + (-1,) * 13 + (0,), -20),
+    ((-1,) * 14 + (-3, 0), -30),
+    ((0,) * 15 + (1,), 0),
+] + [(tuple(int(j == i) for j in range(16)), 0) for i in range(15)]
+
+
 def test_boundedness_scans_the_tight_subsets_once(monkeypatch):
     # one nullspace per edge of cube:n, its n * 2^(n-1) distinct tight
-    # (n-1)-subsets (against C(2n, n-1) in the full scan); each kernel line
+    # (n-1)-subsets (against C(2n, n-1) subsets in all); each kernel line
     # holds two vertices, so no ray test runs, and no rank test either
-    tested, kernels, ranks = [], [], []
+    tested, kernels, ranks, tight = [], [], [], []
     ray, nullspace, rank = polytopes._ray, linalg.nullspace, linalg.rank
+    edges = polytopes._edges
     monkeypatch.setattr(polytopes, "_ray",
                         lambda *a: tested.append(1) or ray(*a))
     monkeypatch.setattr(linalg, "nullspace",
                         lambda *a, **k: kernels.append(1) or nullspace(*a, **k))
     monkeypatch.setattr(linalg, "rank",
                         lambda *a, **k: ranks.append(1) or rank(*a, **k))
+    monkeypatch.setattr(polytopes, "_edges", lambda dim, normals, facets: (
+        tight.append({s for t in facets for s in combinations(sorted(t), dim - 1)})
+        or edges(dim, normals, facets)))
     for n in range(2, 6):
         kernels.clear()
         P = cube(n, 1)
         assert len(kernels) == len(P.edges) == n * 2 ** (n - 1)
         assert tested == ranks == []
+    # unbounded input makes no kernel beyond its distinct tight subsets
+    for (dim, hs), direction in [
+            (TWIN_CASES["unbounded"][1:], ["0", "0", "1"]),
+            (TWIN_CASES["pyramid_unbounded"][1:], ["1", "1", "-1"]),
+            (TWIN_CASES["ray_1d"][1:], ["1"]),
+            ((16, UNBOUNDED_16D), ["0"] * 15 + ["1"])]:
+        kernels.clear()
+        tight.clear()
+        with pytest.raises(UnboundedRegionError) as got:
+            from_halfspaces(dim, hs)
+        assert str(got.value) == f"unbounded along direction {direction}"
+        assert 0 < len(kernels) <= len(tight[0])
 
 
 @st.composite
