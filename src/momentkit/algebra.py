@@ -4,8 +4,10 @@ Every quantity in this package is an exact rational: scalars are
 ``fractions.Fraction``, vectors are plain tuples of Fractions (primitive
 directions and canonical normals are int tuples), polynomials are sparse
 dicts from exponent tuples to nonzero Fraction coefficients (the zero
-polynomial is the empty dict).  A vector doubles as a linear form through
-the standard pairing ``dot``, so no separate linear form type is needed.
+polynomial is the empty dict; sums, products and powers of int coefficients
+stay ints, as ``restrict_to_hyperplane`` needs).  A vector doubles as a
+linear form through the standard pairing ``dot``, so no separate linear
+form type is needed.
 
 Nothing here ever touches floating point; polynomial identity is exact
 dictionary equality.
@@ -183,20 +185,15 @@ def poly_const(nvars: int, value) -> Poly:
 
 def linear_poly(coeffs: Vec) -> Poly:
     """Degree-1 polynomial sum(coeffs[i] * x_i), no constant term."""
-    out: Poly = {}
     n = len(coeffs)
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            e = [0] * n
-            e[i] = 1
-            out[tuple(e)] = Fraction(c)
-    return out
+    return {tuple(int(i == j) for i in range(n)): Fraction(c)
+            for j, c in enumerate(coeffs) if c != 0}
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for mono, c in b.items():
-        s = out.get(mono, ZERO) + c
+        s = out.get(mono, 0) + c
         if s:
             out[mono] = s
         else:
@@ -222,7 +219,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     for ma, ca in a.items():
         for mb, cb in b.items():
             mono = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(mono, ZERO) + ca * cb
+            s = out.get(mono, 0) + ca * cb
             if s:
                 out[mono] = s
             else:
@@ -231,17 +228,13 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 
 def poly_pow(a: Poly, k: int) -> Poly:
+    """a^k by square and multiply, from a itself, so int input stays int."""
     if k < 0:
         raise ValueError("negative polynomial power")
-    nvars = len(next(iter(a))) if a else 0
-    out = poly_const(nvars, 1)
-    while k:  # square and multiply
-        if k & 1:
-            out = poly_mul(out, a)
-        k >>= 1
-        if k:
-            a = poly_mul(a, a)
-    return out
+    if k < 2:
+        return dict(a) if k else poly_const(len(next(iter(a))) if a else 0, 1)
+    half = poly_pow(poly_mul(a, a), k // 2)
+    return poly_mul(half, a) if k & 1 else half
 
 
 def poly_eval(f: Poly, point: Vec) -> Fraction:
@@ -286,13 +279,8 @@ def pivot_index(ell: Vec) -> int:
     """Coefficient index used to eliminate a variable: largest absolute
     value, lowest index on ties.  Deterministic so constraint matrices and
     golden outputs are reproducible."""
-    best = -1
-    best_abs = ZERO
-    for i, c in enumerate(ell):
-        a = abs(c)
-        if a > best_abs:
-            best, best_abs = i, a
-    if best < 0:
+    best = max(range(len(ell)), key=lambda i: abs(ell[i]), default=None)
+    if best is None or not ell[best]:
         raise DomainError("zero linear form")
     return best
 
@@ -313,43 +301,45 @@ def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
     """Substitute the solution of ell = 0 for its pivot variable in f.
 
     The result has exponent 0 in the pivot slot; it is identically zero
-    exactly when ell divides f.  A monomial with pivot exponent t expands
-    to C(t + s - 1, s - 1) terms when the solution has s >= 2 terms.
+    exactly when ell divides f.  With ell's denominators cleared to X and
+    a = X[piv], the solution is S / a with S = sum of -X_j x_j over j != piv.
+    A monomial with pivot exponent t takes S^t, in ints, over a^t: int
+    coefficients that a^t divides (|a|^k for t <= k) restrict to ints.
+    S^t has C(t + s - 1, s - 1) terms when S has s >= 1.
     """
-    ell = as_vec(ell)
+    X, _ = clear_denominators(ell)
     if piv is None:
-        piv = pivot_index(ell)
-    n = len(ell)
-    a = ell[piv]
-    sol: Poly = {}
-    for j, c in enumerate(ell):
-        if j != piv and c != 0:
-            e = [0] * n
-            e[j] = 1
-            sol[tuple(e)] = -c / a
-    s = len(sol)
+        piv = pivot_index(X)
+    n, a = len(X), X[piv]
+    sub: Poly = {tuple(int(i == j) for i in range(n)): -x
+                 for j, x in enumerate(X) if j != piv and x}
+    s = len(sub)
     if s > 1:
         counts = [(comb(mono[piv] + s - 1, s - 1), mono[piv]) for mono in f]
         terms = sum(c for c, _ in counts)
         check_limit(terms, MAX_RESTRICTION_TERMS, lambda: (
             f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
             f"expands to {terms} terms,"))
-        bits = max(c.numerator.bit_length() + c.denominator.bit_length()
-                   for c in sol.values())
+        # the bit length of each -X_j / a in lowest terms
+        bits = max((x // g).bit_length() + (a // g).bit_length()
+                   for x in sub.values() for g in [gcd(x, a)])
         size = bits * sum(c * t for c, t in counts)
         check_limit(size, MAX_RESTRICTION_BITS, lambda: (
             f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
             f"expands to about {size} bits,"))
 
-    powers: dict[int, Poly] = {}  # t -> sol**t
+    powers: dict[int, tuple[Poly, int]] = {}  # t -> (S^t, a^t)
     out: Poly = {}
     for mono, coeff in f.items():
-        rest = list(mono)
-        t = rest[piv]
-        rest[piv] = 0
+        t = mono[piv]
+        if t and not sub:  # S^t = 0, at once for any t
+            continue
         if t not in powers:
-            powers[t] = poly_pow(sol, t) if t else poly_const(n, 1)
-        out = poly_add(out, poly_mul({tuple(rest): coeff}, powers[t]))
+            powers[t] = poly_pow(sub, t) if t else {(0,) * n: 1}, a ** t
+        power, den = powers[t]
+        term = {mono[:piv] + (0,) + mono[piv + 1:]:
+                Fraction(coeff, den) if den != 1 else coeff}
+        out = poly_add(out, poly_mul(term, power))
     return out
 
 

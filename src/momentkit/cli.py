@@ -357,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv):
     """argparse's reading of ``argv``.  Its errors, at any level, and any
-    argument left over are a UsageError that names each long argument, and
-    its value after "=", by ``quoted``."""
+    argument left over are a UsageError that names each long argument, its
+    value after "=" and what follows a run of -h flags, by ``quoted``."""
     parser = _build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
@@ -367,7 +367,7 @@ def _parse_args(argv):
     except UsageError as exc:
         message = str(exc)
         for arg in argv:
-            for text in (arg, arg.partition("=")[2]):
+            for text in (arg, arg.partition("=")[2], arg[1:].lstrip("h")):
                 if len(text) > MAX_ECHO:
                     message = message.replace(repr(text), quoted(text))
                     message = message.replace(text, quoted(text))

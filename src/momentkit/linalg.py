@@ -1,22 +1,22 @@
-"""Exact linear algebra over the rationals on two elimination kernels.
+"""Exact linear algebra on integer rows, by two fraction-free kernels.
 
-``rank`` and ``nullspace`` share one sparse kernel.  Matrices come in and go
-out as dense lists of rows, but inside it a row is a dict from column to
-nonzero Fraction.  Rows enter one at a time and each is reduced at its
-lowest column against the pivots found so far, so the work follows the
-nonzeros, not the shape: GKM degree systems have hundreds of rows with two
-or three nonzeros each.  An optional back-substitution gives the reduced
-row echelon form, which is unique, so nullspace bases do not depend on the
-order of elimination.
+``rank`` and ``nullspace`` share one sparse kernel.  A dense integer row
+becomes a dict from column to nonzero int, and rows enter one at a time.
+Each is reduced at its lowest column by cross-multiplying it with the pivot
+row there, after dividing both leading entries by their gcd, and is then
+divided by its content.  The work follows the nonzeros, not the shape: GKM
+degree systems have hundreds of rows with two or three nonzeros each.
+``nullspace`` back-substitutes in integers with one running scale and makes
+a Fraction only for each entry it returns.  Its basis is the reduced one,
+1 at each free column, which is unique, so it does not depend on the order
+of elimination.
 
 Square systems (``solve_square``, ``det``, ``adjugate_int``) share one
-fraction-free Bareiss elimination on integer rows (Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 1968): every entry met is a minor of the input, so no Fraction and
-no gcd is made inside the loop.  Callers clear denominators where the rows
-are made; on Fraction rows the loop's ``//`` would floor silently.  It is
-one list comprehension per row update and plain loops elsewhere, since
-``from_halfspaces`` calls ``solve_square`` once per constraint subset.
+fraction-free Bareiss elimination (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968):
+every entry met is a minor of the input, so no gcd is made inside the loop.
+It is one list comprehension per row update and plain loops elsewhere,
+since ``from_halfspaces`` calls ``solve_square`` once per constraint subset.
 On 3x3 systems alone ``solve_square`` skips the loop for the closed-form
 Cramer rule, a cofactor expansion along the first row.  A 3-D build makes
 one solve per row triple, 9,880 for 40 half-spaces, and there the closed
@@ -24,57 +24,49 @@ form takes about an eighth of the loop's time.  A 2-D build makes a few
 dozen solves and a cube:6 build 924, too few to pay for another formula,
 so every other size, and ``det`` and ``adjugate_int`` at every size, stay
 on Bareiss.
+
+Callers clear denominators where the rows are made: on Fraction rows the
+sparse kernel's gcd raises TypeError, and Bareiss's ``//`` floors silently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
-from .algebra import ONE, ZERO, Vec
-
-# column -> nonzero entry, the leading 1 of a pivot row left implicit
-Row = dict[int, Fraction]
+from .algebra import ZERO, Vec
 
 
-def _cancel(row: Row, c: int, tail: Row) -> None:
-    """Clear column c of row with the pivot row whose leading 1 sits at c."""
-    f = row.pop(c)
-    for j, x in tail.items():
-        y = row.get(j, ZERO) - f * x
-        if y:
-            row[j] = y
-        else:
-            del row[j]
-
-
-def _eliminate(rows, reduced: bool = False) -> dict[int, Row]:
-    """Echelon form of the dense ``rows``.
-
-    Returns the pivots, mapping each pivot column to the rest of its row
-    scaled to a leading 1, in the order the rows came in.  Rows that reduce
-    to zero leave no pivot.  With ``reduced`` every pivot row is then
-    cleared at the other pivot columns, which gives the reduced row echelon
-    form.
-    """
-    pivots: dict[int, Row] = {}
+def _eliminate(rows) -> dict[int, dict[int, int]]:
+    """The pivots of the dense integer ``rows``, in the order the rows came
+    in: each pivot column maps to its row, primitive and positive there, as
+    a dict from column to nonzero entry.  Rows that reduce to zero leave no
+    pivot."""
+    pivots: dict[int, dict[int, int]] = {}
     for dense in rows:
-        row = {j: Fraction(x) for j, x in enumerate(dense) if x}
+        row = dict(compress(enumerate(dense), dense))
         while row:
             c = min(row)
-            tail = pivots.get(c)
-            if tail is None:
-                lead = row.pop(c)
-                pivots[c] = {j: x / lead for j, x in row.items()}
+            pivot = pivots.get(c)
+            if pivot is None:
+                g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+                pivots[c] = {j: x // g for j, x in row.items()}
                 break
-            _cancel(row, c, tail)
-    if reduced:
-        # later pivots are already clear of every other pivot column, so
-        # cancelling them never brings a pivot column back
-        for c in sorted(pivots, reverse=True):
-            tail = pivots[c]
-            for p in [p for p in tail if p in pivots]:
-                _cancel(tail, p, pivots[p])
+            g = gcd(pivot[c], row[c])
+            p, f = pivot[c] // g, row[c] // g
+            if p != 1:
+                row = {j: p * x for j, x in row.items()}
+            for j, y in pivot.items():  # cancels row[c]
+                x = row.get(j, 0) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
     return pivots
 
 
@@ -85,23 +77,32 @@ def rank(rows) -> int:
 def nullspace(rows, ncols: int | None = None) -> list[Vec]:
     """Basis of the right kernel; ``ncols`` is required when rows is empty.
 
-    One vector per free column f of the reduced row echelon form: 1 at f,
-    minus column f of each pivot row at that row's pivot column.
-    """
+    One vector v = x / d per free column f: x_f = d, other free entries 0,
+    pivots below f solved from the last up (those above f are 0).  A pivot
+    row with entry p at c and sum s over the columns solved so far gives
+    x_c = -s / g and scales x and d by p / g, g = gcd(s, p)."""
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("ncols required for an empty system")
-    pivots = _eliminate(rows, reduced=True)
+    pivots = _eliminate(rows)
+    order = sorted(pivots)
     basis: list[Vec] = []
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for c, tail in pivots.items():
-            v[c] = -tail.get(f, ZERO)
-        basis.append(tuple(v))
+        x, d = {f: 1}, 1
+        for c in reversed(order[:bisect_left(order, f)]):
+            row = pivots[c]
+            s = sum(y * x[j] for j, y in row.items() if j in x)
+            if s:
+                g = gcd(s, row[c])
+                if row[c] != g:
+                    d *= row[c] // g
+                    x = {j: row[c] // g * y for j, y in x.items()}
+                x[c] = -s // g
+        basis.append(tuple(Fraction(x[j], d) if j in x else ZERO
+                           for j in range(ncols)))
     return basis
 
 

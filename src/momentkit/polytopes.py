@@ -438,13 +438,17 @@ def volume_oracle(P: Polytope) -> Fraction:
     so a memo local to the call computes each face once, however many facet
     orderings reach it.  P is flat, without volume, exactly when a row is
     tight at every vertex (an implicit equality), and then it is refused.
+    It runs on the integer vertices d * v, d their least common denominator,
+    so its kernels get integer rows, and finds d^n times P's volume.
     """
     if frozenset.intersection(*P.vertex_facets):
         raise DegenerateInputError("polytope is not full-dimensional")
     on_row = {frozenset(i for i, t in enumerate(P.vertex_facets) if k in t)
               for k in frozenset().union(*P.vertex_facets)}
-    return _volume(P.vertices, on_row, frozenset(range(len(P.vertices))),
-                   tuple(range(P.dim)), {})
+    flat, d = clear_denominators([x for v in P.vertices for x in v])
+    top = [flat[i:i + P.dim] for i in range(0, len(flat), P.dim)]
+    return Fraction(_volume(top, on_row, frozenset(range(len(top))),
+                            tuple(range(P.dim)), {}), d ** P.dim)
 
 
 def _volume(top, on_row, face, kept, memo) -> Fraction:

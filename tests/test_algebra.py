@@ -1,6 +1,7 @@
 """Exact arithmetic layer: vectors, primitives, polynomial division."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -257,6 +258,83 @@ def test_restrict_to_hyperplane_high_exponent():
     for t in (0, 1, 7, 5000):
         assert (restrict_to_hyperplane(vec(2, -3), {(t, 0): F(1)}, piv=0)
                 == {(0, t): F(3, 2) ** t})
+
+
+def _fraction_restrict(ell, f, piv=None):
+    """The restriction that the integer one replaced, kept as its twin:
+    the solution -ell_j / a of ell = 0 in Fractions, raised by ``poly_pow``
+    to each pivot exponent."""
+    ell = as_vec(ell)
+    if piv is None:
+        piv = pivot_index(ell)
+    n, a = len(ell), ell[piv]
+    sol = {}
+    for j, c in enumerate(ell):
+        if j != piv and c != 0:
+            e = [0] * n
+            e[j] = 1
+            sol[tuple(e)] = -c / a
+    powers, out = {}, {}
+    for mono, coeff in f.items():
+        rest = list(mono)
+        t = rest[piv]
+        rest[piv] = 0
+        if t not in powers:
+            powers[t] = poly_pow(sol, t) if t else poly_const(n, 1)
+        out = poly_add(out, poly_mul({tuple(rest): coeff}, powers[t]))
+    return out
+
+
+def test_restriction_matches_the_fraction_twin():
+    # labels with s = 0..3 nonzero entries off the pivot, int and Fraction,
+    # on int and Fraction coefficients; |a|^k m restricts to integers
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        s = rng.randint(0, n - 1)
+        ell = [0] * n
+        for j in rng.sample(range(n), s + 1):
+            ell[j] = rng.choice([-1, 1]) * rng.randint(1, 7)
+        if rng.random() < 0.5:
+            ell = [F(c, rng.randint(1, 4)) for c in ell]
+        f = _random_poly(rng, n, max_deg=4)
+        if rng.random() < 0.5:
+            f = {m: c / rng.randint(1, 3) for m, c in f.items()}
+        piv = pivot_index(ell)
+        got = restrict_to_hyperplane(ell, f)
+        assert got == _fraction_restrict(ell, f)
+        assert all(m[piv] == 0 for m in got)
+        for other in range(n):
+            if ell[other]:
+                assert (restrict_to_hyperplane(ell, f, piv=other)
+                        == _fraction_restrict(ell, f, piv=other))
+        X = primitive(ell)
+        for m in monomials(n, 3):
+            scaled = restrict_to_hyperplane(X, {m: abs(X[piv]) ** 3}, piv=piv)
+            assert scaled == {mono: abs(X[piv]) ** 3 * c for mono, c in
+                              _fraction_restrict(ell, {m: 1}, piv=piv).items()}
+            assert all(F(c).denominator == 1 for c in scaled.values())
+        seen.add((s, type(ell[piv])))
+    assert len(seen) == 8
+
+
+def test_restriction_builds_only_the_powers_it_needs():
+    # with s = 0 a monomial with a pivot exponent restricts to 0 at once;
+    # with s = 1 its power is one monomial, x^50000 on 2x + 3y = 0 holds
+    # about 16 KB, not the ~150 MB of every power up to 50000
+    assert restrict_to_hyperplane((3,), {(10 ** 12,): 1}) == {}
+    assert restrict_to_hyperplane((0, F(1, 2), 0),
+                                  {(1, 10 ** 12, 2): 1, (1, 0, 2): 5}) == {
+        (1, 0, 2): 5}
+    tracemalloc.start()
+    try:
+        got = restrict_to_hyperplane((2, 3), {(0, 50_000): 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == {(50_000, 0): F(-2, 3) ** 50_000}
+    assert peak < 2_000_000
 
 
 def test_restriction_work_limit(monkeypatch):

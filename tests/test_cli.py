@@ -483,14 +483,20 @@ def test_long_arguments_are_not_echoed(capsys):
                  # the subcommand's own parser refused these two, through
                  # argparse's exit: 100,147 and 100,136 bytes on stderr
                  ["validate", "cube:2:1", "--=" + "o" * 100_000],
-                 ["validate", "cube:2:1", "--json=" + "j" * 100_000]):
+                 ["validate", "cube:2:1", "--json=" + "j" * 100_000],
+                 # argparse named the text after -h: 100,056 bytes
+                 ["validate", "cube:2:1", "-h" + "x" * 100_000],
+                 ["validate", "cube:2:1", "-hhh" + "x" * 100_000]):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert len(err) < 400 and err.count("\n") == 1
         # the longest argument is named, or its value after "="
         longest = max(argv, key=len)
         assert any(f"({len(text)} characters)" in err
-                   for text in (longest, longest.partition("=")[2]))
+                   for text in (longest, longest.partition("=")[2],
+                                longest[1:].lstrip("h")))
+        if longest.startswith("-h"):
+            assert len(err.encode()) < 300
     assert cli.main(["validate", "cube:2:1", "extra"]) == 2
     assert capsys.readouterr().err == (
         "error: unrecognized arguments: 'extra'\n")

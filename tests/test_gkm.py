@@ -29,6 +29,7 @@ from momentkit import (
     smoothness_report,
 )
 from momentkit.algebra import (
+    clear_denominators,
     dot,
     generic_vector,
     linear_poly,
@@ -149,7 +150,8 @@ def test_label_check_matches_a_rank_twin():
         if not any(w):
             continue
         d = vsub(v, u)
-        expect = any(d) and linalg.rank([list(d), list(w)]) == 1
+        expect = any(d) and linalg.rank([clear_denominators(d)[0],
+                                         clear_denominators(w)[0]]) == 1
         try:
             MomentGraph((u, v), ((0, 1),), (w,))
         except DomainError:
@@ -209,7 +211,8 @@ def _rank_pair_check(positions, edges, weights):
     for v in range(len(positions)):
         at_v = [w for w, e in zip(weights, edges) if v in e]
         for a, b in combinations(at_v, 2):
-            if linalg.rank([list(a), list(b)]) < 2:
+            if linalg.rank([clear_denominators(a)[0],
+                            clear_denominators(b)[0]]) < 2:
                 return (f"parallel weights at vertex {v}: {vec_to_json(a)} and "
                         f"{vec_to_json(b)}")
     return None
@@ -469,12 +472,13 @@ def _degree_system_by_index(G, k):
             continue
         res_idx = {m: r for r, m in enumerate(residual)}
         block = [[0] * ncols for _ in residual]
+        scale = abs(primitive(w)[piv]) ** k  # integer rows, as the builder's
         for m in monos:
-            restricted = restrict_to_hyperplane(w, {m: 1}, piv=piv)
+            restricted = restrict_to_hyperplane(w, {m: scale}, piv=piv)
             for mono, coeff in restricted.items():
                 r = res_idx[mono]
-                block[r][col[(i, m)]] += coeff
-                block[r][col[(j, m)]] -= coeff
+                block[r][col[(i, m)]] += coeff.numerator
+                block[r][col[(j, m)]] -= coeff.numerator
         rows.extend(block)
     return rows, ncols
 

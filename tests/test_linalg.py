@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentkit import cli, gkm, linalg, polytopes
+from momentkit.algebra import clear_denominators
 from test_polytopes import TWIN_CASES, random_cut_boxes
 
 
@@ -99,14 +100,74 @@ def oracle_det(a):
 
 
 # ---------------------------------------------------------------------------
+# the sparse Fraction kernel that the integer one replaced, kept as its twin
+
+
+def _cancel(row, c, tail):
+    """Clear column c of row with the pivot row whose leading 1 sits at c."""
+    f = row.pop(c)
+    for j, x in tail.items():
+        y = row.get(j, F(0)) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _fraction_eliminate(rows, reduced=False):
+    """Pivot column -> the rest of its row scaled to a leading 1, in
+    Fractions; with ``reduced`` every pivot row is then cleared at the
+    other pivot columns, which gives the reduced row echelon form."""
+    pivots = {}
+    for dense in rows:
+        row = {j: F(x) for j, x in enumerate(dense) if x}
+        while row:
+            c = min(row)
+            tail = pivots.get(c)
+            if tail is None:
+                lead = row.pop(c)
+                pivots[c] = {j: x / lead for j, x in row.items()}
+                break
+            _cancel(row, c, tail)
+    if reduced:
+        # later pivots are already clear of every other pivot column, so
+        # cancelling them never brings a pivot column back
+        for c in sorted(pivots, reverse=True):
+            tail = pivots[c]
+            for p in [p for p in tail if p in pivots]:
+                _cancel(tail, p, pivots[p])
+    return pivots
+
+
+def fraction_rank(rows):
+    return len(_fraction_eliminate(rows))
+
+
+def fraction_nullspace(rows, ncols):
+    pivots = _fraction_eliminate(rows, reduced=True)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for c, tail in pivots.items():
+            v[c] = -tail.get(f, F(0))
+        basis.append(tuple(v))
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # random rational matrices: tall, wide, rank-deficient, zero rows, empty
 
 entries = st.one_of(
     st.just(F(0)),
     st.fractions(min_value=-6, max_value=6, max_denominator=5),
 )
-# the square kernels take integer rows only
+# every kernel takes integer rows only
 int_entries = st.one_of(st.just(0), st.integers(-6, 6))
+big_entries = st.one_of(st.just(0), st.integers(-6, 6),
+                        st.integers(-10 ** 30, 10 ** 30))
 
 
 @st.composite
@@ -134,9 +195,41 @@ def matrices(draw, square=False, max_size=6, entries=entries):
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rank_and_nullspace_match_dense_oracle(case):
+    # each row cleared of its denominators: the same rank and kernel
     rows, ncols = case
-    assert linalg.rank(rows) == oracle_rank(rows)
-    assert linalg.nullspace(rows, ncols=ncols) == oracle_nullspace(rows, ncols)
+    cleared = [clear_denominators(row)[0] for row in rows]
+    assert linalg.rank(cleared) == oracle_rank(rows)
+    assert linalg.nullspace(cleared, ncols=ncols) == oracle_nullspace(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(entries=big_entries))
+def test_integer_kernel_matches_fraction_twin_and_dense_oracle(case):
+    rows, ncols = case
+    r = linalg.rank(rows)
+    basis = linalg.nullspace(rows, ncols=ncols)
+    assert r == fraction_rank(rows) == oracle_rank(rows)
+    assert basis == fraction_nullspace(rows, ncols) == oracle_nullspace(rows, ncols)
+    assert len(basis) == ncols - r
+    assert all(type(x) is F for v in basis for x in v)
+
+
+def test_integer_kernel_on_fixed_shapes():
+    big = 10 ** 30
+    cases = [([], 0), ([], 3), ([[0, 0, 0]], 3), ([[0] * 4] * 3, 4),
+             ([[big, 1], [1, big]], 2),            # full rank, huge entries
+             ([[big, 2 * big, 3], [2 * big, 4 * big, 6]], 3),  # rank 1
+             ([[1], [2], [3], [big]], 1),          # tall
+             ([[3, 0, big, -1, 7]], 5),            # wide
+             ([[2, 4], [3, 6], [0, 0]], 2)]        # rank-deficient, zero row
+    for rows, ncols in cases:
+        assert linalg.rank(rows) == fraction_rank(rows) == oracle_rank(rows)
+        assert (linalg.nullspace(rows, ncols=ncols)
+                == fraction_nullspace(rows, ncols)
+                == oracle_nullspace(rows, ncols))
+    assert linalg.nullspace([[2, 3]]) == [(F(-3, 2), F(1))]
+    with pytest.raises(TypeError):
+        linalg.rank([[F(1, 2), 1]])
 
 
 def _solution(found):
@@ -368,20 +461,24 @@ def test_det_and_inverse():
 
 
 def test_square_kernels_get_ints_from_every_caller(monkeypatch):
-    # on Fraction rows Bareiss's // floors silently, so the kernels trust
-    # their callers: every entry that reaches them from src/ is an int
-    seen = {name: [] for name in ("solve_square", "det", "adjugate_int")}
+    # on Fraction rows Bareiss's // floors silently and the sparse
+    # kernel's gcd raises, so the kernels trust their callers: every entry
+    # that reaches them from src/ is an int
+    seen = {name: [] for name in ("solve_square", "det", "adjugate_int",
+                                  "rank", "nullspace")}
     for name, types in seen.items():
-        def record(*args, kernel=getattr(linalg, name), types=types):
+        def record(*args, kernel=getattr(linalg, name), types=types, **kw):
             for arg in args:
                 for x in arg:
                     types.extend(map(type, x) if isinstance(x, (list, tuple))
                                  else [type(x)])
-            return kernel(*args)
+            return kernel(*args, **kw)
         monkeypatch.setattr(linalg, name, record)
     for spec in polytopes.catalog_specs():
-        for cmd in ("validate", "decompose", "count", "volume"):
+        for cmd in ("validate", "decompose", "count", "volume", "betti"):
             assert cli.run([cmd, spec])[1] == 0, (cmd, spec)
+        for k in range(4):
+            assert cli.run(["gkm-dim", spec, "--k", str(k)])[1] == 0, (spec, k)
     for error, dim, hs in TWIN_CASES.values():
         if error is None:
             polytopes.from_halfspaces(dim, hs)

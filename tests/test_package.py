@@ -220,6 +220,15 @@ def test_denominators_are_cleared_in_one_place():
     assert _owners(_clears_denominators) == ["algebra.clear_denominators"]
 
 
+def test_linalg_names_fraction_only_in_nullspace():
+    """The kernels run on ints: in ``linalg``, ``Fraction`` is named (past
+    its import) only where ``nullspace`` builds its output entries."""
+    found = _owners(lambda node: isinstance(node, ast.Name)
+                    and node.id == "Fraction"
+                    or isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    assert [o for o in found if o.startswith("linalg.")] == ["linalg.nullspace"]
+
+
 def test_work_limit_refusals_are_worded_in_one_place():
     """Every work limit is refused through ``errors.check_limit``; only
     ``algebra.format_rat`` words Python's own refusal to print."""

@@ -31,6 +31,7 @@ from momentkit import (
 )
 from momentkit import linalg, polytopes
 from momentkit.algebra import (
+    clear_denominators,
     dot,
     is_zero_vec,
     pivot_index,
@@ -724,7 +725,8 @@ def _affine_rank(points):
     before the affine hull was read from the rows tight at every vertex."""
     if not points:
         return -1
-    return linalg.rank([list(vsub(p, points[0])) for p in points[1:]])
+    return linalg.rank([clear_denominators(vsub(p, points[0]))[0]
+                        for p in points[1:]])
 
 
 def _rank_facets(P):
