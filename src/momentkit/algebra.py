@@ -30,7 +30,6 @@ Vec = tuple[Fraction, ...]
 Poly = dict[tuple[int, ...], Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +68,16 @@ def clear_denominators(v) -> tuple[list[int], int]:
     int or Fraction vector v, X the list of ints d * v."""
     d = lcm(*(e.denominator for e in v))
     return [e.numerator * (d // e.denominator) for e in v], d
+
+
+def clear_direction(xi, dim: int) -> tuple[list[int], int]:
+    """``clear_denominators`` of the rational vector xi, which must have
+    ``dim`` entries: a positive multiple X of xi, pairing in ints with the
+    same signs."""
+    xi = as_vec(xi)
+    if len(xi) != dim:
+        raise ValueError(f"vector length mismatch: {dim} vs {len(xi)}")
+    return clear_denominators(xi)
 
 
 def primitive(v) -> tuple[int, ...]:

@@ -243,9 +243,10 @@ def _cmd_integrate(P, args):
     G = gkm.moment_graph(P)
     cls = _load_class(args.class_file, G)
     xi = _direction(P, args)
+    # pushforward checks the class once; the resamples reuse that check
     value = localization.pushforward(cls, G, xi)
     others = (gkm.choose_generic_direction(G, seed=args.seed + s) for s in (1, 2))
-    checks = [localization.pushforward(cls, G, other) for other in others]
+    checks = [localization.fixed_point_value(cls, G, other) for other in others]
     consistent = all(c == value for c in checks)
     result = {"value": format_rat(value), "xi": vec_to_json(xi)}
     oracle = {

@@ -20,14 +20,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from . import linalg
 from .algebra import (
     Poly,
     Vec,
-    as_vec,
+    clear_direction,
     divides_linear,
-    dot,
     generic_vector,
     is_zero_vec,
     linear_poly,
@@ -248,18 +248,21 @@ def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
     """Count vertices by number of downward edges against xi.
 
     Entry k is the number of vertices with exactly k incident edges whose
-    other endpoint pairs lower against xi.
+    other endpoint pairs lower against xi.  ``G.isotropy[v]`` points from
+    v towards its neighbours, so an edge goes down exactly when its weight
+    pairs negatively with xi, cleared once: the pairings are int sums.
     """
-    xi = as_vec(xi)
-    heights = [dot(p, xi) for p in G.positions]
+    X, _ = clear_direction(xi, G.dim)
     profile = [0] * (max(map(len, G.incidence)) + 1)
-    for v, ks in enumerate(G.incidence):
+    for ks, at_v in zip(G.incidence, G.isotropy):
         down = 0
-        for i, j in (G.edges[k] for k in ks):
-            if heights[i] == heights[j]:
+        for k, w in zip(ks, at_v):
+            pairing = sum(map(mul, w, X))
+            if not pairing:
+                i, j = G.edges[k]
                 raise NotGenericError(
                     f"direction is not generic: edge ({i}, {j}) pairs to zero")
-            down += heights[j if i == v else i] < heights[v]
+            down += pairing < 0
         profile[down] += 1
     return tuple(profile)
 
@@ -301,7 +304,7 @@ def facet_class(P: Polytope, G: MomentGraph, facet: int) -> GKMClass:
         if facet not in P.vertex_facets[i]:
             components.append({})
             continue
-        leaving = [d for d in P.weights[i] if dot(normal, d) != 0]
+        leaving = [d for d in P.weights[i] if sum(map(mul, normal, d))]
         if len(leaving) != 1:
             raise NotDelzantError(
                 f"vertex {i} does not have a unique edge leaving the facet")

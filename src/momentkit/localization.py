@@ -9,26 +9,28 @@ rational function.  A part of degree d > n pushes forward to a polynomial of
 degree d - n in the evaluation point, so the CLI's ``integrate`` reports
 ``oracle-mismatch`` (exit 4) for <v, X>^3 on ``cube:2:1``, for example.
 
-One sum, ``_fixed_point_sum``, evaluates value_v / prod_w <w, xi> over the
-vertices.  ``pushforward`` takes the moment graph and feeds it a class's
-values over the weights ``MomentGraph.isotropy``; ``volume_localization``
-takes the polytope and feeds it <v, xi>^n over ``Polytope.weights``,
-scaled by (-1)^n / n!.
+One sum, ``_fixed_point_sum``, evaluates value_v / prod_w <w, X> over the
+vertices with int pairings, xi = X/q cleared once per call.  ``pushforward``
+checks a class, then ``fixed_point_value`` feeds the sum its values over
+``MomentGraph.isotropy`` and scales it by q^n.  ``volume_localization``
+feeds it <X_v, X>^n / D_v^n over ``Polytope.weights``, v = X_v/D_v read from
+``Polytope.int_vertices`` (q drops out of a term of degree 0), scaled by
+(-1)^n / n!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from . import gkm
 from .algebra import (
-    ONE,
     ZERO,
     Poly,
     Vec,
     as_vec,
-    dot,
+    clear_direction,
     linear_poly,
     poly_eval,
     poly_mul,
@@ -61,31 +63,42 @@ def euler_class_at(G: MomentGraph, v: int) -> Poly:
     return out
 
 
-def _fixed_point_sum(values, weights, xi: Vec) -> Fraction:
-    """Sum over vertices of values[v] / prod of <w, xi> over weights[v]."""
+def _fixed_point_sum(values, weights, X: list[int], xi: Vec) -> Fraction:
+    """Sum over vertices of values[v] / prod of <w, X> over weights[v], X
+    an int multiple of xi; xi names the point where a weight pairs to 0."""
     total = ZERO
     for value, at_v in zip(values, weights):
-        denom = ONE
+        denom = 1
         for w in at_v:
-            pairing = dot(w, xi)
-            if pairing == 0:
+            pairing = sum(map(mul, w, X))
+            if not pairing:
                 raise NotGenericError(
                     f"weight {vec_to_json(w)} vanishes at evaluation point "
                     f"{vec_to_json(xi)}")
             denom *= pairing
-        total += value / denom
+        total += Fraction(value.numerator, value.denominator * denom)
     return total
+
+
+def fixed_point_value(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
+    """Sum over vertices of component value over Euler class value at xi,
+    for a class that ``pushforward`` has accepted: no check is made."""
+    xi = as_vec(xi)
+    weights = _isotropy(G)
+    X, q = clear_direction(xi, G.dim)
+    return q ** G.dim * _fixed_point_sum(
+        (poly_eval(f, xi) for f in cls), weights, X, xi)
 
 
 def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """Sum over vertices of component value over Euler class value at xi.
 
     Only classes passing the divisibility conditions have a well-defined
-    push-forward, so admissibility is enforced up front.  Before that, a
-    value is refused when the squares of its monomials' degrees, each
-    raised to ``TERM_DEGREE_FLOOR`` first, sum to more than
+    push-forward, so admissibility is enforced up front, on every call.
+    Before that, a value is refused when the squares of its monomials'
+    degrees, each raised to ``TERM_DEGREE_FLOOR`` first, sum to more than
     ``gkm.MAX_CLASS_DEGREE ** 2``, read at call time; one monomial at the
-    degree limit is allowed.
+    degree limit is allowed.  ``fixed_point_value`` then evaluates it.
     """
     xi = as_vec(xi)
     for label, f in zip(G.labels, cls):
@@ -94,13 +107,12 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
             f"class value at {label} needs evaluation work {work} (its "
             f"squared monomial degrees, each at least {TERM_DEGREE_FLOOR}, "
             f"summed),"))
-    weights = _isotropy(G)
     report = gkm_check(G, cls)
     if not report.ok:
         raise DomainError(
             f"class fails the divisibility conditions on edges "
             f"{list(report.failures)}; its push-forward is undefined")
-    return _fixed_point_sum((poly_eval(f, xi) for f in cls), weights, xi)
+    return fixed_point_value(cls, G, xi)
 
 
 def volume_localization(P: Polytope, xi) -> Fraction:
@@ -116,5 +128,8 @@ def volume_localization(P: Polytope, xi) -> Fraction:
     if not report.smooth:
         raise NotDelzantError(f"polytope is not Delzant: {report.reason}")
     n = P.dim
-    total = _fixed_point_sum((dot(v, xi) ** n for v in P.vertices), P.weights, xi)
+    X, _ = clear_direction(xi, n)
+    values = (Fraction(sum(map(mul, V, X)) ** n, D ** n)
+              for V, D in P.int_vertices)
+    total = _fixed_point_sum(values, P.weights, X, xi)
     return Fraction((-1) ** n, factorial(n)) * total

@@ -4,11 +4,14 @@ Fix a direction xi that pairs nonzero with every edge vector.  The cone
 at vertex i is spanned by its primitive edge directions ``P.weights[i]``,
 read straight off the polytope as int tuples.  Each is paired with xi
 over a common denominator, an int sum: a positive scale keeps every
-sign.  Generators pairing positively with xi are flipped so all of
-them point against xi; flipped generators get strict (open) coefficients
-and the cone enters with sign (-1)^(number flipped).  The signed sum
-of cone indicators then reproduces the polytope indicator at every point
-of R^n, boundary included, with no tolerance anywhere.
+sign, so xi is cleared once per call.  Generators pairing positively
+with xi are flipped so all of them point against xi; flipped generators
+get strict (open) coefficients and the cone enters with sign
+(-1)^(number flipped).  The signed sum of cone indicators then
+reproduces the polytope indicator at every point of R^n, boundary
+included, with no tolerance anywhere.  A membership test clears the
+point's denominators once and each cone's apex once (on the cone), so
+the point's offset from every apex is an integer vector.
 
 The same signs turn the cones' lattice-point generating functions into
 the lattice count of the polytope (Brion; Lawrence-Varchenko).  Each cone
@@ -34,13 +37,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import mul, neg
 
 from . import linalg
 from .algebra import (
-    Vec, as_vec, clear_denominators, dot, generic_vector, primitive,
-    vec_to_json, vneg, vsub)
+    Vec, as_vec, clear_denominators, clear_direction, generic_vector,
+    primitive, vec_to_json, vneg)
 from .errors import DomainError, NonSimpleVertexError, NotPolarizingError, check_limit
 from .polytopes import Polytope
 
@@ -68,10 +71,16 @@ class PolarizedCone:
     sign: int
 
     @functools.cached_property
+    def cleared_apex(self) -> tuple[list[int], int]:
+        """(X, d) with apex == X / d, d > 0, cleared on first read."""
+        return clear_denominators(self.apex)
+
+    @functools.cached_property
     def lattice(self) -> tuple[list[tuple[int, ...]], list[list[int]], int]:
         """(cols, adj, det) of the integer matrix A whose columns are the
         primitive generators (rescaling one never changes the cone): one
-        elimination per cone, on first read."""
+        elimination per cone, on first read.  A generator that is already a
+        primitive int tuple, as ``polar_decompose`` makes them, is kept."""
         n = len(self.apex)
         if len(self.generators) != n:
             raise NonSimpleVertexError(
@@ -83,7 +92,8 @@ class PolarizedCone:
         if len(self.open_flags) != n:
             raise DomainError(
                 f"cone has {len(self.open_flags)} open flags, expected {n}")
-        cols = [primitive(g) for g in self.generators]
+        cols = [g if type(g) is tuple and all(type(c) is int for c in g)
+                and gcd(*g) == 1 else primitive(g) for g in self.generators]
         found = linalg.adjugate_int([[c[i] for c in cols] for i in range(n)])
         if found is None:
             raise NonSimpleVertexError(
@@ -93,9 +103,9 @@ class PolarizedCone:
 
 
 def is_polarizing(P: Polytope, xi) -> bool:
-    """True iff xi pairs nonzero with every edge direction of P."""
-    xi = as_vec(xi)
-    return all(dot(w, xi) != 0 for at_v in P.weights for w in at_v)
+    """True iff xi, cleared once, pairs nonzero with every edge direction."""
+    X, _ = clear_direction(xi, P.dim)
+    return all(sum(map(mul, w, X)) for at_v in P.weights for w in at_v)
 
 
 def choose_polarizing_vector(P: Polytope, seed=0) -> Vec:
@@ -108,14 +118,16 @@ def choose_polarizing_vector(P: Polytope, seed=0) -> Vec:
         for w, j in zip(at_v, adjacent) if i < j], seed=seed)
 
 
-def _contains(cone: PolarizedCone, x: Vec) -> bool:
-    """x in the cone iff its coefficients A^-1 (x - apex) obey the flags,
-    each sign read from an integer product with adj(A)."""
-    if len(x) != len(cone.apex):
+def _contains(cone: PolarizedCone, X: list[int], d: int) -> bool:
+    """x = X/d (d > 0) in the cone iff its coefficients A^-1 (x - apex)
+    obey the flags, each sign read from an integer product with adj(A):
+    with apex = A0/e, x - apex is the integer vector X*e - A0*d over d*e."""
+    if len(X) != len(cone.apex):
         raise DomainError(
-            f"point has dimension {len(x)}, expected {len(cone.apex)}")
+            f"point has dimension {len(X)}, expected {len(cone.apex)}")
     _, adj, det = cone.lattice
-    y, _ = clear_denominators(vsub(x, cone.apex))
+    A0, e = cone.cleared_apex
+    y = [a * e - b * d for a, b in zip(X, A0)]
     for row, is_open in zip(adj, cone.open_flags):
         # det * (adj row . y) has the sign of the coefficient
         t = sum(a * b for a, b in zip(row, y)) * det
@@ -147,7 +159,7 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
     # A^-1 (r - apex) = adj (scale r - shift) / (scale det), scale making
     # the apex integral; signs flipped so the denominator is positive, and
     # an open generator's ceil(c) - 1 read as floor((num - 1) / den)
-    shift, scale = clear_denominators(cone.apex)
+    shift, scale = cone.cleared_apex
     if det < 0:
         adj = [list(map(neg, row)) for row in adj]
     base = [-sum(map(mul, row, shift)) - is_open
@@ -225,7 +237,7 @@ def _constant_term(sums: list[int], ws: list[int]) -> Fraction:
 
 def cone_contains(cone: PolarizedCone, x) -> bool:
     """Exact membership honoring each generator's closed/open flag."""
-    return _contains(cone, as_vec(x))
+    return _contains(cone, *clear_denominators(as_vec(x)))
 
 
 def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
@@ -234,10 +246,7 @@ def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
     xi's denominators are cleared once: a positive scale keeps the sign of
     each pairing, so every weight pairs with one integer vector.  The cones
     are built per call and belong to the caller; P keeps none of them."""
-    xi = as_vec(xi)
-    if len(xi) != P.dim:
-        raise ValueError(f"vector length mismatch: {P.dim} vs {len(xi)}")
-    xi_int, _ = clear_denominators(xi)
+    xi_int, _ = clear_direction(xi, P.dim)
     cones = []
     for apex, at_v in zip(P.vertices, P.weights):
         pairings = [sum(map(mul, alpha, xi_int)) for alpha in at_v]
@@ -257,10 +266,10 @@ def signed_indicator_sum(cones: tuple[PolarizedCone, ...], x) -> int:
     Computed from the cones alone, with no membership test on the
     polytope; equality with ``P.contains(x)`` as 0/1 is the content of the
     decomposition identity and is asserted by the test suite, never assumed
-    here.
+    here.  x is cleared once, each cone's apex once, on the cone.
     """
-    x = as_vec(x)
-    return sum(cone.sign for cone in cones if _contains(cone, x))
+    X, d = clear_denominators(as_vec(x))
+    return sum(cone.sign for cone in cones if _contains(cone, X, d))
 
 
 def signed_lattice_count(P: Polytope, xi, box) -> int:
@@ -281,12 +290,12 @@ def signed_lattice_count(P: Polytope, xi, box) -> int:
     for lo, hi in box:
         if lo > hi:
             raise DomainError(f"empty box range ({lo}, {hi})")
-    for v in P.vertices:
-        for (lo, hi), coord in zip(box, v):
-            if not (lo <= coord <= hi):
+    for X, D in P.int_vertices:
+        for (lo, hi), x in zip(box, X):
+            if not (lo * D <= x <= hi * D):
                 raise DomainError(
                     f"box does not contain the polytope: vertex coordinate "
-                    f"{coord} outside [{lo}, {hi}]")
+                    f"{Fraction(x, D)} outside [{lo}, {hi}]")
     cones = polar_decompose(P, xi)
     points = sum(abs(cone.lattice[2]) for cone in cones)
     check_limit(points, MAX_PARALLELEPIPED_POINTS,

@@ -6,10 +6,11 @@ normals.  Vertices come exactly from all n-subsets of constraints.  Each
 subset is one fraction-free integer solve (``linalg.solve_square``), whose
 Cramer form (X, D), x = X/D, keys the dedupe and feeds integer sign tests
 against one table of integer rows, in move-to-front order: a few rows
-reject most candidates.  Only the vertices kept become Fraction tuples.
-What is derived from them later stays in ints: facets are the maximal
-tight vertex sets, and edge directions are differences of the vertices
-over a common denominator.
+reject most candidates.  The vertices kept become sorted Fraction tuples,
+for reports, and keep their Cramer pairs as an integer vertex table.
+What is derived later stays in ints: facets are the maximal tight vertex
+sets, edge directions are differences of the tabled vertices, and a
+membership test clears the point once and meets each integer row.
 Edges and boundedness then come from one kernel test per distinct
 (n-1)-subset of rows tight at some vertex: a kernel line through two
 vertices is an edge, and one through a single vertex may be an unbounded
@@ -106,28 +107,32 @@ class SmoothnessReport:
 class Polytope:
     """Immutable bounded rational polytope with derived combinatorics.
 
-    ``vertices`` are sorted lexicographically; ``vertex_facets[i]`` is the
-    frozenset of half-space indices active (tight) at vertex i; ``edges``
-    are index pairs (i, j) with i < j; ``neighbors[i]`` is the sorted tuple
-    of vertices joined to vertex i by an edge, built once from ``edges``.
-    ``int_rows`` is the table of integer rows (q*a, p) of q*<a, x> >= p, a
-    the primitive int tuple normal of each canonical half-space, in
-    ``halfspaces`` order, that ``from_halfspaces`` built.  ``weights[i]``
-    holds the primitive directions of the edges leaving vertex i in
-    ``neighbors[i]`` order (its isotropy weights) as int tuples, the one
-    place a polytope derives edge directions: with each vertex written
-    once as X/d, X integral and d > 0, the edge (i, j) points along
-    X_j*d_i - X_i*d_j.  ``facets`` are read from the tight vertex sets
-    alone (see its docstring).  ``weights`` and ``facets`` are built on
-    first read, then kept (``functools.cached_property``), both in ints.
-    A polytope keeps nothing per direction: ``polar.polar_decompose``
-    builds the polarized cones per call, and the caller holds them.
+    ``vertices`` are sorted lexicographically, and ``int_vertices[i]`` is
+    vertex i as the Cramer pair (X, D), x = X/D, D > 0, gcd(X, D) = 1, that
+    the build found it by: the per-vertex loops read this table.
+    ``vertex_facets[i]`` is the frozenset of half-space indices active
+    (tight) at vertex i; ``edges`` are index pairs (i, j) with i < j;
+    ``neighbors[i]`` is the sorted tuple of vertices joined to vertex i by
+    an edge, built once from ``edges``.  ``int_rows`` is the table of
+    integer rows (q*a, p) of q*<a, x> >= p, a the primitive int tuple
+    normal of each canonical half-space, in ``halfspaces`` order, that
+    ``from_halfspaces`` built.  ``weights[i]`` holds the primitive
+    directions of the edges leaving vertex i in ``neighbors[i]`` order (its
+    isotropy weights) as int tuples, the one place a polytope derives edge
+    directions: the edge (i, j) points along X_j*D_i - X_i*D_j.  ``facets``
+    are read from the tight vertex sets alone (see its docstring).
+    ``weights`` and ``facets`` are built on first read, then kept
+    (``functools.cached_property``), both in ints.  A polytope keeps
+    nothing per direction: ``polar.polar_decompose`` builds the polarized
+    cones per call, and the caller holds them.
     """
 
-    def __init__(self, dim, halfspaces, vertices, vertex_facets, edges, int_rows):
+    def __init__(self, dim, halfspaces, vertices, int_vertices, vertex_facets,
+                 edges, int_rows):
         self.dim: int = dim
         self.halfspaces: tuple[HalfSpace, ...] = halfspaces
         self.vertices: tuple[Vec, ...] = vertices
+        self.int_vertices: tuple[tuple[tuple[int, ...], int], ...] = int_vertices
         self.vertex_facets: tuple[frozenset[int], ...] = vertex_facets
         self.edges: tuple[tuple[int, int], ...] = edges
         self.int_rows: list[tuple[tuple[int, ...], int]] = int_rows
@@ -144,11 +149,11 @@ class Polytope:
 
     @functools.cached_property
     def weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        cleared = [clear_denominators(v) for v in self.vertices]
+        table = self.int_vertices
         return tuple(
             tuple(primitive([y * d - x * e for x, y in zip(X, Y)])
-                  for Y, e in map(cleared.__getitem__, adjacent))
-            for (X, d), adjacent in zip(cleared, self.neighbors))
+                  for Y, e in map(table.__getitem__, adjacent))
+            for (X, d), adjacent in zip(table, self.neighbors))
 
     @functools.cached_property
     def facets(self) -> tuple[int, ...]:
@@ -175,11 +180,12 @@ class Polytope:
                      if not any(V < W for W in on_row))
 
     def contains(self, x) -> bool:
-        """Boundary-inclusive membership test."""
-        x = as_vec(x)
-        if len(x) != self.dim:
-            raise DomainError(f"point has dimension {len(x)}, expected {self.dim}")
-        return all(dot(h.normal, x) >= h.offset for h in self.halfspaces)
+        """Boundary-inclusive membership test: x = X/d, cleared once, meets
+        each integer row (a, p) when <a, X> >= p*d."""
+        X, d = clear_denominators(as_vec(x))
+        if len(X) != self.dim:
+            raise DomainError(f"point has dimension {len(X)}, expected {self.dim}")
+        return all(sum(map(mul, a, X)) >= p * d for a, p in self.int_rows)
 
 
 def _ray(normals: list[tuple[int, ...]], v) -> list[int] | None:
@@ -298,7 +304,7 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
                 tight.append(k)
         else:
             tight_at[solution] = frozenset(tight)
-    found = {tuple(Fraction(c, D) for c in X): tight
+    found = {tuple(Fraction(c, D) for c in X): (tight, (X, D))
              for (X, D), tight in tight_at.items() if tight is not None}
 
     if not found:
@@ -309,8 +315,8 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
         raise EmptyRegionError("the half-spaces have empty intersection")
 
     verts = tuple(sorted(found))
-    vertex_facets = tuple(found[v] for v in verts)
-    return Polytope(dim, tuple(canon), verts, vertex_facets,
+    vertex_facets, int_vertices = zip(*map(found.__getitem__, verts))
+    return Polytope(dim, tuple(canon), verts, int_vertices, vertex_facets,
                     _edges(dim, [a for a, _ in rows], vertex_facets), rows)
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from momentkit import cli, gkm, linalg, localization, polar, polytopes
-from momentkit.errors import quoted
+from momentkit.errors import DomainError, quoted
 from momentkit.gkm import facet_class, gkm_class_to_json, moment_graph
 from momentkit.polytopes import (
     catalog_specs,
@@ -162,6 +162,38 @@ def test_integrate_command(tmp_path):
     assert code == 0
     assert report["result"]["value"] == "1"
     assert report["oracle"]["consistent"] is True
+
+
+def test_integrate_checks_its_class_once_per_run(tmp_path, monkeypatch, capsys):
+    # the answer's pushforward checks the class; the two resampled
+    # directions reuse that check
+    P = polytopes.from_spec("cube:2:1")
+    G = moment_graph(P)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(gkm_class_to_json(G, facet_class(P, G, P.facets[0]))))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"v0": {"1,0": "1"}, "v1": {}, "v2": {}, "v3": {}}))
+    checked = []
+    check = gkm.gkm_check
+
+    def counted(G, cls):
+        checked.append(cls)
+        return check(G, cls)
+
+    monkeypatch.setattr(gkm, "gkm_check", counted)
+    monkeypatch.setattr(localization, "gkm_check", counted)
+    assert cli.main(["integrate", "cube:2:1", "--class", str(good)]) == 0
+    assert len(checked) == 1
+    capsys.readouterr()
+    assert cli.main(["integrate", "cube:2:1", "--class", str(bad)]) == 3
+    assert len(checked) == 2
+    assert capsys.readouterr().err == (
+        "error: class fails the divisibility conditions on edges [0]; its "
+        "push-forward is undefined\n")
+    cls = gkm.gkm_class_from_json(G, json.loads(bad.read_text()))
+    with pytest.raises(DomainError, match="divisibility conditions on edges"):
+        localization.pushforward(cls, G, (1, 2))
+    assert len(checked) == 3
 
 
 def test_catalog_command():

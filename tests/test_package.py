@@ -45,8 +45,10 @@ def test_public_names():
 # What a Polytope holds: the fields its constructor sets and the two
 # properties it caches.  Per-direction data, such as polarized cones, stays
 # with the caller, so one polytope used for many directions holds no more.
+# ``int_vertices``, the integer vertex table, is one pair per vertex.
 POLYTOPE_FIELDS = {"dim", "halfspaces", "vertices", "vertex_facets", "edges",
-                   "int_rows", "neighbors", "weights", "facets"}
+                   "int_rows", "int_vertices", "neighbors", "weights",
+                   "facets"}
 
 
 def test_polytope_carries_only_its_own_data():
@@ -227,6 +229,18 @@ def test_linalg_names_fraction_only_in_nullspace():
                     and node.id == "Fraction"
                     or isinstance(node, ast.Attribute) and node.attr == "Fraction")
     assert [o for o in found if o.startswith("linalg.")] == ["linalg.nullspace"]
+
+
+def test_vertex_loops_call_no_fraction_dot():
+    """The per-vertex loops of ``polar``, ``localization`` and ``gkm``
+    (``betti_numbers`` and ``facet_class`` among them) pair int weights
+    with a cleared point or direction: ``algebra.dot``, a Fraction sum,
+    has no caller there."""
+    found = _owners(lambda node: isinstance(node, ast.Name) and node.id == "dot"
+                    or isinstance(node, ast.Attribute) and node.attr == "dot")
+    assert not [o for o in found
+                if o.split(".")[0] in ("polar", "localization", "gkm")]
+    assert found, "the scan sees the callers left in other modules"
 
 
 def test_work_limit_refusals_are_worded_in_one_place():

@@ -47,7 +47,7 @@ def _box_scan_count(P, xi, box):
     ranges = [range(lo, hi + 1) for lo, hi in box]
     total = 0
     for cone in polar_decompose(P, xi):
-        total += cone.sign * sum(_contains(cone, x) for x in product(*ranges))
+        total += cone.sign * sum(_contains(cone, x, 1) for x in product(*ranges))
     return total
 
 
@@ -246,6 +246,27 @@ def test_cone_eliminates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cone_columns_are_primitive_and_reduced_only_when_needed(monkeypatch):
+    reduced = []
+    monkeypatch.setattr(polar, "primitive",
+                        lambda g: reduced.append(g) or primitive(g))
+    P = from_spec("hirzebruch:2")
+    for cone in polar_decompose(P, choose_polarizing_vector(P)):
+        assert cone.lattice[0] == list(cone.generators)
+    assert reduced == []  # polar_decompose makes primitive int tuples
+    # Fraction and non-primitive generators of a hand-built cone
+    gens = (vec(2, 0, 0), vec(F(1, 2), F(3, 2), 0), (0, 0, -3))
+    cone = PolarizedCone(vec(F(1, 3), 0, 1), gens, (False, True, False), -1)
+    assert cone.lattice[0] == [(1, 0, 0), (1, 3, 0), (0, 0, -1)]
+    assert all(type(c) is int for col in cone.lattice[0] for c in col)
+    assert reduced == list(gens)
+    # primitive int tuples are kept as given, with no second reduction
+    kept = PolarizedCone(vec(0, 0, 0), ((1, 0, 0), (1, 3, 0), (0, 0, -1)),
+                         (False, False, False), 1)
+    assert kept.lattice[0] == cone.lattice[0]
+    assert len(reduced) == 3
+
+
 def test_cone_equality_ignores_its_elimination():
     def make():
         return PolarizedCone(vec(0, 0), (vec(1, 2), vec(1, -1)),
@@ -400,6 +421,12 @@ def test_signed_lattice_count_validates_box():
         signed_lattice_count(P, xi, [(0, 2)])
     with pytest.raises(DomainError):
         signed_lattice_count(P, xi, [(2, 0), (0, 2)])
+    # the check reads the integer vertex table, and names the coordinate
+    T = from_halfspaces(1, [((1,), F(1, 2)), ((-1,), -3)])
+    with pytest.raises(DomainError, match=r"^box does not contain the "
+                       r"polytope: vertex coordinate 1/2 outside \[1, 3\]$"):
+        signed_lattice_count(T, (1,), [(1, 3)])
+    assert signed_lattice_count(T, (1,), [(0, 3)]) == 3
 
 
 def test_polytope_dies_after_its_decomposition():
