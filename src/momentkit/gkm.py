@@ -26,6 +26,7 @@ from . import linalg
 from .algebra import (
     Poly,
     Vec,
+    clear_denominators,
     clear_direction,
     divides_linear,
     generic_vector,
@@ -56,10 +57,12 @@ class MomentGraph:
     ``weights[k]`` labels ``edges[k] = (i, j)`` (i < j), whose endpoint
     positions must differ by a nonzero multiple of it, of any length and
     sign.  At every vertex the incident labels must be pairwise linearly
-    independent.  Construction checks both and builds ``incidence[v]``,
-    the indices of the edges at v in increasing order, and ``isotropy[v]``,
-    their primitive weights pointing away from v as int tuples, oriented by
-    positions so that flipping labels never changes them.
+    independent.  Construction checks both, the first by integer
+    cross-multiplication on positions cleared of denominators once, and
+    builds ``incidence[v]``, the indices of the edges at v in increasing
+    order, and ``isotropy[v]``, their primitive weights pointing away from
+    v as int tuples, oriented by positions so that flipping labels never
+    changes them.
     """
 
     positions: tuple[Vec, ...]
@@ -82,6 +85,7 @@ class MomentGraph:
             raise DomainError("moment graph needs dimension at least 1")
         if len(self.weights) != len(self.edges):
             raise DomainError("one weight per edge required")
+        cleared = [clear_denominators(p) for p in self.positions]
         seen = set()
         incidence: list[list[int]] = [[] for _ in range(nverts)]
         isotropy: list[list[tuple[int, ...]]] = [[] for _ in range(nverts)]
@@ -97,14 +101,15 @@ class MomentGraph:
                                   f"{len(w)}, expected {dim}")
             if is_zero_vec(w):
                 raise DomainError(f"zero weight on edge ({i}, {j})")
-            u, v = self.positions[i], self.positions[j]
             p = next(t for t, c in enumerate(w) if c)
-            dp = v[p] - u[p]  # v - u must be (dp / w[p]) w with dp != 0
-            if not dp or any(x != y if not c else t != p and (y - x) * w[p] != c * dp
-                             for t, (x, y, c) in enumerate(zip(u, v, w))):
+            line = primitive(w if w[p] > 0 else vneg(w))
+            # v - u = delta / (d_u d_v) must be (dp / line[p]) line, dp != 0
+            (U, du), (V, dv) = cleared[i], cleared[j]
+            delta = [y * du - x * dv for x, y in zip(U, V)]
+            dp = delta[p]
+            if not dp or any(e * line[p] != c * dp for e, c in zip(delta, line)):
                 raise DomainError(f"endpoints of edge ({i}, {j}) do not differ "
                                   f"by a nonzero multiple of its weight")
-            line = primitive(w if w[p] > 0 else vneg(w))
             lines.append(line)
             out = line if dp > 0 else vneg(line)  # from u towards v
             incidence[i].append(k)

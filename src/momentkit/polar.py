@@ -21,8 +21,9 @@ its generators, so its generating function is a power sum over the
 series per generator; the count is the constant term of the signed sum,
 exact rational work that does not grow with dilation.  The power sums walk
 each parallelepiped line by line along the last coordinate, a bounded
-block of points at a time, so a point costs a few integer operations
-inside list comprehensions and memory does not grow with |det|.
+block of points at a time: a block is built by C-level iterators
+(``range``, ``map`` and ``repeat``) with no Python-level loop per point,
+and memory does not grow with |det|.
 
 Only simple vertices are supported, so each cone is one n-by-n integer
 matrix, eliminated once, on the first read of ``PolarizedCone.lattice``:
@@ -36,9 +37,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import comb, factorial, gcd, prod
-from operator import mul, neg
+from operator import floordiv, mul, neg, sub
 
 from . import linalg
 from .algebra import (
@@ -148,10 +149,11 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
     parallelepiped by p = r - A m with m = floor(A^-1 (r - apex)), or
     ceil(.) - 1 for open generators.  For each head (r_1..r_n-1) the last
     coordinate t runs along a line, taken POWER_SUM_BLOCK values at a
-    time: m_j is affine in t under one floor, so a block's <p, xi> values
-    are one list comprehension per generator, and the block adds its
-    k-th powers to S_k, each list of powers the previous one times the
-    block.
+    time: <r, xi> and the numerator of each m_j are affine in t, so a
+    block's <p, xi> values are built by C-level iterators, a ``range``
+    (``repeat`` where the step is 0) per affine term and one ``map`` per
+    floor and product, and listed once; the block adds its k-th powers to
+    S_k, each list of powers the previous one times the block.
     """
     n = len(xi)
     cols, adj, det = cone.lattice
@@ -173,12 +175,13 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
                 for b, row in zip(base, adj)]
         q0 = sum(map(mul, head, xi))
         for start in range(0, line, POWER_SUM_BLOCK):
-            ts = range(start, min(start + POWER_SUM_BLOCK, line))
+            stop = min(start + POWER_SUM_BLOCK, line)
             # <p, xi> = <r, xi> - sum_j m_j <g_j, xi>
-            block = [q0 + xi[-1] * t for t in ts]
+            block = _affine(q0, xi[-1], start, stop)
             for w, b, s in zip(ws, nums, step):
-                block = [q - w * ((b + s * t) // den)
-                         for q, t in zip(block, ts)]
+                m = map(floordiv, _affine(b, s, start, stop), repeat(den))
+                block = map(sub, block, map(mul, m, repeat(w)))
+            block = list(block)
             sums[0] += len(block)
             power = block
             for k in range(1, n + 1):
@@ -186,6 +189,14 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
                 if k < n:
                     power = list(map(mul, power, block))
     return sums
+
+
+def _affine(first: int, step: int, start: int, stop: int):
+    """first + step*t for t = start..stop-1, as a C-level iterator;
+    ``range`` refuses a step of 0, which repeats ``first``."""
+    if not step:
+        return repeat(first, stop - start)
+    return range(first + step * start, first + step * stop, step)
 
 
 def _hermite_diagonal(cols: list[list[int]]) -> list[int]:

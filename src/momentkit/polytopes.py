@@ -4,10 +4,12 @@ A polytope is ingested exclusively in H-representation: the bounded
 intersection of half-spaces ``<normal, x> >= offset`` with inward-pointing
 normals.  Vertices come exactly from all n-subsets of constraints.  Each
 subset is one fraction-free integer solve (``linalg.solve_square``), whose
-Cramer form (X, D), x = X/D, keys the dedupe and feeds integer sign tests
-against one table of integer rows, in move-to-front order: a few rows
-reject most candidates.  The vertices kept become sorted Fraction tuples,
-for reports, and keep their Cramer pairs as an integer vertex table.
+Cramer form (X, D), x = X/D, feeds integer sign tests against one table of
+integer rows, in move-to-front order: a few rows reject most candidates,
+and a rejected candidate is dropped with nothing recorded, so memory holds
+the vertices, not the subsets.  A feasible candidate is recorded as a
+Fraction tuple, for reports, and keeps its Cramer pair in an integer
+vertex table.
 What is derived later stays in ints: facets are the maximal tight vertex
 sets, edge directions are differences of the tabled vertices, and a
 membership test clears the point once and meets each integer row.
@@ -257,7 +259,9 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     rejects x or marks the row tight in ``vertex_facets``.  Rows are tested
     in move-to-front order, the last row to reject a candidate first: the
     order decides how soon a candidate is rejected, not whether, and a kept
-    candidate meets every row.
+    candidate meets every row.  Every candidate is scanned, and only a
+    feasible one is recorded, so a vertex on more than n planes is found
+    once per subset naming it and kept once.
     """
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
@@ -279,33 +283,32 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
 
     rows = [(tuple(c * h.offset.denominator for c in h.normal),
              h.offset.numerator) for h in canon]
+    normals = [a for a, _ in rows]
     any_invertible = False
-    # (X, D) of the solution X/D -> tight row indices, None when it
-    # violates some row
-    tight_at: dict[tuple[tuple[int, ...], int], frozenset[int] | None] = {}
+    # each feasible solution X/D as a Fraction tuple -> (its tight row
+    # indices, (X, D))
+    found: dict[Vec, tuple[frozenset[int], tuple[tuple[int, ...], int]]] = {}
     # (k, a, p) in test order, the last row to reject a candidate first
     order = [(k, a, p) for k, (a, p) in enumerate(rows)]
-    for subset in combinations(rows, dim):
-        solution = linalg.solve_square(*zip(*subset))
+    for a_rows, b in zip(combinations(normals, dim),
+                         combinations([p for _, p in rows], dim)):
+        solution = linalg.solve_square(a_rows, b)
         if solution is None:
             continue
         any_invertible = True
-        if solution in tight_at:
-            continue
         X, D = solution
         tight = []
         for i, (k, a, p) in enumerate(order):
             s = sum(map(mul, a, X)) - p * D
             if s < 0:
-                tight_at[solution] = None
-                order.insert(0, order.pop(i))
+                if i:
+                    order.insert(0, order.pop(i))
                 break
             if not s:
                 tight.append(k)
         else:
-            tight_at[solution] = frozenset(tight)
-    found = {tuple(Fraction(c, D) for c in X): (tight, (X, D))
-             for (X, D), tight in tight_at.items() if tight is not None}
+            found[tuple(Fraction(c, D) for c in X)] = (frozenset(tight),
+                                                       solution)
 
     if not found:
         if not any_invertible:
@@ -317,7 +320,7 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     verts = tuple(sorted(found))
     vertex_facets, int_vertices = zip(*map(found.__getitem__, verts))
     return Polytope(dim, tuple(canon), verts, int_vertices, vertex_facets,
-                    _edges(dim, [a for a, _ in rows], vertex_facets), rows)
+                    _edges(dim, normals, vertex_facets), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from momentkit import (
     NotGenericError,
     betti_numbers,
     cube,
+    dilate,
     facet_class,
     flip_weights,
     free_module_check,
@@ -158,6 +159,53 @@ def test_label_check_matches_a_rank_twin():
             assert not expect
         else:
             assert expect
+
+
+def _fraction_label_check(positions, edges, weights):
+    """The edge check the graph made with Fraction arithmetic on the
+    positions, kept as its twin: the message of the first edge whose
+    endpoints do not differ by a nonzero multiple of its label, or None."""
+    for (i, j), w in zip(edges, weights):
+        u, v = positions[i], positions[j]
+        p = next(t for t, c in enumerate(w) if c)
+        dp = v[p] - u[p]  # v - u must be (dp / w[p]) w with dp != 0
+        if not dp or any(x != y if not c else t != p and (y - x) * w[p] != c * dp
+                         for t, (x, y, c) in enumerate(zip(u, v, w))):
+            return (f"endpoints of edge ({i}, {j}) do not differ by a nonzero "
+                    f"multiple of its weight")
+    return None
+
+
+def test_label_check_matches_the_fraction_twin():
+    # the catalog, dilated to rational positions, its labels flipped or
+    # rescaled; then each graph with one vertex moved, which breaks some of
+    # the edges at it
+    graphs = [moment_graph(P) for spec in catalog_specs()
+              for P in (from_spec(spec), dilate(from_spec(spec), F(5, 3)))]
+    graphs += [flip_weights(G, range(0, len(G.edges), 2)) for G in graphs[:]]
+    graphs += [MomentGraph(G.positions, G.edges, tuple(
+        tuple(factor * c for c in w) for w in G.weights))
+        for G in graphs[:] for factor in (-3, F(5, 2))]
+    rng = random.Random(5)
+    cases = []
+    for G in graphs:
+        cases.append(G.positions)
+        k = rng.randrange(len(G.positions))
+        cases.append(G.positions[:k] + (tuple(
+            x + F(rng.randint(-2, 2), rng.randint(1, 3))
+            for x in G.positions[k]),) + G.positions[k + 1:])
+    refused = 0
+    for G, positions in zip([G for G in graphs for _ in (0, 1)], cases):
+        expect = _fraction_label_check(positions, G.edges, G.weights)
+        try:
+            MomentGraph(positions, G.edges, G.weights)
+        except DomainError as exc:
+            assert str(exc) == expect
+            refused += 1
+        else:
+            assert expect is None
+    assert len(graphs) == 21 * 2 * 2 * 3
+    assert 0 < refused < len(cases) // 2
 
 
 def test_zero_dimensional_graph_is_refused():

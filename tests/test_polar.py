@@ -541,6 +541,40 @@ def test_power_sums_match_the_per_point_twin():
         _assert_power_sums_match(cone, [3, -1, 2])
 
 
+def _cones(gens, apex):
+    """The cone at ``apex`` on the int generators ``gens``, under every
+    choice of open flags."""
+    for flags in product((False, True), repeat=len(gens)):
+        yield PolarizedCone(apex, tuple(vec(*g) for g in gens), flags,
+                            (-1) ** sum(flags))
+
+
+def test_power_sums_with_zero_steps_match_the_per_point_twin():
+    # a zero in the last column of adj makes m_j constant along each line,
+    # and a zero last entry of xi makes <r, xi> constant: both are walked
+    # by repeat, as range refuses a step of 0
+    for gens in (((3, 3, 2), (1, 1, -3), (0, -2, -1)),
+                 ((0, 1, -1), (3, 2, 1), (0, 3, 1))):
+        for cone in _cones(gens, vec(F(1, 2), F(-2, 3), 5)):
+            cols, adj, _ = cone.lattice
+            assert 0 in [row[-1] for row in adj]
+            assert _hermite_diagonal(cols)[-1] > 1
+            for xi in ([3, -1, 2], [3, -1, 0], [0, 5, 0]):
+                _assert_power_sums_match(cone, xi)
+
+
+def test_power_sums_on_unimodular_cones_match_the_per_point_twin():
+    # |det| = 1: one head, and its line holds one point
+    for gens in (((1, 0, 0), (1, 1, 0), (2, -1, 1)),
+                 ((-1, 0, 0), (0, 0, -1), (0, 1, 0))):
+        for cone in _cones(gens, vec(F(7, 2), F(-1, 3), 2)):
+            assert _hermite_diagonal(cone.lattice[0]) == [1, 1, 1]
+            for xi in ([3, -1, 2], [3, -1, 0], [5, 0, 1]):
+                _assert_power_sums_match(cone, xi)
+                ws = [dot(col, xi) for col in cone.lattice[0]]
+                assert _power_sums(cone, xi, ws)[0] == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),

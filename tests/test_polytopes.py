@@ -4,7 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -973,6 +973,47 @@ def test_3d_build_solves_each_row_triple_once(monkeypatch):
     assert calls == [3] * comb(m, 3)
     assert (Q.vertices, Q.vertex_facets, Q.edges) == (
         P.vertices, P.vertex_facets, P.edges)
+
+
+def test_repeated_candidates_match_the_twin(monkeypatch):
+    # the unit cube with three redundant planes through its vertex 0, six
+    # planes in all there, and five redundant planes through (3, 3, 3)
+    # outside it: many row triples give each of the two points, and every
+    # triple is still solved once
+    hs = [(h.normal, h.offset) for h in cube(3, 1).halfspaces]
+    hs += [((1, 1, 1), 0), ((1, 2, 0), 0), ((0, 1, 3), 0)]
+    hs += [((-1, 0, 0), -3), ((0, -1, 0), -3), ((0, 0, -1), -3),
+           ((-1, -1, -1), -9), ((-1, -2, 0), -9)]
+    calls = []
+    solve = linalg.solve_square
+    monkeypatch.setattr(linalg, "solve_square",
+                        lambda a, b: calls.append(len(a)) or solve(a, b))
+    assert _assert_matches_twin(3, hs) is None
+    assert calls == [3] * comb(len(hs), 3)
+    P = from_halfspaces(3, hs)
+    assert len(P.vertices) == 8 and P.vertices[0] == (F(0),) * 3
+    assert P.vertex_facets[0] == {0, 2, 4, 6, 7, 8}
+
+
+def test_build_memory_holds_the_vertices_not_the_subsets():
+    # 40 distinct rows give C(40, 3) = 9,880 candidates; recording each
+    # rejected one peaked at 1.6 MB
+    rng = random.Random(11)
+    box = [(tuple(s * int(j == i) for j in range(3)), -10)
+           for i in range(3) for s in (1, -1)]
+    normals = [n for n in product(range(-2, 3), repeat=3)
+               if any(n) and gcd(*n) == 1]
+    hs = box + [(n, F(rng.randint(-40, -20), 2))
+                for n in rng.sample(normals, 34)]
+    from_halfspaces(3, hs)
+    tracemalloc.start()
+    try:
+        P = from_halfspaces(3, hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(P.halfspaces) == 40 and len(P.vertices) == 26
+    assert peak < 200_000
 
 
 # ---------------------------------------------------------------------------
