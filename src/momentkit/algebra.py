@@ -306,19 +306,19 @@ MAX_RESTRICTION_TERMS = 650
 MAX_RESTRICTION_BITS = 843_700
 
 
-def restrict_to_hyperplane(ell: Vec, f: Poly, piv: int | None = None) -> Poly:
+def restrict_to_hyperplane(ell: Vec, f: Poly) -> Poly:
     """Substitute the solution of ell = 0 for its pivot variable in f.
 
-    The result has exponent 0 in the pivot slot; it is identically zero
-    exactly when ell divides f.  With ell's denominators cleared to X and
-    a = X[piv], the solution is S / a with S = sum of -X_j x_j over j != piv.
+    The result has exponent 0 in the pivot slot, piv = ``pivot_index(ell)``;
+    it is identically zero exactly when ell divides f.  With ell's
+    denominators cleared to X and a = X[piv], the solution is S / a with
+    S = sum of -X_j x_j over j != piv.
     A monomial with pivot exponent t takes S^t, in ints, over a^t: int
     coefficients that a^t divides (|a|^k for t <= k) restrict to ints.
     S^t has C(t + s - 1, s - 1) terms when S has s >= 1.
     """
     X, _ = clear_denominators(ell)
-    if piv is None:
-        piv = pivot_index(X)
+    piv = pivot_index(X)
     n, a = len(X), X[piv]
     sub: Poly = {tuple(int(i == j) for i in range(n)): -x
                  for j, x in enumerate(X) if j != piv and x}

@@ -3,10 +3,11 @@
 The moment graph of a Delzant polytope is its edge graph with each edge
 labeled by the primitive direction between its endpoints.  A class is a
 polynomial per vertex; it is admissible when every edge label divides the
-difference of the endpoint polynomials.  Dimensions of the admissible
-classes in each degree come from exact rational rank computations, Betti
-numbers from counting downward edges against a generic direction, and the
-two are tied together by a free-module (Hilbert series) identity.
+difference of the endpoint polynomials.  The dimension of the admissible
+classes in each degree comes from one fraction-free integer rank of their
+linear constraints, Betti numbers from counting downward edges against a
+generic direction, and the two are tied together by a free-module
+(Hilbert series) identity.
 
 Edge labels matter only up to a nonzero factor, sign included; every
 predicate here is invariant under rescaling them.  The isotropy weights are
@@ -33,7 +34,6 @@ from .algebra import (
     is_zero_vec,
     linear_poly,
     monomials,
-    pivot_index,
     poly_degree,
     poly_from_json,
     poly_sub,
@@ -199,8 +199,9 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list[int]], int]:
     endpoint components to vanish on w = 0: restricting each monomial m
     there adds its terms, at column (i, m) and negated at (j, m), to one
     dense row per returned monomial; rows are ordered by edge, then monomial.
-    Restricting |a|^k m (a: pivot entry of w's primitive) gives int entries;
-    the factor, one per edge, leaves every rank and kernel unchanged."""
+    Restricting |a|^k m (|a|: the largest entry of w's primitive in absolute
+    value, at its pivot) gives int entries; the factor, one per edge, leaves
+    every rank and kernel unchanged."""
     if k < 0:
         raise DomainError("degree must be non-negative")
     n = G.dim
@@ -212,11 +213,10 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list[int]], int]:
     rows: list[list[int]] = []
     for (i, j), w in zip(G.edges, G.weights):
         line = primitive(w)
-        piv = pivot_index(line)
-        scale = abs(line[piv]) ** k
+        scale = max(map(abs, line)) ** k
         block: dict[tuple, list[int]] = defaultdict(lambda: [0] * unknowns)
         for idx, m in enumerate(monos):
-            restricted = restrict_to_hyperplane(line, {m: scale}, piv=piv)
+            restricted = restrict_to_hyperplane(line, {m: scale})
             for mono, coeff in restricted.items():
                 block[mono][i * nmono + idx] += coeff.numerator
                 block[mono][j * nmono + idx] -= coeff.numerator
@@ -303,7 +303,7 @@ def facet_class(P: Polytope, G: MomentGraph, facet: int) -> GKMClass:
         raise DomainError("graph does not match the polytope")
     if facet not in P.facets:
         raise DomainError(f"half-space {facet} is not a facet")
-    normal = P.halfspaces[facet].normal
+    normal = P.int_rows[facet][0]
     components: list[Poly] = []
     for i in range(len(P.vertices)):
         if facet not in P.vertex_facets[i]:

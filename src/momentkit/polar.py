@@ -112,8 +112,6 @@ def is_polarizing(P: Polytope, xi) -> bool:
 def choose_polarizing_vector(P: Polytope, seed=0) -> Vec:
     """Deterministic-from-seed direction pairing nonzero with every edge,
     each edge tested once, by its direction from the lower vertex."""
-    if not P.vertices:
-        raise DomainError("polytope has no vertices")
     return generic_vector(P.dim, [
         w for i, (at_v, adjacent) in enumerate(zip(P.weights, P.neighbors))
         for w, j in zip(at_v, adjacent) if i < j], seed=seed)

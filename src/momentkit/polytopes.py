@@ -16,11 +16,10 @@ membership test clears the point once and meets each integer row.
 Edges and boundedness then come from one kernel test per distinct
 (n-1)-subset of rows tight at some vertex: a kernel line through two
 vertices is an edge, and one through a single vertex may be an unbounded
-edge, whose ray names an unbounded region.  This is fast enough at the
-scale this package targets (dimension <= 4, a few dozen half-spaces).
-MAX_DIMENSION and MAX_CONSTRAINT_SUBSETS bound the loop.  A pivoting walk
-would replace it once the benchmark's probes stop counting its solves
-(C(2n, n) on cube:n).
+edge, whose ray names an unbounded region.  The subset loop suits a few
+dozen half-spaces; MAX_DIMENSION and MAX_CONSTRAINT_SUBSETS bound it.  A
+pivoting walk would replace it once the benchmark's probes stop counting
+its solves (C(2n, n) on cube:n).
 
 Besides the representation itself this module carries the two brute-force
 oracles that the rest of the package is validated against: exact Euclidean
@@ -38,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, comb, floor, prod
+from math import ceil, comb, floor, gcd, prod
 from operator import mul
 
 from . import linalg
@@ -69,8 +68,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The constraint <normal, x> >= offset with inward-pointing normal;
-    the canonical half-spaces of a ``Polytope`` hold primitive int normals."""
+    """The constraint <normal, x> >= offset with inward-pointing normal.
+
+    ``make`` is how input is read; a ``Polytope`` stores integer rows, and
+    its ``halfspaces`` rebuild the canonical ones from them, with primitive
+    int normals and Fraction offsets."""
 
     normal: Vec | tuple[int, ...]
     offset: Fraction
@@ -78,18 +80,6 @@ class HalfSpace:
     @staticmethod
     def make(normal, offset) -> "HalfSpace":
         return HalfSpace(as_vec(normal), Fraction(offset))
-
-
-def _canonical_halfspace(hs: HalfSpace) -> HalfSpace:
-    """Scale so the normal is a primitive integer vector, an int tuple.
-
-    Positive rescalings describe the same half-space; the canonical form
-    makes duplicates literal duplicates.  The offset scale is a Fraction,
-    as ``/`` on two ints would be float division.
-    """
-    p = primitive(hs.normal)
-    i = next(j for j, c in enumerate(hs.normal) if c != 0)
-    return HalfSpace(p, hs.offset * Fraction(p[i], hs.normal[i]))
 
 
 @dataclass(frozen=True)
@@ -115,24 +105,25 @@ class Polytope:
     ``vertex_facets[i]`` is the frozenset of half-space indices active
     (tight) at vertex i; ``edges`` are index pairs (i, j) with i < j;
     ``neighbors[i]`` is the sorted tuple of vertices joined to vertex i by
-    an edge, built once from ``edges``.  ``int_rows`` is the table of
-    integer rows (q*a, p) of q*<a, x> >= p, a the primitive int tuple
-    normal of each canonical half-space, in ``halfspaces`` order, that
-    ``from_halfspaces`` built.  ``weights[i]`` holds the primitive
-    directions of the edges leaving vertex i in ``neighbors[i]`` order (its
-    isotropy weights) as int tuples, the one place a polytope derives edge
-    directions: the edge (i, j) points along X_j*D_i - X_i*D_j.  ``facets``
-    are read from the tight vertex sets alone (see its docstring).
-    ``weights`` and ``facets`` are built on first read, then kept
-    (``functools.cached_property``), both in ints.  A polytope keeps
-    nothing per direction: ``polar.polar_decompose`` builds the polarized
-    cones per call, and the caller holds them.
+    an edge, built once from ``edges``.  ``int_rows`` is the one stored
+    form of the half-spaces that ``from_halfspaces`` kept: row k is the
+    primitive integer pair (q*a, p) of q*<a, x> >= p, a primitive, and
+    the half-space indices above are its indices.  ``weights[i]`` holds the
+    primitive directions of the edges leaving vertex i in ``neighbors[i]``
+    order (its isotropy weights) as int tuples, the one place a polytope
+    derives edge directions: the edge (i, j) points along X_j*D_i - X_i*D_j.
+    ``facets`` are read from the tight vertex sets alone (see its
+    docstring), and ``halfspaces`` are the canonical ``HalfSpace`` forms of
+    the rows, for reports and JSON.  ``weights``, ``facets`` and
+    ``halfspaces`` are built on first read, then kept
+    (``functools.cached_property``).  A polytope keeps nothing per
+    direction: ``polar.polar_decompose`` builds the polarized cones per
+    call, and the caller holds them.
     """
 
-    def __init__(self, dim, halfspaces, vertices, int_vertices, vertex_facets,
-                 edges, int_rows):
+    def __init__(self, dim, vertices, int_vertices, vertex_facets, edges,
+                 int_rows):
         self.dim: int = dim
-        self.halfspaces: tuple[HalfSpace, ...] = halfspaces
         self.vertices: tuple[Vec, ...] = vertices
         self.int_vertices: tuple[tuple[tuple[int, ...], int], ...] = int_vertices
         self.vertex_facets: tuple[frozenset[int], ...] = vertex_facets
@@ -147,7 +138,13 @@ class Polytope:
 
     def __repr__(self) -> str:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
-                f"edges={len(self.edges)}, halfspaces={len(self.halfspaces)})")
+                f"edges={len(self.edges)}, halfspaces={len(self.int_rows)})")
+
+    @functools.cached_property
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        """Row (q*a, p) as <a, x> >= p/q, q the gcd of the row's normal."""
+        return tuple(HalfSpace(tuple(c // q for c in a), Fraction(p, q))
+                     for a, p in self.int_rows for q in [gcd(*a)])
 
     @functools.cached_property
     def weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -174,7 +171,7 @@ class Polytope:
         if everywhere:
             r = linalg.rank([self.int_rows[k][0] for k in everywhere])
             return tuple(sorted(everywhere)) if r == 1 else ()
-        on_row: list[set[int]] = [set() for _ in self.halfspaces]
+        on_row: list[set[int]] = [set() for _ in self.int_rows]
         for i, tight in enumerate(self.vertex_facets):
             for k in tight:
                 on_row[k].add(i)
@@ -250,18 +247,20 @@ MAX_CONSTRAINT_SUBSETS = 50_000
 def from_halfspaces(dim: int, halfspaces) -> Polytope:
     """Build a polytope from inward half-spaces <normal, x> >= offset.
 
-    Duplicate (positively proportional) constraints are merged; redundant
-    ones are harmless.  Raises EmptyRegionError, UnboundedRegionError, or
-    DegenerateInputError when the data does not cut out a compact polytope,
-    and DomainError over MAX_DIMENSION or MAX_CONSTRAINT_SUBSETS.  Each
-    half-space <a, x> >= p/q, a primitive, becomes the integer row (q*a, p).
-    For the solution x = X/D of an n-subset, the sign of q*<a, X> - p*D
-    rejects x or marks the row tight in ``vertex_facets``.  Rows are tested
-    in move-to-front order, the last row to reject a candidate first: the
-    order decides how soon a candidate is rejected, not whether, and a kept
-    candidate meets every row.  Every candidate is scanned, and only a
-    feasible one is recorded, so a vertex on more than n planes is found
-    once per subset naming it and kept once.
+    Each half-space <n, x> >= o becomes the primitive integer row
+    ``primitive((*n, o))``, the pair (q*a, p) of q*<a, x> >= p with a
+    primitive, which is all the polytope stores (``Polytope.int_rows``).
+    Positively proportional constraints give one row and are merged, the
+    first kept; redundant ones are harmless.  Raises EmptyRegionError,
+    UnboundedRegionError, or DegenerateInputError when the data does not
+    cut out a compact polytope, and DomainError over MAX_DIMENSION or
+    MAX_CONSTRAINT_SUBSETS.  For the solution x = X/D of an n-subset, the
+    sign of q*<a, X> - p*D rejects x or marks the row tight in
+    ``vertex_facets``.  Rows are tested in move-to-front order, the last
+    row to reject a candidate first: the order decides how soon a candidate
+    is rejected, not whether, and a kept candidate meets every row.  Every
+    candidate is scanned, and only a feasible one is recorded, so a vertex
+    on more than n planes is found once per subset naming it and kept once.
     """
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
@@ -275,14 +274,13 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
                               f"dimension {dim}")
         if is_zero_vec(h.normal):
             raise DomainError("half-space normal must be nonzero")
-    canon = list(dict.fromkeys(_canonical_halfspace(h) for h in given))
-    subsets = comb(len(canon), dim) + comb(len(canon), dim - 1)
+    rows = [(r[:-1], r[-1]) for r in
+            dict.fromkeys(primitive((*h.normal, h.offset)) for h in given)]
+    subsets = comb(len(rows), dim) + comb(len(rows), dim - 1)
     check_limit(subsets, MAX_CONSTRAINT_SUBSETS, lambda: (
-        f"{len(canon)} half-spaces in dimension {dim} need {subsets} "
+        f"{len(rows)} half-spaces in dimension {dim} need {subsets} "
         f"constraint subsets,"))
 
-    rows = [(tuple(c * h.offset.denominator for c in h.normal),
-             h.offset.numerator) for h in canon]
     normals = [a for a, _ in rows]
     any_invertible = False
     # each feasible solution X/D as a Fraction tuple -> (its tight row
@@ -319,7 +317,7 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
 
     verts = tuple(sorted(found))
     vertex_facets, int_vertices = zip(*map(found.__getitem__, verts))
-    return Polytope(dim, tuple(canon), verts, int_vertices, vertex_facets,
+    return Polytope(dim, verts, int_vertices, vertex_facets,
                     _edges(dim, normals, vertex_facets), rows)
 
 
@@ -374,8 +372,7 @@ def dilate(P: Polytope, k) -> Polytope:
     k = Fraction(k)
     if k <= 0:
         raise DomainError("dilation factor must be positive")
-    return from_halfspaces(
-        P.dim, [HalfSpace(h.normal, h.offset * k) for h in P.halfspaces])
+    return from_halfspaces(P.dim, [(a, p * k) for a, p in P.int_rows])
 
 
 def from_spec(spec: str) -> Polytope:

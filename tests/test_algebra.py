@@ -254,19 +254,18 @@ def test_restrict_to_hyperplane_kills_the_form_itself():
 
 
 def test_restrict_to_hyperplane_high_exponent():
-    # x = (3/2) y on 2x - 3y = 0, so x^t restricts to (3/2)^t y^t
+    # y = (2/3) x on 2x - 3y = 0, so y^t restricts to (2/3)^t x^t
     for t in (0, 1, 7, 5000):
-        assert (restrict_to_hyperplane(vec(2, -3), {(t, 0): F(1)}, piv=0)
-                == {(0, t): F(3, 2) ** t})
+        assert (restrict_to_hyperplane(vec(2, -3), {(0, t): F(1)})
+                == {(t, 0): F(2, 3) ** t})
 
 
-def _fraction_restrict(ell, f, piv=None):
+def _fraction_restrict(ell, f):
     """The restriction that the integer one replaced, kept as its twin:
     the solution -ell_j / a of ell = 0 in Fractions, raised by ``poly_pow``
     to each pivot exponent."""
     ell = as_vec(ell)
-    if piv is None:
-        piv = pivot_index(ell)
+    piv = pivot_index(ell)
     n, a = len(ell), ell[piv]
     sol = {}
     for j, c in enumerate(ell):
@@ -305,15 +304,11 @@ def test_restriction_matches_the_fraction_twin():
         got = restrict_to_hyperplane(ell, f)
         assert got == _fraction_restrict(ell, f)
         assert all(m[piv] == 0 for m in got)
-        for other in range(n):
-            if ell[other]:
-                assert (restrict_to_hyperplane(ell, f, piv=other)
-                        == _fraction_restrict(ell, f, piv=other))
         X = primitive(ell)
         for m in monomials(n, 3):
-            scaled = restrict_to_hyperplane(X, {m: abs(X[piv]) ** 3}, piv=piv)
+            scaled = restrict_to_hyperplane(X, {m: abs(X[piv]) ** 3})
             assert scaled == {mono: abs(X[piv]) ** 3 * c for mono, c in
-                              _fraction_restrict(ell, {m: 1}, piv=piv).items()}
+                              _fraction_restrict(ell, {m: 1}).items()}
             assert all(F(c).denominator == 1 for c in scaled.values())
         seen.add((s, type(ell[piv])))
     assert len(seen) == 8

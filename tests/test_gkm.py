@@ -522,7 +522,7 @@ def _degree_system_by_index(G, k):
         block = [[0] * ncols for _ in residual]
         scale = abs(primitive(w)[piv]) ** k  # integer rows, as the builder's
         for m in monos:
-            restricted = restrict_to_hyperplane(w, {m: scale}, piv=piv)
+            restricted = restrict_to_hyperplane(w, {m: scale})
             for mono, coeff in restricted.items():
                 r = res_idx[mono]
                 block[r][col[(i, m)]] += coeff.numerator

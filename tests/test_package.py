@@ -42,16 +42,18 @@ def test_public_names():
     assert sorted(momentkit.__all__) == PUBLIC_NAMES
 
 
-# What a Polytope holds: the fields its constructor sets and the two
-# properties it caches.  Per-direction data, such as polarized cones, stays
-# with the caller, so one polytope used for many directions holds no more.
-# ``int_vertices``, the integer vertex table, is one pair per vertex.
 POLYTOPE_FIELDS = {"dim", "halfspaces", "vertices", "vertex_facets", "edges",
                    "int_rows", "int_vertices", "neighbors", "weights",
                    "facets"}
 
 
 def test_polytope_carries_only_its_own_data():
+    """What a Polytope holds: the fields its constructor sets and the three
+    properties it caches, ``weights``, ``facets`` and ``halfspaces``.
+    Per-direction data, such as polarized cones, stays with the caller, so
+    one polytope used for many directions holds no more.  ``int_vertices``,
+    the integer vertex table, is one pair per vertex, and ``int_rows`` one
+    pair per half-space."""
     for spec in ("hirzebruch:2", "cube:3:1"):
         P = polytopes.from_spec(spec)
         xi = polar.choose_polarizing_vector(P)
@@ -220,6 +222,17 @@ def test_denominators_are_cleared_in_one_place():
     """The lcm of a vector's denominators is taken by
     ``algebra.clear_denominators`` alone; every other caller uses it."""
     assert _owners(_clears_denominators) == ["algebra.clear_denominators"]
+
+
+def test_halfspaces_are_made_in_one_place():
+    """``HalfSpace(...)`` is called only where input is read
+    (``HalfSpace.make`` and ``polytope_from_json``) and where a polytope
+    derives its canonical half-spaces from its rows
+    (``Polytope.halfspaces``): the canonical form is written once."""
+    found = _owners(lambda node: isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "HalfSpace")
+    assert sorted(set(found)) == ["polytopes.halfspaces", "polytopes.make",
+                                  "polytopes.polytope_from_json"]
 
 
 def test_linalg_names_fraction_only_in_nullspace():

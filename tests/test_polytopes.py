@@ -15,15 +15,18 @@ from momentkit import (
     DomainError,
     EmptyRegionError,
     UnboundedRegionError,
+    betti_numbers,
     choose_polarizing_vector,
     cube,
     dilate,
+    facet_class,
     from_halfspaces,
     from_spec,
     hirzebruch,
     lattice_points_oracle,
     moment_graph,
     polar_decompose,
+    signed_lattice_count,
     simplex,
     smoothness_report,
     volume_localization,
@@ -40,9 +43,9 @@ from momentkit.algebra import (
     vec_to_json,
     vsub,
 )
+from momentkit.gkm import choose_generic_direction
 from momentkit.polytopes import (
     HalfSpace,
-    _canonical_halfspace,
     _lattice_runs,
     catalog_specs,
     integer_box,
@@ -674,15 +677,35 @@ def _fraction_solve(a, b):
     return tuple(row[n] for row in m)
 
 
+def _canonical_halfspace(hs):
+    """Scale so the normal is a primitive integer vector, an int tuple.
+
+    Positive rescalings describe the same half-space; the canonical form
+    makes duplicates literal duplicates.  The offset scale is a Fraction,
+    as ``/`` on two ints would be float division.
+    """
+    p = primitive(hs.normal)
+    i = next(j for j, c in enumerate(hs.normal) if c != 0)
+    return HalfSpace(p, hs.offset * F(p[i], hs.normal[i]))
+
+
+def _canonical_halfspaces(halfspaces):
+    """The canonical form of each input, HalfSpace or (normal, offset)
+    pair, in order, with later duplicates dropped."""
+    canon = []
+    for h in halfspaces:
+        c = _canonical_halfspace(
+            h if isinstance(h, HalfSpace) else HalfSpace.make(*h))
+        if c not in canon:
+            canon.append(c)
+    return canon
+
+
 def _fraction_build(dim, halfspaces):
     """Vertices, vertex_facets and edges by Fraction arithmetic throughout:
     a solve per n-subset, a Fraction dot per row for feasibility, a second
     sweep for the tight facets, and the recession test on Fraction signs."""
-    canon = []
-    for h in halfspaces:
-        c = _canonical_halfspace(HalfSpace.make(*h))
-        if c not in canon:
-            canon.append(c)
+    canon = _canonical_halfspaces(halfspaces)
     normals = [h.normal for h in canon]
     offsets = [h.offset for h in canon]
     any_invertible = False
@@ -772,6 +795,7 @@ def _assert_matches_twin(dim, halfspaces):
         return type(exc)
     P = from_halfspaces(dim, halfspaces)
     assert (P.vertices, P.vertex_facets, P.edges) == expect
+    assert list(P.halfspaces) == _canonical_halfspaces(halfspaces)
     _assert_vertex_data_matches_twins(P)
     return None
 
@@ -1079,3 +1103,65 @@ def test_integer_rows_are_the_table_the_build_made(monkeypatch):
                          h.offset.numerator) for h in P.halfspaces]
         _assert_oracle_matches_the_twin(P)
         assert P.int_rows is rows
+
+
+# ---------------------------------------------------------------------------
+# the stored rows and the derived half-spaces
+
+
+def test_proportional_halfspaces_give_one_row():
+    # x >= 1/2, 2x >= 1 and (3/2)x >= 3/4 are one half-space: one row
+    P = from_halfspaces(1, [((1,), F(1, 2)), ((2,), 1), ((F(3, 2),), F(3, 4)),
+                            ((-1,), -3)])
+    assert P.int_rows == [((2,), 1), ((-1,), -3)]
+    assert P.halfspaces == (HalfSpace((1,), F(1, 2)), HalfSpace((-1,), -3))
+    assert P.vertices == ((F(1, 2),), (F(3),))
+
+
+def test_derived_halfspaces_match_the_twin_on_the_catalog(monkeypatch):
+    given = []
+    build = polytopes.from_halfspaces
+
+    def recording(dim, halfspaces):
+        given.append(list(halfspaces))
+        return build(dim, given[-1])
+
+    monkeypatch.setattr(polytopes, "from_halfspaces", recording)
+    shapes = [from_spec(s) for s in catalog_specs()]
+    shapes += [dilate(P, F(5, 3)) for P in shapes[::4]]
+    assert len(given) == len(shapes)
+    for P, hs in zip(shapes, given):
+        assert "halfspaces" not in vars(P)
+        assert list(P.halfspaces) == _canonical_halfspaces(hs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_simple_polytopes(),
+       st.lists(st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6),
+                min_size=1, max_size=4))
+def test_derived_halfspaces_match_the_twin_on_random_input(P, scales):
+    # each half-space of P rescaled, and the first few given twice
+    hs = [(tuple(s * c for c in h.normal), s * h.offset)
+          for k, h in enumerate(P.halfspaces) for s in [scales[k % len(scales)]]]
+    hs += [(tuple(s * c for c in n), s * o) for (n, o), s in zip(hs, scales)]
+    Q = from_halfspaces(P.dim, hs)
+    assert "halfspaces" not in vars(Q)
+    assert list(Q.halfspaces) == _canonical_halfspaces(hs)
+    assert Q.halfspaces == P.halfspaces and Q.int_rows == P.int_rows
+
+
+def test_library_calls_leave_the_halfspaces_unbuilt():
+    for spec in ("hirzebruch:2", "cube:3:1", "simplex:3:2"):
+        P = from_spec(spec)
+        assert "halfspaces" not in vars(P)
+        xi = choose_polarizing_vector(P)
+        polar_decompose(P, xi)
+        assert signed_lattice_count(P, xi, tight_box(P)) == lattice_points_oracle(P)
+        G = moment_graph(P)
+        for k in P.facets:
+            facet_class(P, G, k)
+        assert volume_localization(P, xi) == volume_oracle(P)
+        assert sum(betti_numbers(G, choose_generic_direction(G))) == len(P.vertices)
+        assert "halfspaces" not in vars(P), spec
+        assert len(P.halfspaces) == len(P.int_rows)
+        assert "halfspaces" in vars(P)
