@@ -21,9 +21,12 @@ its generators, so its generating function is a power sum over the
 series per generator; the count is the constant term of the signed sum,
 exact rational work that does not grow with dilation.  The power sums walk
 each parallelepiped line by line along the last coordinate, a bounded
-block of points at a time: a block is built by C-level iterators
-(``range``, ``map`` and ``repeat``) with no Python-level loop per point,
-and memory does not grow with |det|.
+block of points at a time.  Along a line each point's pairing with xi
+moves by one fixed slope, except where one of the n floors that move the
+point into the parallelepiped steps; each such step is found by one
+division, and the block is the running sum of its moves, so Python-level
+work is per floor step, not per point, and memory does not grow with
+|det|.
 
 Only simple vertices are supported, so each cone is one n-by-n integer
 matrix, eliminated once, on the first read of ``PolarizedCone.lattice``:
@@ -37,9 +40,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import accumulate, product
 from math import comb, factorial, gcd, prod
-from operator import floordiv, mul, neg, sub
+from operator import add, mul, neg
 
 from . import linalg
 from .algebra import (
@@ -50,11 +53,13 @@ from .polytopes import Polytope
 
 # signed_lattice_count refuses a decomposition whose parallelepipeds hold
 # more lattice points than this in total (the sum of |det| over the vertex
-# cones); the largest benchmark count job enumerates about 70,000
+# cones); the largest benchmark count job enumerates about 70,000.  Each
+# point costs a few C-level list steps and each floor step one division,
+# so a line of a million points is summed in about 0.1 s
 MAX_PARALLELEPIPED_POINTS = 1_000_000
 
 # _power_sums walks a parallelepiped's lines this many points at a time:
-# a line of a million points then peaks at 0.3 MB, not 80 MB held whole
+# a line of a million points then peaks at 0.37 MB, not 80 MB held whole
 POWER_SUM_BLOCK = 4096
 
 
@@ -147,11 +152,15 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
     parallelepiped by p = r - A m with m = floor(A^-1 (r - apex)), or
     ceil(.) - 1 for open generators.  For each head (r_1..r_n-1) the last
     coordinate t runs along a line, taken POWER_SUM_BLOCK values at a
-    time: <r, xi> and the numerator of each m_j are affine in t, so a
-    block's <p, xi> values are built by C-level iterators, a ``range``
-    (``repeat`` where the step is 0) per affine term and one ``map`` per
-    floor and product, and listed once; the block adds its k-th powers to
-    S_k, each list of powers the previous one times the block.
+    time.  The numerator of m_j moves by s_j = q_j den + r_j per step of
+    t, r_j the symmetric remainder (|r_j| <= den/2), so m_j is q_j t plus
+    a floor that moves by at most one per step, at about |r_j|/den of the
+    steps, each found by one division.  So <p, xi> moves by the slope
+    sigma = xi_n - sum_j w_j q_j per step of t, and by -w_j more where
+    floor j steps up (+w_j where it steps down): a block is the running
+    sum (``accumulate``) of those moves, listed once, with Python-level
+    work per floor step, not per point.  It adds its k-th powers to S_k,
+    each list of powers the previous one times the block.
     """
     n = len(xi)
     cols, adj, det = cone.lattice
@@ -164,22 +173,42 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
         adj = [list(map(neg, row)) for row in adj]
     base = [-sum(map(mul, row, shift)) - is_open
             for row, is_open in zip(adj, cone.open_flags)]
-    step = [scale * row[-1] for row in adj]
     den = scale * abs(det)
+    # s_j = q_j den + r_j with the symmetric remainder, |r_j| <= den/2
+    half = den // 2
+    quots, rems = zip(*(divmod(scale * row[-1] + half, den) for row in adj))
+    rems = [r - half for r in rems]
+    slope = xi[-1] - sum(map(mul, ws, quots))
     *head_sizes, line = h
     sums = [0] * (n + 1)
+    # the innermost head coordinate steps nums and q0 by a column, as t does
+    head_step = [scale * row[-2] for row in adj] if n > 1 else []
     for head in product(*map(range, head_sizes)):
-        nums = [b + scale * sum(map(mul, row, head))
-                for b, row in zip(base, adj)]
-        q0 = sum(map(mul, head, xi))
+        if head and head[-1]:
+            nums = list(map(add, nums, head_step))
+            q0 += xi[-2]
+        else:
+            nums = [b + scale * sum(map(mul, row, head))
+                    for b, row in zip(base, adj)]
+            q0 = sum(map(mul, head, xi))
         for start in range(0, line, POWER_SUM_BLOCK):
-            stop = min(start + POWER_SUM_BLOCK, line)
-            # <p, xi> = <r, xi> - sum_j m_j <g_j, xi>
-            block = _affine(q0, xi[-1], start, stop)
-            for w, b, s in zip(ws, nums, step):
-                m = map(floordiv, _affine(b, s, start, stop), repeat(den))
-                block = map(sub, block, map(mul, m, repeat(w)))
-            block = list(block)
+            size = min(POWER_SUM_BLOCK, line - start)
+            # <p, xi> = <r, xi> - sum_j m_j <g_j, xi> moves by the slope per
+            # step of t, and by -w_j (+w_j) more where floor j steps up
+            # (down); the block holds these moves, then their running sum
+            cs = [b + r * start for b, r in zip(nums, rems)]
+            floors = [c // den for c in cs]
+            block = [slope] * size
+            block[0] = q0 + slope * start - sum(map(mul, ws, floors))
+            for w, c, r, f in zip(ws, cs, rems, floors):
+                # floor j reaches level e where c + r t first crosses e den
+                if r > 0:
+                    for e in range(f + 1, (c + r * (size - 1)) // den + 1):
+                        block[(e * den - c - 1) // r + 1] -= w
+                elif r < 0:
+                    for e in range((c + r * (size - 1)) // den + 1, f + 1):
+                        block[(c - e * den) // -r + 1] += w
+            block = list(accumulate(block))
             sums[0] += len(block)
             power = block
             for k in range(1, n + 1):
@@ -187,14 +216,6 @@ def _power_sums(cone: PolarizedCone, xi: list[int], ws: list[int]) -> list[int]:
                 if k < n:
                     power = list(map(mul, power, block))
     return sums
-
-
-def _affine(first: int, step: int, start: int, stop: int):
-    """first + step*t for t = start..stop-1, as a C-level iterator;
-    ``range`` refuses a step of 0, which repeats ``first``."""
-    if not step:
-        return repeat(first, stop - start)
-    return range(first + step * start, first + step * stop, step)
 
 
 def _hermite_diagonal(cols: list[list[int]]) -> list[int]:

@@ -256,6 +256,17 @@ def test_vertex_loops_call_no_fraction_dot():
     assert found, "the scan sees the callers left in other modules"
 
 
+def test_power_sums_take_no_floor_per_point():
+    """``polar`` builds each block of a parallelepiped line from one slope
+    and the few points where a floor steps: ``floordiv``, the per-point
+    floor map, is not named there, not even imported."""
+    tree = ast.parse((SRC / "polar.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "id", getattr(node, "attr", getattr(
+        node, "name", None))) for node in ast.walk(tree)}
+    assert "floordiv" not in names
+    assert {"accumulate", "mul"} <= names, "the scan reads polar's names"
+
+
 def test_work_limit_refusals_are_worded_in_one_place():
     """Every work limit is refused through ``errors.check_limit``; only
     ``algebra.format_rat`` words Python's own refusal to print."""

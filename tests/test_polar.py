@@ -475,7 +475,7 @@ def test_power_sums_visit_each_parallelepiped_point_once():
         xi_int = [int(e * 6) for e in xi]
         for cone in polar_decompose(P, xi):
             cols, _, det = cone.lattice
-            ws = [dot(col, xi_int) for col in cols]
+            ws = [sum(map(mul, col, xi_int)) for col in cols]
             assert _power_sums(cone, xi_int, ws)[0] == abs(det)
 
 
@@ -512,7 +512,7 @@ def _power_sums_by_point(cone, xi, ws):
 
 def _assert_power_sums_match(cone, xi):
     """_power_sums equals its per-point twin for the integral xi."""
-    ws = [dot(col, xi) for col in cone.lattice[0]]
+    ws = [sum(map(mul, col, xi)) for col in cone.lattice[0]]
     assert _power_sums(cone, xi, ws) == _power_sums_by_point(cone, xi, ws)
 
 
@@ -564,15 +564,90 @@ def test_power_sums_with_zero_steps_match_the_per_point_twin():
 
 
 def test_power_sums_on_unimodular_cones_match_the_per_point_twin():
-    # |det| = 1: one head, and its line holds one point
-    for gens in (((1, 0, 0), (1, 1, 0), (2, -1, 1)),
-                 ((-1, 0, 0), (0, 0, -1), (0, 1, 0))):
-        for cone in _cones(gens, vec(F(7, 2), F(-1, 3), 2)):
+    # |det| = 1: one head, and its line holds one point; at a lattice apex
+    # that point is the apex plus the sum of the open generators
+    for gens, apex in product((((1, 0, 0), (1, 1, 0), (2, -1, 1)),
+                               ((-1, 0, 0), (0, 0, -1), (0, 1, 0))),
+                              (vec(F(7, 2), F(-1, 3), 2), vec(1, -2, 3))):
+        for cone in _cones(gens, apex):
             assert _hermite_diagonal(cone.lattice[0]) == [1, 1, 1]
+            point = [a + sum(g[i] for g, is_open in zip(gens, cone.open_flags)
+                             if is_open) for i, a in enumerate(apex)]
             for xi in ([3, -1, 2], [3, -1, 0], [5, 0, 1]):
                 _assert_power_sums_match(cone, xi)
-                ws = [dot(col, xi) for col in cone.lattice[0]]
-                assert _power_sums(cone, xi, ws)[0] == 1
+                ws = [sum(map(mul, col, xi)) for col in cone.lattice[0]]
+                sums = _power_sums(cone, xi, ws)
+                assert sums[0] == 1
+                if all(F(a).denominator == 1 for a in apex):
+                    assert sums[1] == sum(map(mul, point, xi))
+
+
+def _dense_triangle(N):
+    """conv((0, 0), (1, 0), (a, N)), a = N // 2 + 1: a floor of the cone at
+    the origin steps at about every other point of its line of N."""
+    a = N // 2 + 1
+    return from_halfspaces(2, [HalfSpace.make((0, 1), 0),
+                               HalfSpace.make((N, -a), 0),
+                               HalfSpace.make((-N, a - 1), -N)])
+
+
+def _dense_simplex(N):
+    """conv(0, e1, e2, (a, b, N)), a = N // 2 + 1 and b = N // 3 + 1: two
+    floors of the cone at the origin step along its line of N points."""
+    a, b = N // 2 + 1, N // 3 + 1
+    return from_halfspaces(3, [HalfSpace.make((0, 0, 1), 0),
+                               HalfSpace.make((0, N, -b), 0),
+                               HalfSpace.make((N, 0, -a), 0),
+                               HalfSpace.make((-N, -N, a + b - 1), -N)])
+
+
+def _step_share(cone):
+    """The largest share of a line's points at which one floor m_j steps:
+    |r_j| / den, r_j the symmetric remainder of its numerator's step."""
+    _, adj, det = cone.lattice
+    den = abs(det)
+    return max(min(row[-1] % den, -row[-1] % den) for row in adj) / F(den)
+
+
+def test_power_sums_with_dense_steps_match_the_per_point_twin():
+    # the cone at the origin is one line of N points whose floors step at
+    # a third to a half of them: small N, and lines that end just below,
+    # at and just past one block, under every choice of open flags
+    block = polar.POWER_SUM_BLOCK
+    for N in (7, 31, block - 1, block, block + 1):
+        for P in (_dense_triangle(N), _dense_simplex(N)):
+            xi = choose_polarizing_vector(P, seed=0)
+            scale = lcm(*(e.denominator for e in xi))
+            xi = [int(e * scale) for e in xi]
+            origin = _polarize_at(P, (0,) * P.dim, xi)
+            assert _hermite_diagonal(origin.lattice[0])[-1] == N
+            assert _step_share(origin) >= F(1, 3)
+            for cone in polar_decompose(P, xi):
+                for flagged in _cones(cone.generators, cone.apex):
+                    _assert_power_sums_match(flagged, xi)
+
+
+def test_vertex_sum_with_dense_steps_matches_the_oracle(monkeypatch):
+    # the triangle's box holds about N^2/2 points, over the box limit at
+    # one block; the oracle scans one line per x, so the limit is lifted
+    monkeypatch.setattr(polytopes, "MAX_BOX_POINTS", 10 ** 8)
+    block = polar.POWER_SUM_BLOCK
+    for N in (7, 31, block - 1, block, block + 1):
+        T = _dense_triangle(N)
+        for seed in (0, 3):
+            xi = choose_polarizing_vector(T, seed=seed)
+            assert (signed_lattice_count(T, xi, tight_box(T))
+                    == lattice_points_oracle(T))
+    # the oracle scans about N^2/6 lines of the simplex, so its lines meet
+    # the block's ends with a block of 16
+    for size, sizes in ((block, (7, 31)), (16, (15, 16, 17))):
+        monkeypatch.setattr(polar, "POWER_SUM_BLOCK", size)
+        for N in sizes:
+            S = _dense_simplex(N)
+            for seed in (0, 3):
+                xi = choose_polarizing_vector(S, seed=seed)
+                assert (signed_lattice_count(S, xi, tight_box(S))
+                        == lattice_points_oracle(S))
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,17 +667,21 @@ def test_power_sums_match_the_per_point_twin_on_random_cones(case):
 
 
 def test_vertex_sum_memory_is_bounded_by_the_block():
-    # a line of 200,000 points held at once peaks near 8 MB
-    T = _non_unimodular_triangle(200_000)
-    xi = choose_polarizing_vector(T, seed=0)
-    box = tight_box(T)
-    tracemalloc.start()
-    try:
-        assert signed_lattice_count(T, xi, box) == 200_002
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # a line of 200,000 points held at once peaks near 8 MB.  On the dense
+    # triangle a floor steps at about every other point of that line, so
+    # the steps are as many as the points and must be bounded by the block
+    # too; its count is Pick's: area 100,000 and 100,002 boundary points
+    for T, count in ((_non_unimodular_triangle(200_000), 200_002),
+                     (_dense_triangle(200_000), 150_002)):
+        xi = choose_polarizing_vector(T, seed=0)
+        box = tight_box(T)
+        tracemalloc.start()
+        try:
+            assert signed_lattice_count(T, xi, box) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_ehrhart_polynomial_leads_with_the_localization_volume():
