@@ -4,10 +4,9 @@ Every quantity in this package is an exact rational: scalars are
 ``fractions.Fraction``, vectors are plain tuples of Fractions (primitive
 directions and canonical normals are int tuples), polynomials are sparse
 dicts from exponent tuples to nonzero Fraction coefficients (the zero
-polynomial is the empty dict; sums, products and powers of int coefficients
-stay ints, as ``restrict_to_hyperplane`` needs).  A vector doubles as a
-linear form through the standard pairing ``dot``, so no separate linear
-form type is needed.
+polynomial is the empty dict; sums and products of int coefficients stay
+ints).  A vector doubles as a linear form through the standard pairing
+``dot``, so no separate linear form type is needed.
 
 Nothing here ever touches floating point; polynomial identity is exact
 dictionary equality.
@@ -15,6 +14,7 @@ dictionary equality.
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -236,16 +236,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def poly_pow(a: Poly, k: int) -> Poly:
-    """a^k by square and multiply, from a itself, so int input stays int."""
-    if k < 0:
-        raise ValueError("negative polynomial power")
-    if k < 2:
-        return dict(a) if k else poly_const(len(next(iter(a))) if a else 0, 1)
-    half = poly_pow(poly_mul(a, a), k // 2)
-    return poly_mul(half, a) if k & 1 else half
-
-
 def poly_eval(f: Poly, point: Vec) -> Fraction:
     total = ZERO
     for mono, c in f.items():
@@ -288,10 +278,10 @@ def pivot_index(ell: Vec) -> int:
     """Coefficient index used to eliminate a variable: largest absolute
     value, lowest index on ties.  Deterministic so constraint matrices and
     golden outputs are reproducible."""
-    best = max(range(len(ell)), key=lambda i: abs(ell[i]), default=None)
-    if best is None or not ell[best]:
+    mags = [abs(x) for x in ell]
+    if not any(mags):
         raise DomainError("zero linear form")
-    return best
+    return mags.index(max(mags))
 
 
 # restrict_to_hyperplane refuses to expand to more terms: gkm-check of x^649
@@ -306,6 +296,33 @@ MAX_RESTRICTION_TERMS = 650
 MAX_RESTRICTION_BITS = 843_700
 
 
+@functools.lru_cache(maxsize=512)
+def _hyperplane_solution(ell: tuple) -> tuple:
+    """(piv, a, support, bits) of ell = 0, keyed by its entries (equal int and
+    Fraction lines share one entry): with ell cleared to X, a = X[piv], the
+    pairs (j, -X_j) over X_j != 0 off piv, and the largest bits of a -X_j / a."""
+    X, _ = clear_denominators(ell)
+    piv = pivot_index(X)
+    a = X[piv]
+    support = tuple((j, -x) for j, x in enumerate(X) if j != piv and x)
+    bits = max(((x // g).bit_length() + (a // g).bit_length()
+                for _, x in support for g in [gcd(x, a)]), default=0)
+    return piv, a, support, bits
+
+
+def _substitute(support, base: tuple, t: int) -> list:
+    """x^base * S^t for S = sum of c x_j over (j, c) in support (s >= 1), as
+    (exponents, int coefficient) pairs: each x_j but the last takes e of the
+    degree left, times C(left, e) c^e, and the last takes the rest."""
+    *head, (last, c_last) = support
+    terms = [(base, 1, t)]
+    for j, c in head:
+        terms = [(m[:j] + (m[j] + e,) + m[j + 1:], coeff * comb(left, e) * c ** e,
+                  left - e) for m, coeff, left in terms for e in range(left + 1)]
+    return [(m[:last] + (m[last] + left,) + m[last + 1:], coeff * c_last ** left)
+            for m, coeff, left in terms]
+
+
 def restrict_to_hyperplane(ell: Vec, f: Poly) -> Poly:
     """Substitute the solution of ell = 0 for its pivot variable in f.
 
@@ -313,43 +330,36 @@ def restrict_to_hyperplane(ell: Vec, f: Poly) -> Poly:
     it is identically zero exactly when ell divides f.  With ell's
     denominators cleared to X and a = X[piv], the solution is S / a with
     S = sum of -X_j x_j over j != piv.
-    A monomial with pivot exponent t takes S^t, in ints, over a^t: int
-    coefficients that a^t divides (|a|^k for t <= k) restrict to ints.
-    S^t has C(t + s - 1, s - 1) terms when S has s >= 1.
+    A monomial with pivot exponent t takes S^t, in ints, over a^t: an int
+    coefficient that a^t divides (|a|^k for t <= k) restricts to ints, any
+    other to Fractions.  S^t has C(t + s - 1, s - 1) terms when S has s >= 1.
     """
-    X, _ = clear_denominators(ell)
-    piv = pivot_index(X)
-    n, a = len(X), X[piv]
-    sub: Poly = {tuple(int(i == j) for i in range(n)): -x
-                 for j, x in enumerate(X) if j != piv and x}
-    s = len(sub)
+    piv, a, support, bits = _hyperplane_solution(tuple(ell))
+    s = len(support)
     if s > 1:
         counts = [(comb(mono[piv] + s - 1, s - 1), mono[piv]) for mono in f]
         terms = sum(c for c, _ in counts)
         check_limit(terms, MAX_RESTRICTION_TERMS, lambda: (
             f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
             f"expands to {terms} terms,"))
-        # the bit length of each -X_j / a in lowest terms
-        bits = max((x // g).bit_length() + (a // g).bit_length()
-                   for x in sub.values() for g in [gcd(x, a)])
         size = bits * sum(c * t for c, t in counts)
         check_limit(size, MAX_RESTRICTION_BITS, lambda: (
             f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
             f"expands to about {size} bits,"))
 
-    powers: dict[int, tuple[Poly, int]] = {}  # t -> (S^t, a^t)
     out: Poly = {}
     for mono, coeff in f.items():
         t = mono[piv]
-        if t and not sub:  # S^t = 0, at once for any t
-            continue
-        if t not in powers:
-            powers[t] = poly_pow(sub, t) if t else {(0,) * n: 1}, a ** t
-        power, den = powers[t]
-        term = {mono[:piv] + (0,) + mono[piv + 1:]:
-                Fraction(coeff, den) if den != 1 else coeff}
-        out = poly_add(out, poly_mul(term, power))
-    return out
+        if not t:
+            out[mono] = out.get(mono, 0) + coeff
+        elif support:  # else S^t = 0, at once for any t
+            den = a ** t
+            coeff = (coeff // den if isinstance(coeff, int) and not coeff % den
+                     else Fraction(coeff, den))
+            base = mono[:piv] + (0,) + mono[piv + 1:]
+            for key, c in _substitute(support, base, t):
+                out[key] = out.get(key, 0) + coeff * c
+    return {mono: c for mono, c in out.items() if c}
 
 
 def divides_linear(ell: Vec, f: Poly) -> bool:

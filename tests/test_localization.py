@@ -32,7 +32,6 @@ from momentkit.algebra import (
     monomials,
     poly_const,
     poly_mul,
-    poly_pow,
     poly_scale,
     vec,
 )
@@ -44,6 +43,8 @@ from momentkit.gkm import (
     gkm_degree_basis,
 )
 from momentkit.polytopes import from_spec, catalog_specs
+
+from test_algebra import poly_pow
 
 INTERVAL = moment_graph(simplex(1, 1))
 TRIANGLE = moment_graph(simplex(2, 1))

@@ -267,6 +267,38 @@ def test_power_sums_take_no_floor_per_point():
     assert {"accumulate", "mul"} <= names, "the scan reads polar's names"
 
 
+def test_caches_are_bounded():
+    """Every ``functools.lru_cache`` in src/ decorates with an explicit
+    integer maxsize, and the unbounded ``functools.cache`` decorates only
+    functions of bounded arguments: ``polar._bernoulli`` (n at most
+    ``MAX_DIMENSION``) and ``cli._build_parser`` (none)."""
+    bounded, unbounded = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert not {"cache", "lru_cache"} & {a.name for a in node.names}
+            if not (isinstance(node, ast.Attribute) and node.attr in (
+                    "cache", "lru_cache")
+                    and getattr(node.value, "id", None) == "functools"):
+                continue
+            if node.attr == "cache":
+                owner = parent[node]
+                unbounded.append(f"{path.stem}.{getattr(owner, 'name', '?')}")
+                continue
+            call = parent[node]
+            assert isinstance(call, ast.Call) and call.func is node, path.stem
+            size = [k.value for k in call.keywords if k.arg == "maxsize"]
+            size = call.args[:1] or size
+            assert (len(size) == 1 and isinstance(size[0], ast.Constant)
+                    and type(size[0].value) is int), path.stem
+            bounded.append(f"{path.stem}.{getattr(parent[call], 'name', '?')}")
+    assert sorted(unbounded) == ["cli._build_parser", "polar._bernoulli"]
+    assert bounded, "the scan sees the lru_cache in algebra"
+
+
 def test_work_limit_refusals_are_worded_in_one_place():
     """Every work limit is refused through ``errors.check_limit``; only
     ``algebra.format_rat`` words Python's own refusal to print."""

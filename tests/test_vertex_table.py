@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 from momentkit import gkm, linalg, localization, polar
 from momentkit.algebra import (
     as_vec, clear_denominators, dot, linear_poly, poly_eval, poly_mul,
-    poly_pow, vec_to_json, vsub)
+    vec_to_json, vsub)
 from momentkit.errors import DomainError, NotGenericError
 from momentkit.polytopes import (
     HalfSpace, catalog_specs, from_halfspaces, from_spec)
 
+from test_algebra import poly_pow
 from test_polar import rational_simple_polytopes
 
 
