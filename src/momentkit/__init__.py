@@ -28,7 +28,6 @@ from .errors import (
     UnboundedRegionError,
 )
 from .polytopes import (
-    HalfSpace,
     Polytope,
     SmoothnessReport,
     catalog_specs,

@@ -60,9 +60,11 @@ class MomentGraph:
     independent.  Construction checks both, the first by integer
     cross-multiplication on positions cleared of denominators once, and
     builds ``incidence[v]``, the indices of the edges at v in increasing
-    order, and ``isotropy[v]``, their primitive weights pointing away from
+    order, ``isotropy[v]``, their primitive weights pointing away from
     v as int tuples, oriented by positions so that flipping labels never
-    changes them.
+    changes them, and ``lines[k]``, the primitive of label k with a positive
+    first nonzero entry: two labels are parallel exactly when their lines
+    are equal.
     """
 
     positions: tuple[Vec, ...]
@@ -71,6 +73,8 @@ class MomentGraph:
     incidence: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
     isotropy: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        init=False, repr=False, compare=False)
+    lines: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,7 +93,7 @@ class MomentGraph:
         seen = set()
         incidence: list[list[int]] = [[] for _ in range(nverts)]
         isotropy: list[list[tuple[int, ...]]] = [[] for _ in range(nverts)]
-        lines = []  # per edge, its label's primitive with positive pivot entry
+        lines = []
         for k, ((i, j), w) in enumerate(zip(self.edges, self.weights)):
             if not (0 <= i < j < nverts):
                 raise DomainError(f"bad edge ({i}, {j})")
@@ -124,6 +128,7 @@ class MomentGraph:
                                       f"{vec_to_json(self.weights[b])}")
         object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
         object.__setattr__(self, "isotropy", tuple(map(tuple, isotropy)))
+        object.__setattr__(self, "lines", tuple(lines))
 
     @property
     def dim(self) -> int:
@@ -199,9 +204,10 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list[int]], int]:
     endpoint components to vanish on w = 0: restricting each monomial m
     there adds its terms, at column (i, m) and negated at (j, m), to one
     dense row per returned monomial; rows are ordered by edge, then monomial.
-    Restricting |a|^k m (|a|: the largest entry of w's primitive in absolute
-    value, at its pivot) gives int entries; the factor, one per edge, leaves
-    every rank and kernel unchanged."""
+    Restricting |a|^k m along the edge's line ``G.lines[k]`` (w's primitive
+    up to sign, so the same hyperplane; |a|: its largest entry in absolute
+    value, at its pivot) gives int entries; the factor, one per edge,
+    leaves every rank and kernel unchanged."""
     if k < 0:
         raise DomainError("degree must be non-negative")
     n = G.dim
@@ -211,8 +217,7 @@ def _degree_system(G: MomentGraph, k: int) -> tuple[list[list[int]], int]:
     monos = monomials(n, k)
     nmono = len(monos)
     rows: list[list[int]] = []
-    for (i, j), w in zip(G.edges, G.weights):
-        line = primitive(w)
+    for (i, j), line in zip(G.edges, G.lines):
         scale = max(map(abs, line)) ** k
         block: dict[tuple, list[int]] = defaultdict(lambda: [0] * unknowns)
         for idx, m in enumerate(monos):

@@ -2,7 +2,9 @@
 
 A polytope is ingested exclusively in H-representation: the bounded
 intersection of half-spaces ``<normal, x> >= offset`` with inward-pointing
-normals.  Vertices come exactly from all n-subsets of constraints.  Each
+normals, given as (normal, offset) pairs and stored as one table of
+primitive integer rows, the form that ``polytope_to_json`` writes back.
+Vertices come exactly from all n-subsets of constraints.  Each
 subset is one fraction-free integer solve (``linalg.solve_square``), whose
 Cramer form (X, D), x = X/D, feeds integer sign tests against one table of
 integer rows, in move-to-front order: a few rows reject most candidates,
@@ -67,22 +69,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class HalfSpace:
-    """The constraint <normal, x> >= offset with inward-pointing normal.
-
-    ``make`` is how input is read; a ``Polytope`` stores integer rows, and
-    its ``halfspaces`` rebuild the canonical ones from them, with primitive
-    int normals and Fraction offsets."""
-
-    normal: Vec | tuple[int, ...]
-    offset: Fraction
-
-    @staticmethod
-    def make(normal, offset) -> "HalfSpace":
-        return HalfSpace(as_vec(normal), Fraction(offset))
-
-
-@dataclass(frozen=True)
 class SmoothnessReport:
     simple: bool
     smooth: bool
@@ -113,10 +99,8 @@ class Polytope:
     order (its isotropy weights) as int tuples, the one place a polytope
     derives edge directions: the edge (i, j) points along X_j*D_i - X_i*D_j.
     ``facets`` are read from the tight vertex sets alone (see its
-    docstring), and ``halfspaces`` are the canonical ``HalfSpace`` forms of
-    the rows, for reports and JSON.  ``weights``, ``facets`` and
-    ``halfspaces`` are built on first read, then kept
-    (``functools.cached_property``).  A polytope keeps nothing per
+    docstring).  ``weights`` and ``facets`` are built on first read, then
+    kept (``functools.cached_property``).  A polytope keeps nothing per
     direction: ``polar.polar_decompose`` builds the polarized cones per
     call, and the caller holds them.
     """
@@ -139,12 +123,6 @@ class Polytope:
     def __repr__(self) -> str:
         return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
                 f"edges={len(self.edges)}, halfspaces={len(self.int_rows)})")
-
-    @functools.cached_property
-    def halfspaces(self) -> tuple[HalfSpace, ...]:
-        """Row (q*a, p) as <a, x> >= p/q, q the gcd of the row's normal."""
-        return tuple(HalfSpace(tuple(c // q for c in a), Fraction(p, q))
-                     for a, p in self.int_rows for q in [gcd(*a)])
 
     @functools.cached_property
     def weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -230,8 +208,8 @@ def _edges(dim: int, normals: list[tuple[int, ...]],
 
 
 # from_halfspaces, simplex and cube refuse a larger ambient dimension before
-# they make any half-space; each constraint subset costs about n^2, so the
-# subset limit alone would admit simplex:300 (45,451 subsets)
+# they build or coerce a pair; each constraint subset costs about n^2, so
+# the subset limit alone would admit simplex:300 (45,451 subsets)
 MAX_DIMENSION = 16
 
 
@@ -245,11 +223,13 @@ MAX_CONSTRAINT_SUBSETS = 50_000
 
 
 def from_halfspaces(dim: int, halfspaces) -> Polytope:
-    """Build a polytope from inward half-spaces <normal, x> >= offset.
+    """Build a polytope from (normal, offset) pairs, the inward half-spaces
+    <normal, x> >= offset.
 
-    Each half-space <n, x> >= o becomes the primitive integer row
-    ``primitive((*n, o))``, the pair (q*a, p) of q*<a, x> >= p with a
-    primitive, which is all the polytope stores (``Polytope.int_rows``).
+    Each pair (n, o), coerced once to (vector, Fraction), becomes the
+    primitive integer row ``primitive((*n, o))``, the pair (q*a, p) of
+    q*<a, x> >= p with a primitive, which is all the polytope stores
+    (``Polytope.int_rows``).
     Positively proportional constraints give one row and are merged, the
     first kept; redundant ones are harmless.  Raises EmptyRegionError,
     UnboundedRegionError, or DegenerateInputError when the data does not
@@ -265,17 +245,17 @@ def from_halfspaces(dim: int, halfspaces) -> Polytope:
     if dim < 1:
         raise DomainError("ambient dimension must be at least 1")
     check_limit(dim, MAX_DIMENSION, lambda: f"dimension {dim} is")
-    given = [h if isinstance(h, HalfSpace) else HalfSpace.make(*h) for h in halfspaces]
+    given = [(as_vec(n), Fraction(o)) for n, o in halfspaces]
     if not given:
         raise DomainError("at least one half-space is required")
-    for h in given:
-        if len(h.normal) != dim:
-            raise DomainError(f"normal {vec_to_json(h.normal)} does not have "
+    for n, _ in given:
+        if len(n) != dim:
+            raise DomainError(f"normal {vec_to_json(n)} does not have "
                               f"dimension {dim}")
-        if is_zero_vec(h.normal):
+        if is_zero_vec(n):
             raise DomainError("half-space normal must be nonzero")
     rows = [(r[:-1], r[-1]) for r in
-            dict.fromkeys(primitive((*h.normal, h.offset)) for h in given)]
+            dict.fromkeys(primitive((*n, o)) for n, o in given)]
     subsets = comb(len(rows), dim) + comb(len(rows), dim - 1)
     check_limit(subsets, MAX_CONSTRAINT_SUBSETS, lambda: (
         f"{len(rows)} half-spaces in dimension {dim} need {subsets} "
@@ -331,8 +311,8 @@ def simplex(n: int, scale=1) -> Polytope:
     if n < 1 or scale <= 0:
         raise DomainError("simplex needs n >= 1 and scale > 0")
     check_limit(n, MAX_DIMENSION, lambda: f"dimension {n} is")
-    hs = [HalfSpace.make([1 if j == i else 0 for j in range(n)], 0) for i in range(n)]
-    hs.append(HalfSpace.make([-1] * n, -scale))
+    hs = [([1 if j == i else 0 for j in range(n)], 0) for i in range(n)]
+    hs.append(([-1] * n, -scale))
     return from_halfspaces(n, hs)
 
 
@@ -345,8 +325,8 @@ def cube(n: int, scale=1) -> Polytope:
     hs = []
     for i in range(n):
         e = [1 if j == i else 0 for j in range(n)]
-        hs.append(HalfSpace.make(e, 0))
-        hs.append(HalfSpace.make([-c for c in e], -scale))
+        hs.append((e, 0))
+        hs.append(([-c for c in e], -scale))
     return from_halfspaces(n, hs)
 
 
@@ -358,13 +338,8 @@ def hirzebruch(a: int) -> Polytope:
     """
     if a < 1:
         raise DomainError("hirzebruch parameter must be a positive integer")
-    hs = [
-        HalfSpace.make([1, 0], 0),
-        HalfSpace.make([0, 1], 0),
-        HalfSpace.make([0, -1], -1),
-        HalfSpace.make([-1, -a], -(a + 1)),
-    ]
-    return from_halfspaces(2, hs)
+    return from_halfspaces(2, [((1, 0), 0), ((0, 1), 0), ((0, -1), -1),
+                               ((-1, -a), -(a + 1))])
 
 
 def dilate(P: Polytope, k) -> Polytope:
@@ -564,13 +539,12 @@ def lattice_points_oracle(P: Polytope) -> int:
 
 
 def polytope_to_json(P: Polytope) -> dict:
-    return {
-        "dim": P.dim,
-        "halfspaces": [
-            {"normal": vec_to_json(h.normal), "offset": format_rat(h.offset)}
-            for h in P.halfspaces
-        ],
-    }
+    """Row (q*a, p) of ``P.int_rows`` as normal a and offset p/q, q the
+    gcd of the row's normal."""
+    return {"dim": P.dim, "halfspaces": [
+        {"normal": vec_to_json([c // q for c in a]),
+         "offset": format_rat(Fraction(p, q))}
+        for a, p in P.int_rows for q in [gcd(*a)]]}
 
 
 def polytope_from_json(obj) -> Polytope:
@@ -591,5 +565,5 @@ def polytope_from_json(obj) -> Polytope:
         if len(normal) != dim:
             raise ValueError(f"normal {quoted(entry['normal'])} has "
                              f"{len(normal)} entries, expected {dim}")
-        hs.append(HalfSpace(normal, parse_rat(entry["offset"])))
+        hs.append((normal, parse_rat(entry["offset"])))
     return from_halfspaces(dim, hs)

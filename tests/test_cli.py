@@ -17,6 +17,7 @@ from momentkit.polytopes import (
     simplex,
 )
 from test_cli_golden import COMMANDS, _write_classes
+from test_polytopes import record_pair_work
 
 
 def run_json(argv):
@@ -362,14 +363,13 @@ def test_constraint_subsets_over_the_limit_exit_3(tmp_path, monkeypatch, capsys)
 
 
 def test_dimension_over_the_limit_exits_3(monkeypatch, capsys):
-    made = []
-    init = polytopes.HalfSpace.__init__
-    monkeypatch.setattr(polytopes.HalfSpace, "__init__",
-                        lambda self, *a: made.append(1) or init(self, *a))
+    # refused before a builder builds its pair list or calls from_halfspaces
+    work = record_pair_work(monkeypatch)
     for spec in ("simplex:17:1", "simplex:2000:1", "cube:17:1"):
         assert cli.main(["validate", spec]) == 3
         assert "over the limit of 16" in capsys.readouterr().err
-    assert made == []
+    assert work == []
+    assert cli.main(["validate", "cube:2:1"]) == 0 and work
 
 
 @pytest.mark.parametrize("command", ["gkm-check", "integrate"])
@@ -736,7 +736,7 @@ def test_catalog_commands_take_no_rank(tmp_path, monkeypatch):
                 continue
             report, code = run_json([command, spec, *options])
             assert code == 0, (command, spec)
-            assert report["polytope"]["facets"] == len(from_spec(spec).halfspaces)
+            assert report["polytope"]["facets"] == len(from_spec(spec).int_rows)
     assert ranks == []
     # the patch is live: a flat square's facets take one rank, that of the
     # normals of its two rows tight at every vertex

@@ -251,6 +251,9 @@ def test_isotropy_matches_the_positions_twin():
     assert len(graphs) == 3 * 2 * (21 + 4 + 16)
     for G in graphs:
         assert G.isotropy == _isotropy_from_positions(G)
+        for line, w in zip(G.lines, G.weights):
+            assert line in (primitive(w), tuple(-c for c in primitive(w)))
+            assert next(c for c in line if c) > 0
 
 
 def _rank_pair_check(positions, edges, weights):
@@ -534,8 +537,8 @@ def _degree_system_by_index(G, k):
 def _sheared(P):
     """The image of P under x -> [[1,0,0],[1,1,0],[1,0,1]] x: the normal a
     of <a, x> >= b becomes (a0 - a1 - a2, a1, a2)."""
-    return from_halfspaces(3, [((a - b - c, b, c), h.offset)
-                               for h in P.halfspaces for a, b, c in [h.normal]])
+    return from_halfspaces(3, [((a - b - c, b, c), p)
+                               for (a, b, c), p in P.int_rows])
 
 
 def test_degree_system_matches_the_index_table_twin(monkeypatch):
@@ -545,8 +548,16 @@ def test_degree_system_matches_the_index_table_twin(monkeypatch):
     cases += [(P, 4) for P in images]
     for P, k_max in cases:
         G = moment_graph(P)
+        # every other label flipped and all rescaled by -3: the graph's
+        # lines, which the system restricts along, do not move
+        H = flip_weights(G, range(0, len(G.edges), 2))
+        H = MomentGraph(H.positions, H.edges,
+                        tuple(tuple(-3 * c for c in w) for w in H.weights))
+        assert H.lines == G.lines
         for k in range(k_max + 1):
-            assert _degree_system(G, k) == _degree_system_by_index(G, k)
+            rows = _degree_system(G, k)
+            assert rows == _degree_system_by_index(G, k)
+            assert _degree_system(H, k) == _degree_system_by_index(H, k) == rows
             basis = gkm_degree_basis(G, k)
             with monkeypatch.context() as m:
                 m.setattr(gkm, "_degree_system", _degree_system_by_index)
@@ -575,9 +586,7 @@ def test_ordinary_betti():
 def test_facet_class_interval():
     G = INTERVAL
     P = simplex(1, 1)
-    facet_at_zero = next(
-        k for k in P.facets
-        if P.halfspaces[k].offset == 0 and P.halfspaces[k].normal == (1,))
+    facet_at_zero = next(k for k in P.facets if P.int_rows[k] == ((1,), 0))
     cls = facet_class(P, G, facet_at_zero)
     assert cls[P.vertices.index(vec(0))] == {(1,): F(1)}
     assert cls[P.vertices.index(vec(1))] == {}
@@ -587,7 +596,7 @@ def test_facet_class_interval():
 def test_facet_class_triangle_bottom_edge():
     P = simplex(2, 1)
     G = TRIANGLE
-    bottom = next(k for k in P.facets if P.halfspaces[k].normal == (0, 1))
+    bottom = next(k for k in P.facets if P.int_rows[k][0] == (0, 1))
     cls = facet_class(P, G, bottom)
     by_vertex = dict(zip(P.vertices, cls))
     assert by_vertex[vec(0, 0)] == {(0, 1): F(1)}  # y

@@ -303,10 +303,10 @@ def test_volume_is_invariant_under_lattice_maps():
             adj, d = linalg.adjugate_int(U)
             inv = [[d * x for x in row] for row in adj]  # det U = +-1
             hs = []
-            for h in P.halfspaces:
-                a = tuple(sum(inv[i][k] * h.normal[i] for i in range(n))
+            for normal, p in P.int_rows:
+                a = tuple(sum(inv[i][k] * normal[i] for i in range(n))
                           for k in range(n))
-                hs.append((a, h.offset + dot(a, t)))
+                hs.append((a, p + dot(a, t)))
             Q = from_halfspaces(n, hs)
             assert len(Q.vertices) == len(P.vertices)
             assert set(Q.vertices) == {

@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # Every public name of ``momentkit``; adding or removing one shows here.
 PUBLIC_NAMES = [
     "DegenerateInputError", "DomainError", "EmptyRegionError",
-    "GKMCheckReport", "HalfSpace", "MomentGraph", "NonSimpleVertexError",
+    "GKMCheckReport", "MomentGraph", "NonSimpleVertexError",
     "NotDelzantError", "NotGenericError", "NotPolarizingError",
     "PolarizedCone", "Poly", "Polytope", "SmoothnessReport",
     "UnboundedRegionError", "Vec", "algebra", "betti_numbers",
@@ -42,14 +42,13 @@ def test_public_names():
     assert sorted(momentkit.__all__) == PUBLIC_NAMES
 
 
-POLYTOPE_FIELDS = {"dim", "halfspaces", "vertices", "vertex_facets", "edges",
-                   "int_rows", "int_vertices", "neighbors", "weights",
-                   "facets"}
+POLYTOPE_FIELDS = {"dim", "vertices", "vertex_facets", "edges", "int_rows",
+                   "int_vertices", "neighbors", "weights", "facets"}
 
 
 def test_polytope_carries_only_its_own_data():
-    """What a Polytope holds: the fields its constructor sets and the three
-    properties it caches, ``weights``, ``facets`` and ``halfspaces``.
+    """What a Polytope holds: the fields its constructor sets and the two
+    properties it caches, ``weights`` and ``facets``.
     Per-direction data, such as polarized cones, stays with the caller, so
     one polytope used for many directions holds no more.  ``int_vertices``,
     the integer vertex table, is one pair per vertex, and ``int_rows`` one
@@ -224,15 +223,25 @@ def test_denominators_are_cleared_in_one_place():
     assert _owners(_clears_denominators) == ["algebra.clear_denominators"]
 
 
+def _makes_a_row(node: ast.AST) -> bool:
+    """True for a call ``primitive((*normal, offset))``."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "primitive"
+            and bool(node.args) and isinstance(node.args[0], ast.Tuple)
+            and any(isinstance(e, ast.Starred) for e in node.args[0].elts))
+
+
 def test_halfspaces_are_made_in_one_place():
-    """``HalfSpace(...)`` is called only where input is read
-    (``HalfSpace.make`` and ``polytope_from_json``) and where a polytope
-    derives its canonical half-spaces from its rows
-    (``Polytope.halfspaces``): the canonical form is written once."""
-    found = _owners(lambda node: isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) == "HalfSpace")
-    assert sorted(set(found)) == ["polytopes.halfspaces", "polytopes.make",
-                                  "polytopes.polytope_from_json"]
+    """Half-spaces have one form: ``from_halfspaces`` takes (normal, offset)
+    pairs, with no type test on them, and makes every integer row, the one
+    form a ``Polytope`` stores and ``polytope_to_json`` writes back.  No
+    ``HalfSpace`` name is left in src/."""
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if "HalfSpace" in p.read_text(encoding="utf-8")] == []
+    assert _owners(_makes_a_row) == ["polytopes.from_halfspaces"]
+    type_tests = _owners(lambda node: isinstance(node, ast.Call)
+                         and getattr(node.func, "id", None) == "isinstance")
+    assert "polytopes.from_halfspaces" not in type_tests
 
 
 def test_linalg_names_fraction_only_in_nullspace():
@@ -337,7 +346,7 @@ WORK_LIMITS = {
         "dimension 2 is over the limit of 1"),
     "dimension/from_halfspaces": _at_and_one_over(
         polytopes, "MAX_DIMENSION", 2,
-        lambda: polytopes.from_halfspaces(2, TRIANGLE.halfspaces),
+        lambda: polytopes.from_halfspaces(2, TRIANGLE.int_rows),
         "dimension 2 is over the limit of 1"),
     # C(6, 3) + C(6, 2) vertex solves and kernel tests
     "constraint subsets": _at_and_one_over(

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from momentkit import (
     DomainError,
-    HalfSpace,
     NotPolarizingError,
     PolarizedCone,
     choose_polarizing_vector,
@@ -443,9 +442,7 @@ def test_polytope_dies_after_its_decomposition():
 def _non_unimodular_triangle(height):
     """conv((0, 0), (1, 0), (1, height)): the cone at the origin has
     |det| = height, the other two are unimodular."""
-    return from_halfspaces(2, [HalfSpace.make((0, 1), 0),
-                               HalfSpace.make((-1, 0), -1),
-                               HalfSpace.make((height, -1), 0)])
+    return from_halfspaces(2, [((0, 1), 0), ((-1, 0), -1), ((height, -1), 0)])
 
 
 def test_vertex_sum_matches_box_scan():
@@ -455,9 +452,8 @@ def test_vertex_sum_matches_box_scan():
                             "simplex:3:1")
                for k in (F(1, 3), F(5, 2), F(7, 3))]
     shapes += [_non_unimodular_triangle(h) for h in (2, 5)]
-    shapes += [from_halfspaces(2, [HalfSpace.make((1, 0), F(-1, 2)),
-                                   HalfSpace.make((0, 1), F(-1, 3)),
-                                   HalfSpace.make((-2, -3), F(-13, 2))])]
+    shapes += [from_halfspaces(2, [((1, 0), F(-1, 2)), ((0, 1), F(-1, 3)),
+                                   ((-2, -3), F(-13, 2))])]
     for P in shapes:
         expect = lattice_points_oracle(P)
         for seed in (0, 3):
@@ -586,19 +582,15 @@ def _dense_triangle(N):
     """conv((0, 0), (1, 0), (a, N)), a = N // 2 + 1: a floor of the cone at
     the origin steps at about every other point of its line of N."""
     a = N // 2 + 1
-    return from_halfspaces(2, [HalfSpace.make((0, 1), 0),
-                               HalfSpace.make((N, -a), 0),
-                               HalfSpace.make((-N, a - 1), -N)])
+    return from_halfspaces(2, [((0, 1), 0), ((N, -a), 0), ((-N, a - 1), -N)])
 
 
 def _dense_simplex(N):
     """conv(0, e1, e2, (a, b, N)), a = N // 2 + 1 and b = N // 3 + 1: two
     floors of the cone at the origin step along its line of N points."""
     a, b = N // 2 + 1, N // 3 + 1
-    return from_halfspaces(3, [HalfSpace.make((0, 0, 1), 0),
-                               HalfSpace.make((0, N, -b), 0),
-                               HalfSpace.make((N, 0, -a), 0),
-                               HalfSpace.make((-N, -N, a + b - 1), -N)])
+    return from_halfspaces(3, [((0, 0, 1), 0), ((0, N, -b), 0), ((N, 0, -a), 0),
+                               ((-N, -N, a + b - 1), -N)])
 
 
 def _step_share(cone):
@@ -735,13 +727,13 @@ def rational_simple_polytopes(draw):
     inside), redrawn until simple with a non-unimodular vertex cone and a
     non-integral vertex."""
     half = draw(st.fractions(min_value=1, max_value=3, max_denominator=3))
-    hs = [HalfSpace.make([s if j == i else 0 for j in range(3)], -half)
+    hs = [([s if j == i else 0 for j in range(3)], -half)
           for i in range(3) for s in (1, -1)]
     for _ in range(draw(st.integers(2, 4))):
         normal = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
         offset = draw(st.fractions(min_value=F(1, 2), max_value=4,
                                    max_denominator=3))
-        hs.append(HalfSpace.make(normal, -offset))
+        hs.append((normal, -offset))
     P = from_halfspaces(3, hs)
     report = smoothness_report(P)
     assume(report.simple and not report.smooth)
@@ -770,10 +762,10 @@ def _mapped(P, U, t):
     adj, d = linalg.adjugate_int(U)
     inv = [[d * x for x in row] for row in adj]  # det U = +-1
     hs = []
-    for h in P.halfspaces:
-        normal = tuple(sum(inv[i][k] * h.normal[i] for i in range(3))
+    for a, p in P.int_rows:
+        normal = tuple(sum(inv[i][k] * a[i] for i in range(3))
                        for k in range(3))
-        hs.append(HalfSpace(normal, h.offset + dot(normal, t)))
+        hs.append((normal, p + dot(normal, t)))
     return from_halfspaces(3, hs)
 
 

@@ -22,7 +22,7 @@ from momentkit.algebra import (
     vec_to_json, vsub)
 from momentkit.errors import DomainError, NotGenericError
 from momentkit.polytopes import (
-    HalfSpace, catalog_specs, from_halfspaces, from_spec)
+    catalog_specs, from_halfspaces, from_spec)
 
 from test_algebra import poly_pow
 from test_polar import rational_simple_polytopes
@@ -37,7 +37,7 @@ def _fraction_contains(P, x):
     x = as_vec(x)
     if len(x) != P.dim:
         raise DomainError(f"point has dimension {len(x)}, expected {P.dim}")
-    return all(dot(h.normal, x) >= h.offset for h in P.halfspaces)
+    return all(dot(a, x) >= p for a, p in P.int_rows)
 
 
 def _fraction_cone_contains(cone, x):
@@ -81,7 +81,7 @@ def _fraction_betti(G, xi):
 
 
 def _fraction_facet_class(P, G, facet):
-    normal = P.halfspaces[facet].normal
+    normal = P.int_rows[facet][0]
     out = []
     for i, tight in enumerate(P.vertex_facets):
         leaving = [d for d in P.weights[i] if dot(normal, d) != 0]
@@ -137,10 +137,10 @@ def _mapped(P, U, t):
     n = P.dim
     inv = [[d * x for x in row] for row in adj]  # U^-1, as det U = +-1
     hs = []
-    for h in P.halfspaces:
-        normal = tuple(sum(inv[i][k] * h.normal[i] for i in range(n))
+    for a, p in P.int_rows:
+        normal = tuple(sum(inv[i][k] * a[i] for i in range(n))
                        for k in range(n))
-        hs.append(HalfSpace(normal, h.offset + dot(normal, t)))
+        hs.append((normal, p + dot(normal, t)))
     return from_halfspaces(n, hs)
 
 
@@ -155,8 +155,7 @@ def delzant_polytopes(draw):
     P = from_spec(draw(st.sampled_from(catalog_specs())))
     n = P.dim
     k = draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
-    P = from_halfspaces(n, [HalfSpace(h.normal, h.offset * k)
-                            for h in P.halfspaces])
+    P = from_halfspaces(n, [(a, p * k) for a, p in P.int_rows])
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
