@@ -11,7 +11,6 @@ independent brute-force oracle.
 from .algebra import (
     Poly,
     Vec,
-    divides_linear,
     dot,
     generic_vector,
     poly_quotient_by_linear,
@@ -52,7 +51,6 @@ from .polar import (
     signed_lattice_count,
 )
 from .gkm import (
-    GKMCheckReport,
     MomentGraph,
     betti_numbers,
     facet_class,

@@ -362,14 +362,6 @@ def restrict_to_hyperplane(ell: Vec, f: Poly) -> Poly:
     return {mono: c for mono, c in out.items() if c}
 
 
-def divides_linear(ell: Vec, f: Poly) -> bool:
-    """True iff f = ell * g for some polynomial g."""
-    ell = as_vec(ell)
-    if is_zero_vec(ell):
-        raise DomainError("divisibility by the zero linear form is undefined")
-    return not restrict_to_hyperplane(ell, f)
-
-
 def poly_quotient_by_linear(ell: Vec, f: Poly) -> Poly:
     """Exact quotient g with f = ell * g; raises if ell does not divide f.
 

@@ -9,10 +9,11 @@ linear constraints, Betti numbers from counting downward edges against a
 generic direction, and the two are tied together by a free-module
 (Hilbert series) identity.
 
-Edge labels matter only up to a nonzero factor, sign included; every
-predicate here is invariant under rescaling them.  The isotropy weights are
-the labels' primitives, oriented by the endpoint positions; ``moment_graph``
-stores each label as ``Polytope.weights`` holds it at the lower endpoint.
+Edge labels matter only up to a nonzero factor, sign included: algorithms
+read the tables a ``MomentGraph`` derives from them, ``lines`` for
+divisibility, degree systems and generic directions, and ``isotropy`` for
+Morse counts and fixed-point sums.  ``moment_graph`` stores each label as
+``Polytope.weights`` holds it at the lower endpoint, which is its line.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .algebra import (
     Vec,
     clear_denominators,
     clear_direction,
-    divides_linear,
     generic_vector,
     is_zero_vec,
     linear_poly,
@@ -64,7 +64,8 @@ class MomentGraph:
     v as int tuples, oriented by positions so that flipping labels never
     changes them, and ``lines[k]``, the primitive of label k with a positive
     first nonzero entry: two labels are parallel exactly when their lines
-    are equal.
+    are equal.  Algorithms read ``lines`` and ``isotropy``; ``weights`` is
+    kept as given for these checks, their messages and ``flip_weights``.
     """
 
     positions: tuple[Vec, ...]
@@ -161,18 +162,9 @@ def flip_weights(G: MomentGraph, flipped_edges) -> MomentGraph:
 # membership
 
 
-@dataclass(frozen=True)
-class GKMCheckReport:
-    ok: bool
-    # indices of edges whose divisibility condition fails
-    failures: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def gkm_check(G: MomentGraph, cls: GKMClass) -> GKMCheckReport:
-    """Does every edge label divide the difference of endpoint components?"""
+def gkm_check(G: MomentGraph, cls: GKMClass) -> tuple[int, ...]:
+    """Indices, in edge order, of the edges (i, j) whose line does not
+    divide cls[i] - cls[j]; empty exactly when the class is admissible."""
     if len(cls) != len(G.positions):
         raise DomainError(
             f"class has {len(cls)} components, graph has {len(G.positions)} "
@@ -181,9 +173,8 @@ def gkm_check(G: MomentGraph, cls: GKMClass) -> GKMCheckReport:
     if bad is not None:
         raise DomainError(f"class monomial {quoted(bad)} has {len(bad)} "
                           f"exponents, expected {G.dim}")
-    failures = tuple(k for k, ((i, j), w) in enumerate(zip(G.edges, G.weights))
-                     if not divides_linear(w, poly_sub(cls[i], cls[j])))
-    return GKMCheckReport(ok=not failures, failures=failures)
+    return tuple(k for k, ((i, j), line) in enumerate(zip(G.edges, G.lines))
+                 if restrict_to_hyperplane(line, poly_sub(cls[i], cls[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +241,8 @@ def gkm_degree_basis(G: MomentGraph, k: int) -> list[GKMClass]:
 
 
 def choose_generic_direction(G: MomentGraph, seed=0) -> Vec:
-    """Direction pairing nonzero with every isotropy weight."""
-    return generic_vector(G.dim, G.weights, seed=seed)
+    """Direction pairing nonzero with every edge line."""
+    return generic_vector(G.dim, G.lines, seed=seed)
 
 
 def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:

@@ -108,11 +108,11 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
             f"class value at {label} needs evaluation work {work} (its "
             f"squared monomial degrees, each at least {TERM_DEGREE_FLOOR}, "
             f"summed),"))
-    report = gkm_check(G, cls)
-    if not report.ok:
+    failures = gkm_check(G, cls)
+    if failures:
         raise DomainError(
             f"class fails the divisibility conditions on edges "
-            f"{list(report.failures)}; its push-forward is undefined")
+            f"{list(failures)}; its push-forward is undefined")
     return fixed_point_value(cls, G, xi)
 
 

@@ -13,7 +13,6 @@ from momentkit import algebra, catalog_specs, from_spec
 from momentkit.algebra import (
     as_vec,
     clear_denominators,
-    divides_linear,
     dot,
     generic_vector,
     is_zero_vec,
@@ -193,18 +192,14 @@ def test_poly_eval_is_ring_morphism():
 
 
 def test_divides_linear_examples():
+    # ell divides f exactly when f restricts to zero on ell = 0
     x = vec(1, 0)
     x_minus_y = vec(1, -1)
     f1 = {(2, 0): F(1), (1, 1): F(1)}  # x^2 + x*y
-    assert divides_linear(x, f1)
+    assert restrict_to_hyperplane(x, f1) == {}
     f2 = {(2, 0): F(1), (0, 2): F(-1)}  # x^2 - y^2
-    assert divides_linear(x_minus_y, f2)
-    assert not divides_linear(x, {(0, 1): F(1)})  # x does not divide y
-
-
-def test_divides_linear_zero_form_rejected():
-    with pytest.raises(DomainError):
-        divides_linear(vec(0, 0), {(1, 0): F(1)})
+    assert restrict_to_hyperplane(x_minus_y, f2) == {}
+    assert restrict_to_hyperplane(x, {(0, 1): F(1)})  # x does not divide y
 
 
 def test_quotient_examples():
@@ -232,7 +227,7 @@ def test_division_round_trip():
             continue
         f = _random_poly(rng, n)
         prod = poly_mul(linear_poly(ell), f)
-        assert divides_linear(ell, prod)
+        assert restrict_to_hyperplane(ell, prod) == {}
         assert poly_quotient_by_linear(ell, prod) == f
 
 
@@ -257,7 +252,7 @@ def test_divisibility_agrees_with_random_hyperplane_points():
             if poly_eval(f, tuple(x)) != 0:
                 all_zero = False
                 break
-        assert divides_linear(ell, f) == all_zero
+        assert (restrict_to_hyperplane(ell, f) == {}) == all_zero
 
 
 def test_restrict_to_hyperplane_kills_the_form_itself():

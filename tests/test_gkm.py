@@ -36,8 +36,12 @@ from momentkit.algebra import (
     linear_poly,
     monomials,
     pivot_index,
+    poly_add,
     poly_const,
+    poly_degree,
     poly_mul,
+    poly_quotient_by_linear,
+    poly_sub,
     primitive,
     restrict_to_hyperplane,
     vec,
@@ -110,8 +114,8 @@ def test_moment_graph_validation():
         MomentGraph(((0, 0), (1, 0)), ((0, 1),), ((0, 0, 1),))
     # the endpoint positions must differ by a nonzero multiple of the label:
     # this triangle's labels and positions disagree on edge (1, 2), so the
-    # labels (read by gkm_check) and the positions (read by isotropy) would
-    # give classes whose push-forward depends on the direction
+    # labels (whose lines gkm_check reads) and the positions (read by
+    # isotropy) would give classes whose push-forward depends on the direction
     message = r"endpoints of edge \({}, {}\) do not differ by a nonzero multiple of its weight$"
     with pytest.raises(DomainError, match=message.format(1, 2)):
         MomentGraph((vec(0, 0), vec(1, 0), vec(0, 1)), ((0, 1), (0, 2), (1, 2)),
@@ -383,17 +387,15 @@ def test_stored_neighbors_and_incidence_match_an_edge_scan():
 
 def test_gkm_check_interval():
     x = {(1,): F(1)}
-    assert gkm_check(INTERVAL, (x, {})).ok
-    report = gkm_check(INTERVAL, (poly_const(1, 1), {}))
-    assert not report.ok
-    assert report.failures == (0,)
+    assert gkm_check(INTERVAL, (x, {})) == ()
+    assert gkm_check(INTERVAL, (poly_const(1, 1), {})) == (0,)
 
 
 def test_gkm_check_constant_tuples_pass():
     for G in (INTERVAL, TRIANGLE, moment_graph(cube(3, 1))):
         n = G.dim
         cls = tuple(poly_const(n, F(7, 3)) for _ in G.positions)
-        assert gkm_check(G, cls).ok
+        assert gkm_check(G, cls) == ()
 
 
 def test_gkm_check_wrong_component_count():
@@ -450,7 +452,7 @@ def test_gkm_degree_basis_spans_and_passes():
             basis = gkm_degree_basis(G, k)
             assert len(basis) == gkm_dimension(G, k)
             for cls in basis:
-                assert gkm_check(G, cls).ok
+                assert gkm_check(G, cls) == ()
                 assert {sum(m) for f in cls for m in f} <= {k}
 
 
@@ -590,7 +592,7 @@ def test_facet_class_interval():
     cls = facet_class(P, G, facet_at_zero)
     assert cls[P.vertices.index(vec(0))] == {(1,): F(1)}
     assert cls[P.vertices.index(vec(1))] == {}
-    assert gkm_check(G, cls).ok
+    assert gkm_check(G, cls) == ()
 
 
 def test_facet_class_triangle_bottom_edge():
@@ -602,7 +604,7 @@ def test_facet_class_triangle_bottom_edge():
     assert by_vertex[vec(0, 0)] == {(0, 1): F(1)}  # y
     assert by_vertex[vec(1, 0)] == linear_poly(vec(-1, 1))  # y - x
     assert by_vertex[vec(0, 1)] == {}
-    assert gkm_check(G, cls).ok
+    assert gkm_check(G, cls) == ()
 
 
 def test_facet_classes_pass_and_count_facets():
@@ -610,7 +612,7 @@ def test_facet_classes_pass_and_count_facets():
         P = from_spec(spec)
         G = moment_graph(P)
         for k in P.facets:
-            assert gkm_check(G, facet_class(P, G, k)).ok
+            assert gkm_check(G, facet_class(P, G, k)) == ()
         assert gkm_dimension(G, 1) == len(P.facets)
 
 
@@ -630,24 +632,80 @@ def test_product_and_module_closure():
     classes = [facet_class(P, G, k) for k in P.facets]
     a, b = rng.sample(classes, 2)
     product = tuple(poly_mul(f, g) for f, g in zip(a, b))
-    assert gkm_check(G, product).ok
+    assert gkm_check(G, product) == ()
     global_poly = {(2, 0): F(3), (0, 1): F(-1, 2)}
     scaled = tuple(poly_mul(global_poly, f) for f in a)
-    assert gkm_check(G, scaled).ok
+    assert gkm_check(G, scaled) == ()
 
 
 def test_sign_flip_invariance():
+    # labels flipped at random or all rescaled by -3/2: the failure lists
+    # of an admissible class and of one failing on some edges, the
+    # dimensions and the generic direction do not move
     rng = random.Random(17)
     for spec in ("simplex:2:1", "cube:2:1", "hirzebruch:1"):
         P = from_spec(spec)
         G = moment_graph(P)
-        cls = facet_class(P, G, P.facets[0])
+        good = facet_class(P, G, P.facets[0])
+        bad = (poly_add(good[0], {(0,) * (G.dim - 1) + (1,): F(1)}),) + good[1:]
+        checks = [gkm_check(G, good), gkm_check(G, bad)]
+        assert checks[0] == () and checks[1]
+        assert len(checks[1]) < len(G.edges)
         base_dims = [gkm_dimension(G, k) for k in (0, 1, 2)]
+        xi = choose_generic_direction(G)
+        scaled = tuple(tuple(F(-3, 2) * c for c in w) for w in G.weights)
+        graphs = [MomentGraph(G.positions, G.edges, scaled)]
         for _ in range(5):
             flips = [k for k in range(len(G.edges)) if rng.random() < 0.5]
-            H = flip_weights(G, flips)
-            assert gkm_check(H, cls).ok == gkm_check(G, cls).ok
+            graphs.append(flip_weights(G, flips))
+        for H in graphs:
+            assert [gkm_check(H, good), gkm_check(H, bad)] == checks
             assert [gkm_dimension(H, k) for k in (0, 1, 2)] == base_dims
+            assert choose_generic_direction(H) == xi
+
+
+def _failures_by_division(G, cls):
+    """The edges whose label, as given, leaves a remainder when synthetic
+    division takes it out of the difference of endpoint components."""
+    failures = []
+    for k, ((i, j), w) in enumerate(zip(G.edges, G.weights)):
+        try:
+            poly_quotient_by_linear(w, poly_sub(cls[i], cls[j]))
+        except DomainError:
+            failures.append(k)
+    return tuple(failures)
+
+
+def test_gkm_check_matches_the_synthetic_division_twin():
+    """gkm_check restricts along the graph's lines; the twin divides by the
+    labels as given, here as the polytope's and rescaled by -3/2 on every
+    other edge.  Classes: the facet classes, a product of two, and each
+    with one vertex's component changed by a monomial of its degree (the
+    zero class, the product of a segment's two facet classes, counts as
+    degree 0)."""
+    rng = random.Random(37)
+    for spec in [*catalog_specs(), "cube:4:1", "simplex:4:1"]:
+        P = from_spec(spec)
+        G = moment_graph(P)
+        H = MomentGraph(G.positions, G.edges, tuple(
+            tuple(F(-3, 2) * c for c in w) if k % 2 else w
+            for k, w in enumerate(G.weights)))
+        classes = [facet_class(P, G, f) for f in P.facets]
+        a, b = rng.sample(classes, 2)
+        classes.append(tuple(poly_mul(f, g) for f, g in zip(a, b)))
+        for cls in classes[:]:
+            v = rng.randrange(len(cls))
+            degree = max(0, *map(poly_degree, cls))
+            mono = rng.choice(monomials(G.dim, degree))
+            changed = poly_add(cls[v], {mono: F(rng.choice((-2, 1, 3)))})
+            classes.append(cls[:v] + (changed,) + cls[v + 1:])
+        failing = 0
+        for cls in classes:
+            expect = _failures_by_division(G, cls)
+            assert gkm_check(G, cls) == expect
+            assert gkm_check(H, cls) == _failures_by_division(H, cls) == expect
+            failing += bool(expect)
+        assert failing, spec
 
 
 def test_json_round_trips():

@@ -22,12 +22,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # Every public name of ``momentkit``; adding or removing one shows here.
 PUBLIC_NAMES = [
     "DegenerateInputError", "DomainError", "EmptyRegionError",
-    "GKMCheckReport", "MomentGraph", "NonSimpleVertexError",
+    "MomentGraph", "NonSimpleVertexError",
     "NotDelzantError", "NotGenericError", "NotPolarizingError",
     "PolarizedCone", "Poly", "Polytope", "SmoothnessReport",
     "UnboundedRegionError", "Vec", "algebra", "betti_numbers",
     "catalog_specs", "choose_polarizing_vector", "cone_contains", "cube",
-    "dilate", "divides_linear", "dot", "errors", "euler_class_at",
+    "dilate", "dot", "errors", "euler_class_at",
     "facet_class", "flip_weights", "free_module_check", "from_halfspaces",
     "from_spec", "generic_vector", "gkm", "gkm_check", "gkm_degree_basis",
     "gkm_dimension", "hirzebruch", "is_polarizing", "lattice_points_oracle",
@@ -242,6 +242,26 @@ def test_halfspaces_are_made_in_one_place():
     type_tests = _owners(lambda node: isinstance(node, ast.Call)
                          and getattr(node.func, "id", None) == "isinstance")
     assert "polytopes.from_halfspaces" not in type_tests
+
+
+def test_admissibility_is_checked_in_one_form():
+    """``gkm_check`` returns its failing edges, restricting along the
+    graph's lines as ``_degree_system`` does: ``GKMCheckReport`` and
+    ``divides_linear`` are gone from src/, and ``MomentGraph.weights``,
+    the labels as given, is read only by the graph's own checks and
+    ``flip_weights``."""
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if "GKMCheckReport" in p.read_text(encoding="utf-8")
+            or "divides_linear" in p.read_text(encoding="utf-8")] == []
+    callers = _owners(lambda node: isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None)
+                      == "restrict_to_hyperplane")
+    assert sorted(callers) == ["gkm._degree_system", "gkm.gkm_check"]
+    # a Polytope is P in src/, and its weights are another table
+    labels = _owners(lambda node: isinstance(node, ast.Attribute)
+                     and node.attr == "weights"
+                     and getattr(node.value, "id", None) != "P")
+    assert set(labels) == {"gkm.__post_init__", "gkm.flip_weights"}
 
 
 def test_linalg_names_fraction_only_in_nullspace():
