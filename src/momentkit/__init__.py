@@ -23,7 +23,6 @@ from .errors import (
     NonSimpleVertexError,
     NotDelzantError,
     NotGenericError,
-    NotPolarizingError,
     UnboundedRegionError,
 )
 from .polytopes import (
@@ -44,7 +43,6 @@ from .polytopes import (
 from .polar import (
     PolarizedCone,
     choose_polarizing_vector,
-    cone_contains,
     is_polarizing,
     polar_decompose,
     signed_indicator_sum,

@@ -46,12 +46,8 @@ class NotDelzantError(DomainError):
     """Polytope is not simple/rational/smooth, so the toric dictionary fails."""
 
 
-class NotPolarizingError(DomainError):
-    """Direction pairs to zero with some edge vector."""
-
-
 class NotGenericError(DomainError):
-    """Evaluation direction annihilates a weight or edge."""
+    """Direction pairs to zero with an edge vector or an isotropy weight."""
 
 
 class NonSimpleVertexError(DomainError):

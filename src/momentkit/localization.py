@@ -101,7 +101,6 @@ def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     ``gkm.MAX_CLASS_DEGREE ** 2``, read at call time; one monomial at the
     degree limit is allowed.  ``fixed_point_value`` then evaluates it.
     """
-    xi = as_vec(xi)
     for label, f in zip(G.labels, cls):
         work = sum(max(sum(mono), TERM_DEGREE_FLOOR) ** 2 for mono in f)
         check_limit(work, gkm.MAX_CLASS_DEGREE ** 2, lambda: (

@@ -6,9 +6,9 @@ read straight off the polytope as int tuples.  Each is paired with xi
 over a common denominator, an int sum: a positive scale keeps every
 sign, so xi is cleared once per call.  Generators pairing positively
 with xi are flipped so all of them point against xi; flipped generators
-get strict (open) coefficients and the cone enters with sign
-(-1)^(number flipped).  The signed sum of cone indicators then
-reproduces the polytope indicator at every point of R^n, boundary
+get strict (open) coefficients, and the cone's sign, (-1)^(number
+flipped), is read from its open flags.  The signed sum of cone indicators
+then reproduces the polytope indicator at every point of R^n, boundary
 included, with no tolerance anywhere.  A membership test clears the
 point's denominators once and each cone's apex once (on the cone), so
 the point's offset from every apex is an integer vector.
@@ -48,7 +48,7 @@ from . import linalg
 from .algebra import (
     Vec, as_vec, clear_denominators, clear_direction, generic_vector,
     primitive, vec_to_json, vneg)
-from .errors import DomainError, NonSimpleVertexError, NotPolarizingError, check_limit
+from .errors import DomainError, NonSimpleVertexError, NotGenericError, check_limit
 from .polytopes import Polytope
 
 # signed_lattice_count refuses a decomposition whose parallelepipeds hold
@@ -65,16 +65,20 @@ POWER_SUM_BLOCK = 4096
 
 @dataclass(frozen=True)
 class PolarizedCone:
-    """Half-open vertex cone with orientation sign.
+    """Half-open vertex cone, its orientation sign read from its flags.
 
     ``open_flags[j]`` is True when generator j was flipped and therefore
-    carries a strict coefficient; ``sign`` is (-1)^(number of True flags).
+    carries a strict coefficient.
     """
 
     apex: Vec
     generators: tuple[Vec, ...]
     open_flags: tuple[bool, ...]
-    sign: int
+
+    @property
+    def sign(self) -> int:
+        """(-1)^(number of True flags)."""
+        return (-1) ** sum(self.open_flags)
 
     @functools.cached_property
     def cleared_apex(self) -> tuple[list[int], int]:
@@ -265,11 +269,6 @@ def _constant_term(sums: list[int], ws: list[int]) -> Fraction:
     return Fraction((-1) ** n * series[n], d ** n * factorial(n) * prod(ws))
 
 
-def cone_contains(cone: PolarizedCone, x) -> bool:
-    """Exact membership honoring each generator's closed/open flag."""
-    return _contains(cone, *clear_denominators(as_vec(x)))
-
-
 def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
     """Polarized tangent cone at every vertex, in vertex order.
 
@@ -281,12 +280,12 @@ def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
     for apex, at_v in zip(P.vertices, P.weights):
         pairings = [sum(map(mul, alpha, xi_int)) for alpha in at_v]
         if 0 in pairings:
-            raise NotPolarizingError(
+            raise NotGenericError(
                 f"direction pairs to zero with edge vector "
                 f"{vec_to_json(at_v[pairings.index(0)])}")
         flags = tuple(pairing > 0 for pairing in pairings)
         generators = tuple(vneg(a) if f else a for a, f in zip(at_v, flags))
-        cones.append(PolarizedCone(apex, generators, flags, (-1) ** sum(flags)))
+        cones.append(PolarizedCone(apex, generators, flags))
     return tuple(cones)
 
 
@@ -313,7 +312,6 @@ def signed_lattice_count(P: Polytope, xi, box) -> int:
     scanned.  A decomposition with more than MAX_PARALLELEPIPED_POINTS
     parallelepiped points in total is refused before any is enumerated.
     """
-    xi = as_vec(xi)
     box = [(int(lo), int(hi)) for lo, hi in box]
     if len(box) != P.dim:
         raise DomainError(f"box has {len(box)} ranges, expected {P.dim}")
@@ -326,12 +324,12 @@ def signed_lattice_count(P: Polytope, xi, box) -> int:
                 raise DomainError(
                     f"box does not contain the polytope: vertex coordinate "
                     f"{Fraction(x, D)} outside [{lo}, {hi}]")
-    cones = polar_decompose(P, xi)
+    # the constant term is unchanged by t -> ct, so xi may be made integral
+    xi_int, _ = clear_direction(xi, P.dim)
+    cones = polar_decompose(P, xi_int)
     points = sum(abs(cone.lattice[2]) for cone in cones)
     check_limit(points, MAX_PARALLELEPIPED_POINTS,
                 lambda: f"vertex cones hold {points} parallelepiped points,")
-    # the constant term is unchanged by t -> ct, so xi may be made integral
-    xi_int, _ = clear_denominators(xi)
     total = Fraction(0)
     for cone in cones:
         ws = [sum(map(mul, col, xi_int)) for col in cone.lattice[0]]

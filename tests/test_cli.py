@@ -110,6 +110,18 @@ def test_volume_retries_non_generic_xi():
     assert report["result"]["volume"] == "1/2"
 
 
+def test_negative_first_xi_entry_is_given_after_equals(capsys):
+    # argparse reads "-1,2" after a space as an option, so a --xi whose
+    # first entry is negative is written --xi=-1,2
+    for argv, line in ((["decompose", "simplex:2:1", "--xi=-1,2"], "xi: -1,2"),
+                       (["volume", "cube:2:2", "--xi=-3,5"], "xi: -3,5")):
+        assert cli.main(argv) == 0, argv
+        assert line in capsys.readouterr().out.splitlines()
+    assert cli.main(["decompose", "simplex:2:1", "--xi", "-1,2"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: argument --xi")
+
+
 def test_decompose_payload_shape():
     report, code = run_json(["decompose", "simplex:2:1", "--xi", "1,2"])
     assert code == 0

@@ -2,6 +2,7 @@
 examples."""
 
 import ast
+import dataclasses
 import io
 import json
 import shlex
@@ -23,10 +24,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "DegenerateInputError", "DomainError", "EmptyRegionError",
     "MomentGraph", "NonSimpleVertexError",
-    "NotDelzantError", "NotGenericError", "NotPolarizingError",
+    "NotDelzantError", "NotGenericError",
     "PolarizedCone", "Poly", "Polytope", "SmoothnessReport",
     "UnboundedRegionError", "Vec", "algebra", "betti_numbers",
-    "catalog_specs", "choose_polarizing_vector", "cone_contains", "cube",
+    "catalog_specs", "choose_polarizing_vector", "cube",
     "dilate", "dot", "errors", "euler_class_at",
     "facet_class", "flip_weights", "free_module_check", "from_halfspaces",
     "from_spec", "generic_vector", "gkm", "gkm_check", "gkm_degree_basis",
@@ -134,7 +135,6 @@ CALLED_BY_TESTS_ONLY = {
         "synthetic division, the planned independent twin of gkm-check",
     "polytopes.polytope_to_json": "tests write polytope files with it",
     "polytopes.dilate": "the tests' dilation fixtures",
-    "polar.cone_contains": "the one membership test of a single cone",
     "gkm.flip_weights": "acceptance criterion 8 flips edge labels with it",
     "gkm.gkm_degree_basis": "README: the degreewise admissible classes",
     "gkm.free_module_check": "README: free-module consistency of the "
@@ -262,6 +262,32 @@ def test_admissibility_is_checked_in_one_form():
                      and node.attr == "weights"
                      and getattr(node.value, "id", None) != "P")
     assert set(labels) == {"gkm.__post_init__", "gkm.flip_weights"}
+
+
+def _builds_a_cone(node: ast.AST) -> bool:
+    """True for a call ``PolarizedCone(...)``."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "PolarizedCone")
+
+
+def test_polar_cones_state_each_fact_once():
+    """A cone's sign is read from its open flags, not stored beside them:
+    ``PolarizedCone`` has three fields, and src/ builds one only in
+    ``polar_decompose``, from three arguments.  A single cone's membership
+    is its term of ``signed_indicator_sum``, and a direction pairing to
+    zero with an edge is refused as ``NotGenericError``, as it is for a
+    weight: ``cone_contains`` and ``NotPolarizingError`` are gone from
+    src/ and README."""
+    assert [f.name for f in dataclasses.fields(polar.PolarizedCone)] == [
+        "apex", "generators", "open_flags"]
+    assert isinstance(vars(polar.PolarizedCone)["sign"], property)
+    assert [p.name for p in [*sorted(SRC.glob("*.py")), README]
+            if "NotPolarizingError" in p.read_text(encoding="utf-8")
+            or "cone_contains" in p.read_text(encoding="utf-8")] == []
+    assert _owners(_builds_a_cone) == ["polar.polar_decompose"]
+    tree = ast.parse((SRC / "polar.py").read_text(encoding="utf-8"))
+    assert [len(node.args) + len(node.keywords) for node in ast.walk(tree)
+            if _builds_a_cone(node)] == [3]
 
 
 def test_linalg_names_fraction_only_in_nullspace():

@@ -2,7 +2,7 @@
 against the Fraction body it replaced.
 
 ``Polytope.int_vertices`` holds every vertex as its Cramer pair (X, D).
-``Polytope.contains``, ``polar.signed_indicator_sum``, ``cone_contains``,
+``Polytope.contains``, ``polar.signed_indicator_sum`` and its one-cone term,
 ``is_polarizing``, ``gkm.betti_numbers``, ``gkm.facet_class``,
 ``localization.pushforward`` and ``volume_localization`` clear the point
 or direction once and pair in ints.  Their former bodies, one Fraction
@@ -10,22 +10,23 @@ operation per coordinate, are kept here as twins, and every case compares
 the answer or the exact error, type and message.
 """
 
+import json
 from fractions import Fraction as F
 from math import factorial
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentkit import gkm, linalg, localization, polar
+from momentkit import cli, gkm, linalg, localization, polar
 from momentkit.algebra import (
     as_vec, clear_denominators, dot, linear_poly, poly_eval, poly_mul,
     vec_to_json, vsub)
 from momentkit.errors import DomainError, NotGenericError
 from momentkit.polytopes import (
-    catalog_specs, from_halfspaces, from_spec)
+    catalog_specs, from_halfspaces, from_spec, tight_box)
 
 from test_algebra import poly_pow
-from test_polar import rational_simple_polytopes
+from test_polar import _in_cone, rational_simple_polytopes
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +219,7 @@ def test_membership_and_indicator_match_the_fraction_twins(P, draw):
         assert polar.signed_indicator_sum(cones, x) == int(inside)
         assert _fraction_indicator_sum(cones, x) == int(inside)
         for cone in cones:
-            assert polar.cone_contains(cone, x) == \
-                _fraction_cone_contains(cone, x)
+            assert _in_cone(cone, x) == _fraction_cone_contains(cone, x)
 
 
 def test_open_flags_and_rational_apexes_are_exercised():
@@ -229,8 +229,7 @@ def test_open_flags_and_rational_apexes_are_exercised():
     assert all(any(e.denominator > 1 for e in c.apex) for c in cones)
     for cone in cones:
         for x in _boundary_points(P):
-            assert polar.cone_contains(cone, x) == \
-                _fraction_cone_contains(cone, x)
+            assert _in_cone(cone, x) == _fraction_cone_contains(cone, x)
 
 
 def test_wrong_dimensions_raise_as_the_twins_do():
@@ -316,3 +315,41 @@ def test_a_weight_pairing_to_zero_names_it_as_the_twin_does():
         assert got == _outcome(old, *args)
         assert got == (NotGenericError, "weight ['1', '1'] vanishes at "
                        "evaluation point ['1/2', '-1/2']")
+
+
+def test_every_refusal_of_a_direction_is_one_class(tmp_path, capsys):
+    # (1, 1) and (1/2, 1/2) pair to zero with the triangle's edge (1, -1):
+    # each entry point refuses them as NotGenericError, under the message
+    # of its own loop (edge vectors, edges of the graph, or weights)
+    P = from_spec("simplex:2:1")
+    G = gkm.moment_graph(P)
+    unit = ({(0, 0): F(1)},) * 3
+    edge = "direction pairs to zero with edge vector ['1', '-1']"
+    for xi, point in (((1, 1), "['1', '1']"), ((F(1, 2), F(1, 2)),
+                                               "['1/2', '1/2']")):
+        weight = f"weight ['1', '-1'] vanishes at evaluation point {point}"
+        for call, message in (
+                (lambda: polar.polar_decompose(P, xi), edge),
+                (lambda: polar.signed_lattice_count(P, xi, tight_box(P)),
+                 edge),
+                (lambda: gkm.betti_numbers(G, xi),
+                 "direction is not generic: edge (1, 2) pairs to zero"),
+                (lambda: localization.pushforward(unit, G, xi), weight),
+                (lambda: localization.fixed_point_value(unit, G, xi), weight),
+                (lambda: localization.volume_localization(P, xi), weight)):
+            assert _outcome(call) == (NotGenericError, message)
+    # through the CLI each refusal exits 3 with its message, and volume
+    # retries with a seeded direction
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(gkm.gkm_class_to_json(G, unit)))
+    capsys.readouterr()
+    for command, message in (
+            (["count"], edge), (["decompose"], edge),
+            (["betti"], "direction is not generic: edge (1, 2) pairs to zero"),
+            (["integrate", "--class", str(path)],
+             "weight ['1', '-1'] vanishes at evaluation point ['1', '1']")):
+        argv = [command[0], "simplex:2:1", *command[1:], "--xi", "1,1"]
+        assert cli.main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+    report, code = cli.run(["volume", "simplex:2:1", "--xi", "1,1", "--json"])
+    assert code == 0 and report["result"]["xi_retried"] is True
