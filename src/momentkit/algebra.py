@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
-from .errors import DomainError, check_limit, quoted
+from .errors import DomainError, NotGenericError, check_limit, quoted
 
 Vec = tuple[Fraction, ...]
 
@@ -78,6 +78,22 @@ def clear_direction(xi, dim: int) -> tuple[list[int], int]:
     if len(xi) != dim:
         raise ValueError(f"vector length mismatch: {dim} vs {len(xi)}")
     return clear_denominators(xi)
+
+
+def pair_direction(table, xi, dim: int) -> tuple[list[int], int, list[list[int]]]:
+    """(X, q, rows): xi = X / q by ``clear_direction``, and rows[v] the int
+    pairings <w, X> over the weights w of table[v], each with the sign of
+    <w, xi>.  The first weight, in vertex then weight order, that pairs to
+    zero is refused: every ``NotGenericError`` is raised here."""
+    X, q = clear_direction(xi, dim)
+    rows = []
+    for v, at_v in enumerate(table):
+        rows.append(row := [sum(map(mul, w, X)) for w in at_v])
+        if 0 in row:
+            raise NotGenericError(
+                f"direction pairs to zero with weight "
+                f"{vec_to_json(at_v[row.index(0)])} at vertex {v}")
+    return X, q, rows
 
 
 def primitive(v) -> tuple[int, ...]:

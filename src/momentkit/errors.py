@@ -47,7 +47,7 @@ class NotDelzantError(DomainError):
 
 
 class NotGenericError(DomainError):
-    """Direction pairs to zero with an edge vector or an isotropy weight."""
+    """Direction pairs to zero with a weight: raised by ``pair_direction``."""
 
 
 class NonSimpleVertexError(DomainError):

@@ -29,11 +29,11 @@ from .algebra import (
     Poly,
     Vec,
     clear_denominators,
-    clear_direction,
     generic_vector,
     is_zero_vec,
     linear_poly,
     monomials,
+    pair_direction,
     poly_degree,
     poly_from_json,
     poly_sub,
@@ -43,7 +43,7 @@ from .algebra import (
     vec_to_json,
     vneg,
 )
-from .errors import DomainError, NotDelzantError, NotGenericError, check_limit, quoted
+from .errors import DomainError, NotDelzantError, check_limit, quoted
 from .polytopes import Polytope, smoothness_report
 
 # A candidate equivariant class: one polynomial per graph vertex.
@@ -251,20 +251,13 @@ def betti_numbers(G: MomentGraph, xi) -> tuple[int, ...]:
     Entry k is the number of vertices with exactly k incident edges whose
     other endpoint pairs lower against xi.  ``G.isotropy[v]`` points from
     v towards its neighbours, so an edge goes down exactly when its weight
-    pairs negatively with xi, cleared once: the pairings are int sums.
+    pairs negatively with xi: the Morse index of v counts the negative
+    entries of its row of ``pair_direction``.
     """
-    X, _ = clear_direction(xi, G.dim)
-    profile = [0] * (max(map(len, G.incidence)) + 1)
-    for ks, at_v in zip(G.incidence, G.isotropy):
-        down = 0
-        for k, w in zip(ks, at_v):
-            pairing = sum(map(mul, w, X))
-            if not pairing:
-                i, j = G.edges[k]
-                raise NotGenericError(
-                    f"direction is not generic: edge ({i}, {j}) pairs to zero")
-            down += pairing < 0
-        profile[down] += 1
+    _, _, rows = pair_direction(G.isotropy, xi, G.dim)
+    profile = [0] * (max(map(len, rows)) + 1)
+    for row in rows:
+        profile[len([p for p in row if p < 0])] += 1
     return tuple(profile)
 
 

@@ -9,19 +9,20 @@ rational function.  A part of degree d > n pushes forward to a polynomial of
 degree d - n in the evaluation point, so the CLI's ``integrate`` reports
 ``oracle-mismatch`` (exit 4) for <v, X>^3 on ``cube:2:1``, for example.
 
-One sum, ``_fixed_point_sum``, evaluates value_v / prod_w <w, X> over the
-vertices with int pairings, xi = X/q cleared once per call.  ``pushforward``
-checks a class, then ``fixed_point_value`` feeds the sum its values over
-``MomentGraph.isotropy`` and scales it by q^n.  ``volume_localization``
-feeds it <X_v, X>^n / D_v^n over ``Polytope.weights``, v = X_v/D_v read from
-``Polytope.int_vertices`` (q drops out of a term of degree 0), scaled by
+One sum, ``_fixed_point_sum``, adds value_v / prod(row_v) over the rows of
+``algebra.pair_direction``, the int pairings <w, X> of the weights at v with
+xi = X/q cleared once per call.  ``pushforward`` checks a class, then
+``fixed_point_value`` feeds the sum its values at X/q over the rows of
+``MomentGraph.isotropy``, scaled by q^n.  ``volume_localization`` feeds it
+<X_v, X>^n / D_v^n over the rows of ``Polytope.weights``, v = X_v/D_v read
+from ``Polytope.int_vertices`` (q drops out of a term of degree 0), scaled by
 (-1)^n / n!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from . import gkm
@@ -29,15 +30,13 @@ from .algebra import (
     ZERO,
     Poly,
     Vec,
-    as_vec,
-    clear_direction,
     linear_poly,
+    pair_direction,
     poly_const,
     poly_eval,
     poly_mul,
-    vec_to_json,
 )
-from .errors import DomainError, NotDelzantError, NotGenericError, check_limit
+from .errors import DomainError, NotDelzantError, check_limit
 from .gkm import GKMClass, MomentGraph, gkm_check
 from .polytopes import Polytope, smoothness_report
 
@@ -58,37 +57,29 @@ def _isotropy(G: MomentGraph) -> tuple[tuple[Vec, ...], ...]:
 
 def euler_class_at(G: MomentGraph, v: int) -> Poly:
     """Product of the weight linear forms at a vertex, degree dim."""
+    if not 0 <= v < len(G.positions):
+        raise DomainError(f"no vertex {v} among {len(G.positions)} vertices")
     out = poly_const(G.dim, 1)
     for w in _isotropy(G)[v]:
         out = poly_mul(out, linear_poly(w))
     return out
 
 
-def _fixed_point_sum(values, weights, X: list[int], xi: Vec) -> Fraction:
-    """Sum over vertices of values[v] / prod of <w, X> over weights[v], X
-    an int multiple of xi; xi names the point where a weight pairs to 0."""
+def _fixed_point_sum(values, rows) -> Fraction:
+    """Sum over vertices of values[v] / prod(rows[v]), the rows of
+    ``pair_direction``: no pairing in them is zero."""
     total = ZERO
-    for value, at_v in zip(values, weights):
-        denom = 1
-        for w in at_v:
-            pairing = sum(map(mul, w, X))
-            if not pairing:
-                raise NotGenericError(
-                    f"weight {vec_to_json(w)} vanishes at evaluation point "
-                    f"{vec_to_json(xi)}")
-            denom *= pairing
-        total += Fraction(value.numerator, value.denominator * denom)
+    for value, row in zip(values, rows):
+        total += Fraction(value.numerator, value.denominator * prod(row))
     return total
 
 
 def fixed_point_value(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
     """Sum over vertices of component value over Euler class value at xi,
     for a class that ``pushforward`` has accepted: no check is made."""
-    xi = as_vec(xi)
-    weights = _isotropy(G)
-    X, q = clear_direction(xi, G.dim)
-    return q ** G.dim * _fixed_point_sum(
-        (poly_eval(f, xi) for f in cls), weights, X, xi)
+    X, q, rows = pair_direction(_isotropy(G), xi, G.dim)
+    point = tuple(Fraction(x, q) for x in X)
+    return q ** G.dim * _fixed_point_sum((poly_eval(f, point) for f in cls), rows)
 
 
 def pushforward(cls: GKMClass, G: MomentGraph, xi) -> Fraction:
@@ -123,13 +114,12 @@ def volume_localization(P: Polytope, xi) -> Fraction:
     push-forward of <v, X>^n.  Requires the Delzant conditions: without
     unimodular vertex cones the terms would need an extra index factor.
     """
-    xi = as_vec(xi)
     report = smoothness_report(P)
     if not report.smooth:
         raise NotDelzantError(f"polytope is not Delzant: {report.reason}")
     n = P.dim
-    X, _ = clear_direction(xi, n)
+    X, _, rows = pair_direction(P.weights, xi, n)
     values = (Fraction(sum(map(mul, V, X)) ** n, D ** n)
               for V, D in P.int_vertices)
-    total = _fixed_point_sum(values, P.weights, X, xi)
+    total = _fixed_point_sum(values, rows)
     return Fraction((-1) ** n, factorial(n)) * total

@@ -2,9 +2,9 @@
 
 Fix a direction xi that pairs nonzero with every edge vector.  The cone
 at vertex i is spanned by its primitive edge directions ``P.weights[i]``,
-read straight off the polytope as int tuples.  Each is paired with xi
-over a common denominator, an int sum: a positive scale keeps every
-sign, so xi is cleared once per call.  Generators pairing positively
+read straight off the polytope as int tuples.  ``pair_direction`` pairs
+each with xi cleared once per call, an int sum with the same sign, and
+refuses a zero pairing as ``NotGenericError``.  Generators pairing positively
 with xi are flipped so all of them point against xi; flipped generators
 get strict (open) coefficients, and the cone's sign, (-1)^(number
 flipped), is read from its open flags.  The signed sum of cone indicators
@@ -47,8 +47,8 @@ from operator import add, mul, neg
 from . import linalg
 from .algebra import (
     Vec, as_vec, clear_denominators, clear_direction, generic_vector,
-    primitive, vec_to_json, vneg)
-from .errors import DomainError, NonSimpleVertexError, NotGenericError, check_limit
+    pair_direction, primitive, vec_to_json, vneg)
+from .errors import DomainError, NonSimpleVertexError, check_limit
 from .polytopes import Polytope
 
 # signed_lattice_count refuses a decomposition whose parallelepipeds hold
@@ -272,18 +272,13 @@ def _constant_term(sums: list[int], ws: list[int]) -> Fraction:
 def polar_decompose(P: Polytope, xi) -> tuple[PolarizedCone, ...]:
     """Polarized tangent cone at every vertex, in vertex order.
 
-    xi's denominators are cleared once: a positive scale keeps the sign of
-    each pairing, so every weight pairs with one integer vector.  The cones
-    are built per call and belong to the caller; P keeps none of them."""
-    xi_int, _ = clear_direction(xi, P.dim)
+    The pairings of xi with the weights are the rows of ``pair_direction``:
+    a generator flips where its pairing is positive.  The cones are built
+    per call and belong to the caller; P keeps none of them."""
+    _, _, rows = pair_direction(P.weights, xi, P.dim)
     cones = []
-    for apex, at_v in zip(P.vertices, P.weights):
-        pairings = [sum(map(mul, alpha, xi_int)) for alpha in at_v]
-        if 0 in pairings:
-            raise NotGenericError(
-                f"direction pairs to zero with edge vector "
-                f"{vec_to_json(at_v[pairings.index(0)])}")
-        flags = tuple(pairing > 0 for pairing in pairings)
+    for apex, at_v, row in zip(P.vertices, P.weights, rows):
+        flags = tuple(p > 0 for p in row)
         generators = tuple(vneg(a) if f else a for a, f in zip(at_v, flags))
         cones.append(PolarizedCone(apex, generators, flags))
     return tuple(cones)

@@ -311,12 +311,11 @@ def test_parallel_check_matches_the_rank_twin():
 def _betti_from_isotropy(G, xi):
     """The downward-edge count the graph made from isotropy pairings."""
     pairings = [[dot(w, xi) for w in ws] for ws in G.isotropy]
-    for ks, at_v in zip(G.incidence, pairings):
-        for k, pairing in zip(ks, at_v):
+    for v, (ws, at_v) in enumerate(zip(G.isotropy, pairings)):
+        for w, pairing in zip(ws, at_v):
             if pairing == 0:
-                i, j = G.edges[k]
-                raise NotGenericError(
-                    f"direction is not generic: edge ({i}, {j}) pairs to zero")
+                raise NotGenericError(f"direction pairs to zero with weight "
+                                      f"{vec_to_json(w)} at vertex {v}")
     profile = [0] * (max(map(len, pairings)) + 1)
     for at_v in pairings:
         profile[sum(p < 0 for p in at_v)] += 1

@@ -65,6 +65,14 @@ def test_euler_class_triangle_origin():
     assert euler_class_at(TRIANGLE, v) == {(1, 1): F(1)}  # x*y
 
 
+def test_euler_class_refuses_a_vertex_outside_the_graph():
+    # -1 would read the last vertex's weights, and 4 one past the end
+    G = moment_graph(cube(2, 1))
+    for v in (-1, len(G.positions)):
+        with pytest.raises(DomainError, match=rf"^no vertex {v} among 4 vertices$"):
+            euler_class_at(G, v)
+
+
 def test_pushforward_requires_n_weights():
     # the path (0,0)-(1,0)-(1,1) is a valid moment graph in dimension 2,
     # but its end vertices carry one weight each

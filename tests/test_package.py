@@ -290,6 +290,31 @@ def test_polar_cones_state_each_fact_once():
             if _builds_a_cone(node)] == [3]
 
 
+def _names(module: str) -> set:
+    """Every name, attribute, import alias and def name in src/<module>.py."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {getattr(node, "id", getattr(node, "attr", getattr(
+        node, "name", None))) for node in ast.walk(tree)}
+
+
+def test_directions_are_paired_in_one_place():
+    """``algebra.pair_direction`` clears a direction once, pairs it with a
+    weight table and refuses the first zero: src/ constructs
+    ``NotGenericError`` nowhere else, ``polar_decompose``, ``betti_numbers``
+    and ``_fixed_point_sum`` pair nothing themselves (no ``mul``), and
+    ``localization`` names neither ``as_vec`` nor ``clear_direction``."""
+    raises = _owners(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == "NotGenericError")
+    assert raises == ["algebra.pair_direction"]
+    pairs = _owners(lambda node: getattr(node, "id", None) == "mul")
+    assert not {"polar.polar_decompose", "gkm.betti_numbers",
+                "localization._fixed_point_sum"} & set(pairs)
+    assert "algebra.pair_direction" in pairs, "the scan sees the pairings"
+    names = _names("localization")
+    assert not names & {"as_vec", "clear_direction"}
+    assert "pair_direction" in names, "the scan reads localization's names"
+
+
 def test_linalg_names_fraction_only_in_nullspace():
     """The kernels run on ints: in ``linalg``, ``Fraction`` is named (past
     its import) only where ``nullspace`` builds its output entries."""
@@ -315,9 +340,7 @@ def test_power_sums_take_no_floor_per_point():
     """``polar`` builds each block of a parallelepiped line from one slope
     and the few points where a floor steps: ``floordiv``, the per-point
     floor map, is not named there, not even imported."""
-    tree = ast.parse((SRC / "polar.py").read_text(encoding="utf-8"))
-    names = {getattr(node, "id", getattr(node, "attr", getattr(
-        node, "name", None))) for node in ast.walk(tree)}
+    names = _names("polar")
     assert "floordiv" not in names
     assert {"accumulate", "mul"} <= names, "the scan reads polar's names"
 

@@ -104,8 +104,8 @@ def _fraction_polarize(P, i, xi):
         pairing = dot(alpha, xi)
         if pairing == 0:
             raise NotGenericError(
-                f"direction pairs to zero with edge vector "
-                f"{[str(c) for c in alpha]}")
+                f"direction pairs to zero with weight "
+                f"{[str(c) for c in alpha]} at vertex {i}")
         generators.append(tuple(-c for c in alpha) if pairing > 0 else alpha)
         flags.append(pairing > 0)
     return PolarizedCone(P.vertices[i], tuple(generators), tuple(flags))
