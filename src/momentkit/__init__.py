@@ -52,7 +52,6 @@ from .gkm import (
     MomentGraph,
     betti_numbers,
     facet_class,
-    flip_weights,
     free_module_check,
     gkm_check,
     gkm_degree_basis,

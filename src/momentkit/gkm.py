@@ -9,11 +9,11 @@ linear constraints, Betti numbers from counting downward edges against a
 generic direction, and the two are tied together by a free-module
 (Hilbert series) identity.
 
-Edge labels matter only up to a nonzero factor, sign included: algorithms
-read the tables a ``MomentGraph`` derives from them, ``lines`` for
-divisibility, degree systems and generic directions, and ``isotropy`` for
-Morse counts and fixed-point sums.  ``moment_graph`` stores each label as
-``Polytope.weights`` holds it at the lower endpoint, which is its line.
+Edge labels matter only up to a nonzero factor, sign included, so a
+``MomentGraph`` stores each label's line and graphs whose labels differ by
+such factors are equal.  Algorithms read ``lines`` for divisibility, degree
+systems and generic directions, and ``isotropy`` for Morse counts and
+fixed-point sums.
 """
 
 from __future__ import annotations
@@ -52,50 +52,49 @@ GKMClass = tuple[Poly, ...]
 
 @dataclass(frozen=True)
 class MomentGraph:
-    """Vertices with positions, edges, and primitive weight labels.
+    """Vertices with positions, edges, and the lines of their labels.
 
-    ``weights[k]`` labels ``edges[k] = (i, j)`` (i < j), whose endpoint
-    positions must differ by a nonzero multiple of it, of any length and
-    sign.  At every vertex the incident labels must be pairwise linearly
-    independent.  Construction checks both, the first by integer
-    cross-multiplication on positions cleared of denominators once, and
-    builds ``incidence[v]``, the indices of the edges at v in increasing
-    order, ``isotropy[v]``, their primitive weights pointing away from
-    v as int tuples, oriented by positions so that flipping labels never
-    changes them, and ``lines[k]``, the primitive of label k with a positive
-    first nonzero entry: two labels are parallel exactly when their lines
-    are equal.  Algorithms read ``lines`` and ``isotropy``; ``weights`` is
-    kept as given for these checks, their messages and ``flip_weights``.
+    The third argument labels ``edges[k] = (i, j)`` (i < j) with one vector
+    per edge, whose endpoint positions must differ by a nonzero multiple of
+    it, of any length and sign.  At every vertex the incident labels must be
+    pairwise linearly independent.  Construction checks both, the first by
+    integer cross-multiplication on positions cleared of denominators once,
+    naming the labels as given in its messages.  It stores ``lines[k]``, the
+    primitive of label k with a positive first nonzero entry (two labels are
+    parallel exactly when their lines are equal), and ``isotropy[v]``, the
+    primitive weights of the edges at v in increasing edge order, pointing
+    away from v as int tuples, oriented by positions.  Positions and edges
+    are kept as tuples, so two graphs are equal, and hash alike, exactly
+    when their positions, edges and lines are.
     """
 
     positions: tuple[Vec, ...]
     edges: tuple[tuple[int, int], ...]
-    weights: tuple[Vec, ...]
-    incidence: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False)
+    lines: tuple[tuple[int, ...], ...]
     isotropy: tuple[tuple[tuple[int, ...], ...], ...] = field(
-        init=False, repr=False, compare=False)
-    lines: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nverts = len(self.positions)
+        positions = tuple(map(tuple, self.positions))
+        edges = tuple(map(tuple, self.edges))
+        labels = self.lines
+        nverts = len(positions)
         if nverts == 0:
             raise DomainError("moment graph needs at least one vertex")
-        dims = {len(p) for p in self.positions}
+        dims = {len(p) for p in positions}
         if len(dims) != 1:
             raise DomainError("vertex positions have mixed dimensions")
         dim = dims.pop()
         if dim < 1:
             raise DomainError("moment graph needs dimension at least 1")
-        if len(self.weights) != len(self.edges):
+        if len(labels) != len(edges):
             raise DomainError("one weight per edge required")
-        cleared = [clear_denominators(p) for p in self.positions]
+        cleared = [clear_denominators(p) for p in positions]
         seen = set()
         incidence: list[list[int]] = [[] for _ in range(nverts)]
         isotropy: list[list[tuple[int, ...]]] = [[] for _ in range(nverts)]
         lines = []
-        for k, ((i, j), w) in enumerate(zip(self.edges, self.weights)):
+        for k, ((i, j), w) in enumerate(zip(edges, labels)):
             if not (0 <= i < j < nverts):
                 raise DomainError(f"bad edge ({i}, {j})")
             if (i, j) in seen:
@@ -125,9 +124,10 @@ class MomentGraph:
             for a, b in combinations(ks, 2):
                 if lines[a] == lines[b]:
                     raise DomainError(f"parallel weights at vertex {v}: "
-                                      f"{vec_to_json(self.weights[a])} and "
-                                      f"{vec_to_json(self.weights[b])}")
-        object.__setattr__(self, "incidence", tuple(map(tuple, incidence)))
+                                      f"{vec_to_json(labels[a])} and "
+                                      f"{vec_to_json(labels[b])}")
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "isotropy", tuple(map(tuple, isotropy)))
         object.__setattr__(self, "lines", tuple(lines))
 
@@ -147,15 +147,6 @@ def moment_graph(P: Polytope) -> MomentGraph:
         raise NotDelzantError(f"polytope is not Delzant: {report.reason}")
     weights = tuple(P.weights[i][P.neighbors[i].index(j)] for i, j in P.edges)
     return MomentGraph(P.vertices, P.edges, weights)
-
-
-def flip_weights(G: MomentGraph, flipped_edges) -> MomentGraph:
-    """Same graph with the listed edge labels negated (a no-op semantically)."""
-    flipped = set(flipped_edges)
-    weights = tuple(
-        tuple(-c for c in w) if k in flipped else w
-        for k, w in enumerate(G.weights))
-    return MomentGraph(G.positions, G.edges, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from momentkit import (
     cube,
     dilate,
     facet_class,
-    flip_weights,
     free_module_check,
     from_halfspaces,
     gkm_check,
@@ -46,6 +45,7 @@ from momentkit.algebra import (
     restrict_to_hyperplane,
     vec,
     vec_to_json,
+    vneg,
     vsub,
 )
 from momentkit.gkm import (
@@ -71,14 +71,14 @@ def test_moment_graph_simplex():
     G = TRIANGLE
     assert len(G.positions) == 3
     assert len(G.edges) == 3
-    up_to_sign = {tuple(abs(c) for c in w) for w in G.weights}
+    up_to_sign = {tuple(abs(c) for c in w) for w in G.lines}
     assert up_to_sign == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_moment_graph_square_axis_weights():
     G = moment_graph(cube(2, 1))
     assert len(G.edges) == 4
-    for w in G.weights:
+    for w in G.lines:
         assert sorted(abs(c) for c in w) == [0, 1]
 
 
@@ -86,7 +86,7 @@ def test_moment_graph_interval():
     G = INTERVAL
     assert len(G.positions) == 2
     assert G.edges == ((0, 1),)
-    assert G.weights == ((F(1),),)
+    assert G.lines == ((1,),)
 
 
 def test_moment_graph_requires_smooth():
@@ -139,6 +139,21 @@ def test_moment_graph_validation():
     assert G.isotropy == ((vec(1, 0),), (vec(-1, 0),))
 
 
+def test_list_and_tuple_input_give_equal_graphs():
+    # positions and edges are stored as tuples whatever they came in, so a
+    # graph built from lists equals, and hashes like, one built from tuples
+    G = MomentGraph([[0, 0], [1, 0]], [[0, 1]], [[1, 0]])
+    H = MomentGraph(((0, 0), (1, 0)), ((0, 1),), ((1, 0),))
+    assert G == H and hash(G) == hash(H)
+    assert G.positions == ((0, 0), (1, 0)) and G.edges == ((0, 1),)
+    square = moment_graph(cube(2, 1))
+    lists = MomentGraph([list(p) for p in square.positions],
+                        [list(e) for e in square.edges],
+                        [list(w) for w in square.lines])
+    assert lists == square and hash(lists) == hash(square)
+    assert lists.isotropy == square.isotropy
+
+
 def test_label_check_matches_a_rank_twin():
     # an edge is accepted exactly when its endpoints differ by a nonzero
     # vector of rank 1 together with the label
@@ -186,29 +201,33 @@ def test_label_check_matches_the_fraction_twin():
     # the edges at it
     graphs = [moment_graph(P) for spec in catalog_specs()
               for P in (from_spec(spec), dilate(from_spec(spec), F(5, 3)))]
-    graphs += [flip_weights(G, range(0, len(G.edges), 2)) for G in graphs[:]]
-    graphs += [MomentGraph(G.positions, G.edges, tuple(
-        tuple(factor * c for c in w) for w in G.weights))
-        for G in graphs[:] for factor in (-3, F(5, 2))]
+    labelled = [(G, G.lines) for G in graphs]
+    labelled += [(G, tuple(vneg(w) if k % 2 == 0 else w
+                           for k, w in enumerate(labels)))
+                 for G, labels in labelled[:]]
+    labelled += [(G, tuple(tuple(factor * c for c in w) for w in labels))
+                 for G, labels in labelled[:] for factor in (-3, F(5, 2))]
     rng = random.Random(5)
     cases = []
-    for G in graphs:
+    for G, _ in labelled:
         cases.append(G.positions)
         k = rng.randrange(len(G.positions))
         cases.append(G.positions[:k] + (tuple(
             x + F(rng.randint(-2, 2), rng.randint(1, 3))
             for x in G.positions[k]),) + G.positions[k + 1:])
     refused = 0
-    for G, positions in zip([G for G in graphs for _ in (0, 1)], cases):
-        expect = _fraction_label_check(positions, G.edges, G.weights)
+    for (G, labels), positions in zip(
+            [case for case in labelled for _ in (0, 1)], cases):
+        expect = _fraction_label_check(positions, G.edges, labels)
         try:
-            MomentGraph(positions, G.edges, G.weights)
+            H = MomentGraph(positions, G.edges, labels)
         except DomainError as exc:
             assert str(exc) == expect
             refused += 1
         else:
             assert expect is None
-    assert len(graphs) == 21 * 2 * 2 * 3
+            assert (H == G) == (positions == G.positions)
+    assert len(labelled) == 21 * 2 * 2 * 3
     assert 0 < refused < len(cases) // 2
 
 
@@ -226,36 +245,40 @@ def _isotropy_from_positions(G):
     it read it off the labels: kept as the oracle."""
     return tuple(
         tuple(primitive(vsub(G.positions[j if i == v else i], G.positions[v]))
-              for i, j in (G.edges[k] for k in ks))
-        for v, ks in enumerate(G.incidence))
+              for i, j in G.edges if v in (i, j))
+        for v in range(len(G.positions)))
 
 
 def test_isotropy_matches_the_positions_twin():
     rng = random.Random(7)
-    graphs = [moment_graph(from_spec(spec)) for spec in catalog_specs()]
+    # each graph with the labels it was built from
+    labelled = [(G, G.lines) for G in (
+        moment_graph(from_spec(spec)) for spec in catalog_specs())]
     for P in (_random_simple_polytope(rng) for _ in range(4)):
-        graphs.append(MomentGraph(P.vertices, P.edges, tuple(
-            P.weights[i][P.neighbors[i].index(j)] for i, j in P.edges)))
+        labels = tuple(P.weights[i][P.neighbors[i].index(j)] for i, j in P.edges)
+        labelled.append((MomentGraph(P.vertices, P.edges, labels), labels))
     square = moment_graph(cube(2, 1))
-    flipped = [flip_weights(square, flips) for r in range(5)
-               for flips in combinations(range(4), r)]
-    assert len(flipped) == 16
-    assert all(H.isotropy == square.isotropy for H in flipped)
-    graphs += flipped
+    for r in range(5):
+        for flips in combinations(range(4), r):
+            labels = tuple(vneg(w) if k in flips else w
+                           for k, w in enumerate(square.lines))
+            H = MomentGraph(square.positions, square.edges, labels)
+            assert H == square and hash(H) == hash(square)
+            assert H.isotropy == square.isotropy
+            labelled.append((H, labels))
     # vertices in reverse order: every edge (i, j) now runs from the
     # lexicographically larger position to the smaller
-    last = [len(G.positions) - 1 for G in graphs]
-    graphs += [MomentGraph(G.positions[::-1], tuple(
-        (n - j, n - i) for i, j in G.edges), G.weights)
-        for G, n in zip(graphs, last)]
-    for G in list(graphs):
+    labelled += [(MomentGraph(G.positions[::-1], tuple(
+        (n - j, n - i) for i, j in G.edges), labels), labels)
+        for G, labels in labelled for n in [len(G.positions) - 1]]
+    for G, labels in list(labelled):
         for factor in (-3, F(5, 2)):
-            graphs.append(MomentGraph(G.positions, G.edges, tuple(
-                tuple(factor * c for c in w) for w in G.weights)))
-    assert len(graphs) == 3 * 2 * (21 + 4 + 16)
-    for G in graphs:
+            scaled = tuple(tuple(factor * c for c in w) for w in labels)
+            labelled.append((MomentGraph(G.positions, G.edges, scaled), scaled))
+    assert len(labelled) == 3 * 2 * (21 + 4 + 16)
+    for G, labels in labelled:
         assert G.isotropy == _isotropy_from_positions(G)
-        for line, w in zip(G.lines, G.weights):
+        for line, w in zip(G.lines, labels):
             assert line in (primitive(w), tuple(-c for c in primitive(w)))
             assert next(c for c in line if c) > 0
 
@@ -371,14 +394,15 @@ def test_stored_neighbors_and_incidence_match_an_edge_scan():
         G = MomentGraph(P.vertices, P.edges, tuple(
             primitive(vsub(P.vertices[j], P.vertices[i])) for i, j in P.edges))
         if P in catalog:
-            assert moment_graph(P).weights == G.weights
+            assert moment_graph(P) == G
         assert P.weights is P.weights
         for v in range(len(P.vertices)):
             # the scans that the stored tuples replaced, kept as the oracle
             assert P.neighbors[v] == tuple(sorted(
                 b if a == v else a for a, b in P.edges if v in (a, b)))
-            assert G.incidence[v] == tuple(
-                k for k, (i, j) in enumerate(G.edges) if v in (i, j))
+            assert G.isotropy[v] == tuple(
+                primitive(vsub(G.positions[j if i == v else i], G.positions[v]))
+                for i, j in G.edges if v in (i, j))
             assert P.weights[v] == tuple(
                 primitive(vsub(P.vertices[j], P.vertices[v]))
                 for j in P.neighbors[v])
@@ -506,9 +530,10 @@ def test_degree_system_size_limit():
         gkm_degree_basis(TRIANGLE, 100000)
 
 
-def _degree_system_by_index(G, k):
+def _degree_system_by_index(G, k, labels=None):
     """The index-table builder that ``_degree_system`` replaced, kept as its
-    twin: a residual list and index per edge, and a column table."""
+    twin: a residual list and index per edge, and a column table.  It
+    restricts along ``labels``, one per edge of G, or along G's lines."""
     n = G.dim
     monos = monomials(n, k)
     nmono = len(monos)
@@ -517,7 +542,7 @@ def _degree_system_by_index(G, k):
            for v in range(len(G.positions))
            for idx, m in enumerate(monos)}
     rows = []
-    for (i, j), w in zip(G.edges, G.weights):
+    for (i, j), w in zip(G.edges, labels or G.lines):
         piv = pivot_index(w)
         residual = [m for m in monos if m[piv] == 0]
         if not residual:
@@ -550,15 +575,17 @@ def test_degree_system_matches_the_index_table_twin(monkeypatch):
     for P, k_max in cases:
         G = moment_graph(P)
         # every other label flipped and all rescaled by -3: the graph's
-        # lines, which the system restricts along, do not move
-        H = flip_weights(G, range(0, len(G.edges), 2))
-        H = MomentGraph(H.positions, H.edges,
-                        tuple(tuple(-3 * c for c in w) for w in H.weights))
-        assert H.lines == G.lines
+        # lines, which the system restricts along, do not move, and the
+        # twin restricting along these labels builds the same rows
+        labels = tuple(tuple(-3 * c for c in (vneg(w) if e % 2 == 0 else w))
+                       for e, w in enumerate(G.lines))
+        H = MomentGraph(G.positions, G.edges, labels)
+        assert H == G and hash(H) == hash(G) and H.lines == G.lines
         for k in range(k_max + 1):
             rows = _degree_system(G, k)
             assert rows == _degree_system_by_index(G, k)
-            assert _degree_system(H, k) == _degree_system_by_index(H, k) == rows
+            assert _degree_system(H, k) == _degree_system_by_index(
+                H, k, labels) == rows
             basis = gkm_degree_basis(G, k)
             with monkeypatch.context() as m:
                 m.setattr(gkm, "_degree_system", _degree_system_by_index)
@@ -567,7 +594,7 @@ def test_degree_system_matches_the_index_table_twin(monkeypatch):
     # monomial restricts to more than one, and are free like the catalog
     for P in images:
         G = moment_graph(P)
-        assert any(all(w) for w in G.weights)
+        assert any(all(w) for w in G.lines)
         b = betti_numbers(G, choose_generic_direction(G))
         for k in range(5):
             assert gkm_dimension(G, k) == sum(
@@ -652,22 +679,24 @@ def test_sign_flip_invariance():
         assert len(checks[1]) < len(G.edges)
         base_dims = [gkm_dimension(G, k) for k in (0, 1, 2)]
         xi = choose_generic_direction(G)
-        scaled = tuple(tuple(F(-3, 2) * c for c in w) for w in G.weights)
-        graphs = [MomentGraph(G.positions, G.edges, scaled)]
+        labels = [tuple(tuple(F(-3, 2) * c for c in w) for w in G.lines)]
         for _ in range(5):
             flips = [k for k in range(len(G.edges)) if rng.random() < 0.5]
-            graphs.append(flip_weights(G, flips))
-        for H in graphs:
+            labels.append(tuple(vneg(w) if k in flips else w
+                                for k, w in enumerate(G.lines)))
+        for L in labels:
+            H = MomentGraph(G.positions, G.edges, L)
+            assert H == G and hash(H) == hash(G)
             assert [gkm_check(H, good), gkm_check(H, bad)] == checks
             assert [gkm_dimension(H, k) for k in (0, 1, 2)] == base_dims
             assert choose_generic_direction(H) == xi
 
 
-def _failures_by_division(G, cls):
+def _failures_by_division(edges, labels, cls):
     """The edges whose label, as given, leaves a remainder when synthetic
     division takes it out of the difference of endpoint components."""
     failures = []
-    for k, ((i, j), w) in enumerate(zip(G.edges, G.weights)):
+    for k, ((i, j), w) in enumerate(zip(edges, labels)):
         try:
             poly_quotient_by_linear(w, poly_sub(cls[i], cls[j]))
         except DomainError:
@@ -686,9 +715,10 @@ def test_gkm_check_matches_the_synthetic_division_twin():
     for spec in [*catalog_specs(), "cube:4:1", "simplex:4:1"]:
         P = from_spec(spec)
         G = moment_graph(P)
-        H = MomentGraph(G.positions, G.edges, tuple(
-            tuple(F(-3, 2) * c for c in w) if k % 2 else w
-            for k, w in enumerate(G.weights)))
+        labels = tuple(tuple(F(-3, 2) * c for c in w) if k % 2 else w
+                       for k, w in enumerate(G.lines))
+        H = MomentGraph(G.positions, G.edges, labels)
+        assert H == G and hash(H) == hash(G)
         classes = [facet_class(P, G, f) for f in P.facets]
         a, b = rng.sample(classes, 2)
         classes.append(tuple(poly_mul(f, g) for f, g in zip(a, b)))
@@ -700,9 +730,10 @@ def test_gkm_check_matches_the_synthetic_division_twin():
             classes.append(cls[:v] + (changed,) + cls[v + 1:])
         failing = 0
         for cls in classes:
-            expect = _failures_by_division(G, cls)
+            expect = _failures_by_division(G.edges, G.lines, cls)
             assert gkm_check(G, cls) == expect
-            assert gkm_check(H, cls) == _failures_by_division(H, cls) == expect
+            assert gkm_check(H, cls) == _failures_by_division(
+                H.edges, labels, cls) == expect
             failing += bool(expect)
         assert failing, spec
 

@@ -15,7 +15,6 @@ from momentkit import (
     cube,
     dilate,
     euler_class_at,
-    flip_weights,
     from_halfspaces,
     hirzebruch,
     moment_graph,
@@ -34,6 +33,7 @@ from momentkit.algebra import (
     poly_mul,
     poly_scale,
     vec,
+    vneg,
 )
 from momentkit.gkm import (
     MAX_CLASS_DEGREE,
@@ -101,8 +101,11 @@ def test_isotropy_and_pushforward_ignore_label_signs():
         assert value != 0
         edges = range(len(G.edges))
         for flipped in (edges[::2], edges):
-            H = flip_weights(G, flipped)
-            assert H.weights != G.weights
+            labels = tuple(vneg(w) if k in flipped else w
+                           for k, w in enumerate(G.lines))
+            assert labels != G.lines
+            H = MomentGraph(G.positions, G.edges, labels)
+            assert H == G and hash(H) == hash(G)
             assert H.isotropy == G.isotropy
             assert pushforward(cls, H, xi) == value
 

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import io
 import json
+import re
 import shlex
 import sys
 import tokenize
@@ -29,7 +30,7 @@ PUBLIC_NAMES = [
     "UnboundedRegionError", "Vec", "algebra", "betti_numbers",
     "catalog_specs", "choose_polarizing_vector", "cube",
     "dilate", "dot", "errors", "euler_class_at",
-    "facet_class", "flip_weights", "free_module_check", "from_halfspaces",
+    "facet_class", "free_module_check", "from_halfspaces",
     "from_spec", "generic_vector", "gkm", "gkm_check", "gkm_degree_basis",
     "gkm_dimension", "hirzebruch", "is_polarizing", "lattice_points_oracle",
     "linalg", "localization", "moment_graph", "polar", "polar_decompose",
@@ -135,7 +136,6 @@ CALLED_BY_TESTS_ONLY = {
         "synthetic division, the planned independent twin of gkm-check",
     "polytopes.polytope_to_json": "tests write polytope files with it",
     "polytopes.dilate": "the tests' dilation fixtures",
-    "gkm.flip_weights": "acceptance criterion 8 flips edge labels with it",
     "gkm.gkm_degree_basis": "README: the degreewise admissible classes",
     "gkm.free_module_check": "README: free-module consistency of the "
                              "degreewise dimensions",
@@ -247,9 +247,11 @@ def test_halfspaces_are_made_in_one_place():
 def test_admissibility_is_checked_in_one_form():
     """``gkm_check`` returns its failing edges, restricting along the
     graph's lines as ``_degree_system`` does: ``GKMCheckReport`` and
-    ``divides_linear`` are gone from src/, and ``MomentGraph.weights``,
-    the labels as given, is read only by the graph's own checks and
-    ``flip_weights``."""
+    ``divides_linear`` are gone from src/.  Edge labels have one stored
+    form, their lines: a ``MomentGraph`` holds positions, edges, lines and
+    the isotropy derived from them, no ``weights`` attribute is read off
+    anything but a polytope, and neither ``flip_weights`` nor a stored
+    ``incidence`` table is left in src/ or README."""
     assert [p.name for p in sorted(SRC.glob("*.py"))
             if "GKMCheckReport" in p.read_text(encoding="utf-8")
             or "divides_linear" in p.read_text(encoding="utf-8")] == []
@@ -257,11 +259,21 @@ def test_admissibility_is_checked_in_one_form():
                       and getattr(node.func, "id", None)
                       == "restrict_to_hyperplane")
     assert sorted(callers) == ["gkm._degree_system", "gkm.gkm_check"]
+    assert [(f.name, f.init, f.compare, f.repr)
+            for f in dataclasses.fields(gkm.MomentGraph)] == [
+        ("positions", True, True, True), ("edges", True, True, True),
+        ("lines", True, True, True), ("isotropy", False, False, False)]
     # a Polytope is P in src/, and its weights are another table
-    labels = _owners(lambda node: isinstance(node, ast.Attribute)
-                     and node.attr == "weights"
-                     and getattr(node.value, "id", None) != "P")
-    assert set(labels) == {"gkm.__post_init__", "gkm.flip_weights"}
+    assert _owners(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "weights"
+                   and getattr(node.value, "id", None) != "P") == []
+    # incidence is a local of MomentGraph.__post_init__, never an attribute
+    assert _owners(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "incidence") == []
+    assert [p.name for p in [*sorted(SRC.glob("*.py")), README]
+            if "flip_weights" in p.read_text(encoding="utf-8")] == []
+    assert not re.search(r"`incidence`|\.incidence\b",
+                         README.read_text(encoding="utf-8"))
 
 
 def _builds_a_cone(node: ast.AST) -> bool:

@@ -70,10 +70,10 @@ def _fraction_betti(G, xi):
     """``betti_numbers`` from the heights <p, xi> of the positions."""
     xi = as_vec(xi)
     heights = [dot(p, xi) for p in G.positions]
-    profile = [0] * (max(map(len, G.incidence)) + 1)
-    for v, ks in enumerate(G.incidence):
+    profile = [0] * (max(map(len, G.isotropy)) + 1)
+    for v, at_v in enumerate(G.isotropy):
         down = 0
-        for w, (i, j) in zip(G.isotropy[v], (G.edges[k] for k in ks)):
+        for w, (i, j) in zip(at_v, (e for e in G.edges if v in e)):
             if heights[i] == heights[j]:
                 raise NotGenericError(f"direction pairs to zero with weight "
                                       f"{vec_to_json(w)} at vertex {v}")
